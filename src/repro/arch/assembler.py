@@ -106,8 +106,8 @@ class Asm:
 
     def align(self, boundary: int, fill: int = 0x90) -> "Asm":
         """Pad with *fill* bytes up to the next multiple of *boundary*."""
-        while self.offset % boundary:
-            self._emit(bytes([fill]))
+        if self.offset % boundary:
+            self._emit(bytes([fill]) * (-self.offset % boundary))
         return self
 
     # -- zero-operand instructions --------------------------------------------

@@ -26,6 +26,7 @@ paper's Figure 1: valid sites, partial-instruction hits, and data hits.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
@@ -79,9 +80,12 @@ def find_syscall_sites_linear(code: bytes) -> List[int]:
     """Offsets that a linear-sweep disassembler believes are syscall sites.
 
     Subject to both false negatives and false positives once the sweep
-    desynchronizes inside embedded data (P2a / P3a).
+    desynchronizes inside embedded data (P2a / P3a).  Stops at trailing
+    zero padding: no site starts with 00 (earlier items are unchanged).
     """
-    return [item.offset for item in linear_sweep(code)
+    limit = len(code.rstrip(b"\x00"))
+    return [item.offset for item in itertools.takewhile(
+                lambda item: item.offset < limit, linear_sweep(code))
             if item.instruction is not None and item.instruction.is_syscall_site]
 
 

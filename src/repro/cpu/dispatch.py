@@ -40,6 +40,7 @@ from repro.errors import (
     ProtectionKeyFault,
     SegmentationFault,
 )
+from repro.memory.pages import PAGE_SIZE
 
 _MASK64 = (1 << 64) - 1
 _PACK_Q = struct.Struct("<Q").pack
@@ -115,30 +116,23 @@ def _pop(env, ctx) -> int:
 def _c_nop(insn: Instruction) -> Executor:
     if insn.length == 1:
         def run(env, ctx):
-            # Interpreter optimization: consume runs of single-byte nops in
-            # one step (the trampoline sled at address 0 is up to 512 of
-            # them).  Semantics are identical — nops have no side effects.
-            # The run is charged as a single retired instruction: nop-sled
-            # traversal cost is modelled by the TRAMPOLINE_SLED event the
-            # interposer handlers charge (matching zpoline's jump-optimized
-            # trampoline, whose traversal cost is near-constant in the
-            # landing offset).
+            # Interpreter optimization: consume a run of single-byte nops
+            # (the 4,090-byte trampoline sled at address 0) in one step,
+            # with one fetch (its EXEC check) and a C-level lstrip per page;
+            # a short run or a fetch fault ends it.  The run retires as one
+            # instruction: sled traversal cost is the TRAMPOLINE_SLED event
+            # the interposer handlers charge (zpoline's jump-optimized
+            # trampoline costs near-constant time in the landing offset).
             while True:
-                lookahead = b""
-                for span in (64, 16, 4, 1):  # degrade at page boundaries
-                    try:
-                        lookahead = env.mem_fetch(ctx.rip, span)
-                        break
-                    except (SegmentationFault, ProtectionKeyFault):
-                        continue
-                run_len = 0
-                while run_len < len(lookahead) and lookahead[run_len] == 0x90:
-                    run_len += 1
-                if run_len == 0:
-                    break
-                ctx.rip = (ctx.rip + run_len) & _MASK64
-                if run_len < len(lookahead):
-                    break
+                rip = ctx.rip
+                try:
+                    chunk = env.mem_fetch(rip, PAGE_SIZE - rip % PAGE_SIZE)
+                except (SegmentationFault, ProtectionKeyFault):
+                    return
+                run_len = len(chunk) - len(chunk.lstrip(b"\x90"))
+                ctx.rip = (rip + run_len) & _MASK64
+                if run_len < len(chunk):
+                    return
         return run
 
     def run_wide(env, ctx):

@@ -27,7 +27,6 @@ Faithful pitfalls:
 
 from __future__ import annotations
 
-import struct
 from typing import List
 
 from repro.arch.disassembler import find_syscall_sites_linear

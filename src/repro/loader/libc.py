@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.arch.assembler import Asm
 from repro.arch.registers import Reg
 from repro.cpu.cycles import Event
 from repro.kernel.syscalls import Nr

@@ -26,7 +26,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional
 
-from repro.arch.assembler import Asm
 from repro.arch.registers import Reg
 from repro.errors import LoaderError
 from repro.kernel.syscalls import Nr

@@ -18,6 +18,7 @@ requests and per-stage percentiles are equally grounded.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -144,6 +145,7 @@ def _gap_drawer(arrival: str):
     return draw
 
 
+@functools.lru_cache(maxsize=4)
 def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
     """Generate the full arrival schedule for ``(config, seed)``.
 
@@ -151,7 +153,8 @@ def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
     is fixed — gap, tenant, kind, connection — and every consumer draw
     happens even when a value is forced (single tenant still burns a
     draw via the picker), so adding consumers later can't silently
-    reshuffle the stream for old configs.
+    reshuffle the stream for old configs.  Memoised per process, so
+    the result is shared: no consumer may mutate its columns.
     """
     if config.rate <= 0:
         raise ValueError("generate_schedule needs a resolved rate")

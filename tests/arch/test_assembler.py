@@ -1,6 +1,8 @@
 """Assembler unit tests: encodings round-trip through the decoder and
 labels/fixups resolve to correct displacements."""
 
+import random
+
 import pytest
 
 from repro.arch import Asm, decode
@@ -217,3 +219,31 @@ def test_dq_little_endian():
     code = a.assemble()
     assert code[:2] == b"\x0f\x05"  # LE layout creates the hazard pattern
     assert a.data_spans == [(0, 8)]
+
+
+def reference_align(a, boundary, fill=0x90):
+    """The one-byte-per-emit padding loop ``Asm.align`` replaced."""
+    while a.offset % boundary:
+        a._emit(bytes([fill]))
+    return a
+
+
+@pytest.mark.parametrize("boundary", [1, 2, 16, 4096])
+@pytest.mark.parametrize("fill", [0x90, 0x00])
+def test_align_matches_bytewise_padding(boundary, fill):
+    rng = random.Random(boundary * 7 + fill)
+    # Random offsets, plus offsets already on the boundary.
+    lengths = [rng.randrange(0, 9000) for _ in range(12)]
+    lengths += [0, boundary, 2 * boundary]
+    for length in lengths:
+        data = bytes(rng.randrange(256) for _ in range(length % 97))
+        new, old = Asm(), Asm()
+        for a in (new, old):
+            a.raw(data)
+            a.nop(length - len(data))
+        new.align(boundary, fill=fill)
+        reference_align(old, boundary, fill=fill)
+        assert new.offset == old.offset
+        assert new.offset % boundary == 0
+        assert new.assemble() == old.assemble()
+        assert new.data_spans == old.data_spans

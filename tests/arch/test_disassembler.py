@@ -125,3 +125,77 @@ def test_truncated_tail_yields_desync():
     code = b"\x48\xb8\x01\x02"
     items = list(linear_sweep(code))
     assert all(item.is_desync for item in items)
+
+
+# ------------------------------------------------- trailing-padding cut
+
+
+def full_sweep_sites(code):
+    """The uncut reference: every syscall site of a full linear sweep."""
+    return [item.offset for item in linear_sweep(code)
+            if item.instruction is not None and item.instruction.is_syscall_site]
+
+
+def test_sweep_cut_matches_full_sweep_on_loader_images(monkeypatch):
+    """Every image the loader registers: libc, each workload and each
+    mechanism's interposer library; both the r-x prefix zpoline scans
+    (code plus its zero padding) and the whole blob."""
+    from repro.interposers.registry import REGISTRY
+    from repro.kernel import Kernel
+    from repro.loader.linker import Loader
+    from repro.workloads.coreutils import install_coreutils
+    from repro.workloads.lighttpd import install_lighttpd
+    from repro.workloads.nginx import install_nginx
+    from repro.workloads.redis import install_redis
+    from repro.workloads.sqlite import install_sqlite
+    from repro.workloads.stress import install_stress
+
+    images = {}
+    original = Loader.register_image
+
+    def record(self, image, path=None):
+        original(self, image, path)
+        images[path or image.name] = image
+
+    monkeypatch.setattr(Loader, "register_image", record)
+    kernel = Kernel(seed=0)
+    kernel.loader.ensure_libc()
+    for install in (install_coreutils, install_stress, install_sqlite,
+                    install_nginx, install_lighttpd, install_redis):
+        install(kernel)
+    for name in REGISTRY.names():
+        REGISTRY.create(name, Kernel(seed=0), install=False)
+
+    assert len(images) >= 10
+    for name, image in images.items():
+        blob = image.blob
+        for code in (blob[:image.code_size], blob):
+            assert find_syscall_sites_linear(code) == \
+                full_sweep_sites(code), name
+
+
+def test_sweep_cut_syscall_just_before_padding():
+    a = Asm()
+    a.mov_ri(Reg.RAX, 39)
+    a.syscall_()
+    a.align(64, fill=0x00)
+    code = a.assemble()
+    assert find_syscall_sites_linear(code) == full_sweep_sites(code) == [5]
+
+
+def test_sweep_cut_zero_immediate_runs_into_padding():
+    # `mov $0x50f, %eax` is B8 0F 05 00 00: its zero immediate bytes merge
+    # with the padding.  A sweep that stopped *decoding* at the cut would
+    # desync inside the instruction and find a phantom syscall at +1.
+    for imm in (0, 0x50F):
+        a = Asm()
+        a.mov_ri(Reg.RAX, imm, width=32)
+        a.align(4096, fill=0x00)
+        code = a.assemble()
+        assert code[0] == 0xB8
+        assert find_syscall_sites_linear(code) == full_sweep_sites(code) == []
+
+
+def test_sweep_cut_all_padding():
+    for code in (b"", b"\x00", b"\x00" * 4096):
+        assert find_syscall_sites_linear(code) == full_sweep_sites(code) == []

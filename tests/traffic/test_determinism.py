@@ -13,6 +13,7 @@ import pytest
 import repro.traffic.fleet as fleet
 from repro.traffic.config import TrafficConfig
 from repro.traffic.engine import run_loadtest
+from repro.traffic.schedule import generate_schedule
 
 TIER_HATCHES = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
                 "REPRO_NO_SUPERBLOCK", "REPRO_NO_TRACE_JIT")
@@ -111,3 +112,17 @@ def test_runconfig_traffic_roundtrip():
     assert result.slo is not None
     assert result.requests == result.slo.total_completed()
     assert result.ok
+
+
+@pytest.mark.parametrize("make", [model_config, full_config])
+def test_shared_schedule_unchanged_by_a_run(make):
+    """``generate_schedule`` is memoised per process: every mechanism cell
+    and the merge share one schedule, so no consumer may mutate it."""
+    traffic = make(rate=40_000, spans=True)
+    generate_schedule.cache_clear()
+    schedule = generate_schedule(traffic, 23)
+    before = schedule.digest()
+    run_loadtest(["native", "zpoline-default"], "redis", traffic, seed=23)
+    assert generate_schedule(traffic, 23) is schedule
+    assert schedule.digest() == before
+    assert generate_schedule.cache_info().misses == 1
