@@ -447,9 +447,7 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
         # RequestSpan events reach any attached sinks (null-sink guard
         # still applies at every emit).
         trace.bus = kernel.bus
-    arrivals = [(t_ns, schedule.stage_of(index), tenant, kind, conn, index)
-                for index, t_ns, tenant, kind, conn
-                in schedule.iter_requests(server)]
+    arrivals = list(schedule.arrivals(server))
     admission = RoundAdmission(
         kernel, connections, arrivals, payloads, expected,
         epoch_cycles=kernel.cycles.cycles, queue_limit=traffic.queue_limit,

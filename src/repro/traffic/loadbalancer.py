@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.observability.analyzers.latency import LogHistogram
+from repro.observability.analyzers.latency import LogHistogram, bucket_index
 
 #: Queue-depth samples per server across the schedule span.
 DEPTH_SAMPLES = 200
@@ -39,8 +39,9 @@ DEPTH_SAMPLES = 200
 class ServerSim:
     """Discrete-event simulation of one fleet server.
 
-    Feed arrivals in schedule order via :meth:`offer`, then
-    :meth:`drain`; read the JSON-safe result from :meth:`result`.
+    Feed arrivals in schedule order via :meth:`run` (or one at a time
+    via :meth:`offer`, then :meth:`drain`); read the JSON-safe result
+    from :meth:`result`.
     ``emit(kind, payload)`` (optional) mirrors queue-depth samples onto
     an event bus when the engine runs inside a kernel-attached context.
     """
@@ -71,15 +72,14 @@ class ServerSim:
         self.in_service: List[Tuple[int, int, Tuple]] = []  # heap
         self._seq = 0
 
-        # (stage, tenant, kind) -> tallies / latency histograms (ns).
+        # (stage, tenant, kind) -> tallies / latency histograms (ns);
+        # the completed tally is each histogram's count.
         self.offered: Dict[Tuple[int, int, int], int] = {}
-        self.completed: Dict[Tuple[int, int, int], int] = {}
         self.shed: Dict[Tuple[int, int, int], int] = {}
         self.latency: Dict[Tuple[int, int, int], LogHistogram] = {}
         self.stage_max_depth = [0] * stages
         self.depth_series: List[Tuple[int, int, int]] = []
         self._next_sample_ns = 0
-        self._now = 0
 
     # ------------------------------------------------------------ events
 
@@ -89,131 +89,161 @@ class ServerSim:
         *index* is the global schedule index — the span/exemplar
         identity; -1 (direct fabric use without a schedule) disables
         span capture for the request."""
-        self._advance(t_ns)
-        key = (stage, tenant, kind)
-        self.offered[key] = self.offered.get(key, 0) + 1
-        request = (t_ns, stage, tenant, kind, conn, index)
-        if self.trace is not None and index >= 0:
-            self._span_meta[index] = [0, -1, 0]
-        if conn in self.engaged:
-            self.conn_pending.setdefault(conn, deque()).append(request)
-            return
-        self._admit(request, t_ns)
+        self.run(((t_ns, stage, tenant, kind, conn, index),))
 
     def drain(self) -> None:
         """Run every queued/in-service request to completion."""
-        while self.in_service:
-            self._complete_next()
+        self.run((), drain=True)
 
-    # ---------------------------------------------------------- internals
+    def run(self, arrivals: Iterable[Tuple[int, int, int, int, int, int]],
+            drain: bool = False) -> None:
+        """The event loop: merge *arrivals* — ``(t_ns, stage, tenant,
+        kind, conn, index)`` in non-decreasing ``t_ns`` — with the
+        completion heap, then, if *drain*, run every queued/in-service
+        request to completion.
 
-    def _advance(self, t_ns: int) -> None:
-        """Retire completions due before *t_ns* (completion-first at
-        ties: a worker freed at t serves an arrival at t)."""
-        while self.in_service and self.in_service[0][0] <= t_ns:
-            self._complete_next()
-        self._sample(t_ns)
-        self._now = max(self._now, t_ns)
+        Completions due at or before an arrival go first (a worker
+        freed at t serves an arrival at t).  After a completion the
+        next waiting request starts first, then the finished
+        connection's next pending request is admitted.  Queue depth is
+        sampled before each event changes state.  The state lives in
+        locals for the run and is stored back at the end.
+        """
+        server, workers, emit = self.server, self.workers, self.emit
+        queue_limit, service_ns = self.queue_limit, self.service_ns
+        sample_every = self.sample_every_ns
+        trace, span_meta = self.trace, self._span_meta
+        tracing = trace is not None
+        waiting, engaged = self.waiting, self.engaged
+        conn_pending, heap = self.conn_pending, self.in_service
+        offered = self.offered
+        shed, latency = self.shed, self.latency
+        stage_max_depth, depth_series = self.stage_max_depth, \
+            self.depth_series
+        free, seq = self.free_workers, self._seq
+        next_sample = self._next_sample_ns
+        push, pop = heapq.heappush, heapq.heappop
+        popleft, enqueue = waiting.popleft, waiting.append
 
-    def _admit(self, request: Tuple, now: int) -> bool:
-        """Place *request*; returns False when it was shed (callers own
-        any connection release so shed chains stay iterative)."""
-        conn = request[4]
-        meta = None
-        if self.trace is not None and request[5] >= 0:
-            meta = self._span_meta[request[5]]
-            # The time between arrival and admission is spent waiting
-            # for this connection's previous request (keep-alive
-            # serialization); 0 when the connection was free.
-            meta[0] = now - request[0]
-        if self.free_workers > 0:
-            self.engaged.add(conn)
-            self._start(request, now)
-            return True
-        if len(self.waiting) >= self.queue_limit:
-            key = (request[1], request[2], request[3])
-            self.shed[key] = self.shed.get(key, 0) + 1
-            if meta is not None:
-                self._span_meta.pop(request[5], None)
-                self.trace.record(
-                    index=request[5], conn=conn, stage=request[1],
-                    tenant=request[2], kind=request[3],
-                    arrival_ns=request[0], latency_ns=now - request[0],
-                    conn_wait_ns=meta[0], shed=True)
-            return False
-        self.engaged.add(conn)
-        self.waiting.append(request)
-        if meta is not None:
-            meta[1] = now
-        depth = len(self.waiting)
-        if depth > self.stage_max_depth[request[1]]:
-            self.stage_max_depth[request[1]] = depth
-        return True
+        arrivals = iter(arrivals)
+        arrival = next(arrivals, None)
+        while True:
+            if heap and (heap[0][0] <= arrival[0] if arrival is not None
+                         else drain):
+                completing, now = True, heap[0][0]
+            elif arrival is not None:
+                completing, now = False, arrival[0]
+            else:
+                break
+            while next_sample <= now:
+                sample = (next_sample, len(waiting), workers - free)
+                depth_series.append(sample)
+                if emit is not None:
+                    emit("queue_depth", {
+                        "server": server, "t_ns": sample[0],
+                        "depth": sample[1], "in_flight": sample[2]})
+                next_sample += sample_every
 
-    def _start(self, request: Tuple, now: int) -> None:
-        _t, stage, tenant, kind, _conn, index = request
-        if self.trace is not None and index >= 0:
-            meta = self._span_meta[index]
-            if meta[1] >= 0:
-                meta[2] = now - meta[1]
-        self.free_workers -= 1
-        service = self.service_ns[(tenant, kind)]
-        self._seq += 1
-        heapq.heappush(self.in_service,
-                       (now + service, self._seq, request))
+            if completing:
+                request = pop(heap)[2]
+                t_ns, stage, tenant, kind, conn, index = request
+                free += 1
+                # LogHistogram.record, inline (latencies are never < 0).
+                key = (stage, tenant, kind)
+                hist = latency.get(key)
+                if hist is None:
+                    hist = latency[key] = LogHistogram()
+                value = now - t_ns
+                bucket = bucket_index(value)
+                buckets = hist.buckets
+                buckets[bucket] = buckets.get(bucket, 0) + 1
+                hist.count += 1
+                hist.total += value
+                if value > hist.max:
+                    hist.max = value
+                if hist.min is None or value < hist.min:
+                    hist.min = value
+                if tracing and index >= 0:
+                    meta = span_meta.pop(index)
+                    trace.record(
+                        index=index, conn=conn, stage=stage, tenant=tenant,
+                        kind=kind, arrival_ns=t_ns, latency_ns=now - t_ns,
+                        conn_wait_ns=meta[0], queue_ns=meta[2])
+                if waiting:
+                    # Start the next waiting request (free > 0 here).
+                    request = popleft()
+                    index = request[5]
+                    if tracing and index >= 0:
+                        meta = span_meta[index]
+                        meta[2] = now - meta[1]
+                    free -= 1
+                    seq += 1
+                    push(heap, (now + service_ns[(request[2], request[3])],
+                                seq, request))
+                engaged.discard(conn)
+                pending = conn_pending.get(conn)
+                if not pending:
+                    continue
+                # Admit the connection's next pending request.  This
+                # completion left a free worker or a free queue slot,
+                # so it is never shed.
+                request = pending.popleft()
+                if not pending:
+                    del conn_pending[conn]
+                t_ns, stage, tenant, kind, conn, index = request
+            else:
+                request = arrival
+                arrival = next(arrivals, None)
+                t_ns, stage, tenant, kind, conn, index = request
+                key = (stage, tenant, kind)
+                offered[key] = offered.get(key, 0) + 1
+                if tracing and index >= 0:
+                    span_meta[index] = [0, -1, 0]
+                if conn in engaged:
+                    conn_pending.setdefault(conn, deque()).append(request)
+                    continue
 
-    def _complete_next(self) -> None:
-        done_t, _seq, request = heapq.heappop(self.in_service)
-        t_ns, stage, tenant, kind, conn, index = request
-        self._sample(done_t)
-        self._now = max(self._now, done_t)
-        self.free_workers += 1
-        key = (stage, tenant, kind)
-        self.completed[key] = self.completed.get(key, 0) + 1
-        hist = self.latency.get(key)
-        if hist is None:
-            hist = self.latency[key] = LogHistogram()
-        hist.record(done_t - t_ns)
-        if self.trace is not None and index >= 0:
-            meta = self._span_meta.pop(index)
-            self.trace.record(
-                index=index, conn=conn, stage=stage, tenant=tenant,
-                kind=kind, arrival_ns=t_ns, latency_ns=done_t - t_ns,
-                conn_wait_ns=meta[0], queue_ns=meta[2])
-        # Fixed post-completion order: next waiting request first, then
-        # the finished connection's next pipelined request.
-        if self.waiting and self.free_workers > 0:
-            self._start(self.waiting.popleft(), done_t)
-        self._release_conn(conn, done_t)
+            # Admit *request* at *now*.
+            meta = None
+            if tracing and index >= 0:
+                meta = span_meta[index]
+                # The time between arrival and admission is spent
+                # waiting for this connection's previous request
+                # (keep-alive serialization); 0 when it was free.
+                meta[0] = now - t_ns
+            if free > 0:
+                engaged.add(conn)
+                free -= 1
+                seq += 1
+                push(heap, (now + service_ns[(tenant, kind)], seq, request))
+            elif len(waiting) < queue_limit:
+                engaged.add(conn)
+                enqueue(request)
+                if meta is not None:
+                    meta[1] = now
+                depth = len(waiting)
+                if depth > stage_max_depth[stage]:
+                    stage_max_depth[stage] = depth
+            else:
+                key = (stage, tenant, kind)
+                shed[key] = shed.get(key, 0) + 1
+                if meta is not None:
+                    del span_meta[index]
+                    trace.record(
+                        index=index, conn=conn, stage=stage, tenant=tenant,
+                        kind=kind, arrival_ns=t_ns, latency_ns=now - t_ns,
+                        conn_wait_ns=meta[0], shed=True)
 
-    def _release_conn(self, conn: int, now: int) -> None:
-        self.engaged.discard(conn)
-        pending = self.conn_pending.get(conn)
-        while pending:
-            request = pending.popleft()
-            if not pending:
-                del self.conn_pending[conn]
-                pending = None
-            if self._admit(request, now):
-                return
-
-    def _sample(self, t_ns: int) -> None:
-        while self._next_sample_ns <= t_ns:
-            sample = (self._next_sample_ns, len(self.waiting),
-                      self.workers - self.free_workers)
-            self.depth_series.append(sample)
-            if self.emit is not None:
-                self.emit("queue_depth", {
-                    "server": self.server, "t_ns": sample[0],
-                    "depth": sample[1], "in_flight": sample[2]})
-            self._next_sample_ns += self.sample_every_ns
+        self.free_workers, self._seq = free, seq
+        self._next_sample_ns = next_sample
 
     # ------------------------------------------------------------- output
 
     def result(self) -> Dict:
         """JSON-safe shard result for this server; merged by the engine
         with plain integer sums + histogram merges."""
-        return server_result_doc(self.server, self.offered, self.completed,
+        completed = {key: hist.count for key, hist in self.latency.items()}
+        return server_result_doc(self.server, self.offered, completed,
                                  self.shed, self.latency,
                                  self.stage_max_depth, self.depth_series)
 
@@ -252,8 +282,5 @@ def simulate_server(server: int, schedule, service_ns, workers: int,
                     service_ns=service_ns, stages=len(schedule.config.ramp),
                     sample_every_ns=span // DEPTH_SAMPLES or 1, emit=emit,
                     trace=trace)
-    for index, t_ns, tenant, kind, conn in schedule.iter_requests(server):
-        sim.offer(t_ns, schedule.stage_of(index), tenant, kind, conn,
-                  index=index)
-    sim.drain()
+    sim.run(schedule.arrivals(server), drain=True)
     return sim.result()

@@ -23,6 +23,7 @@ import hashlib
 import math
 import random
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
@@ -36,24 +37,19 @@ NS = 10**9
 PARETO_ALPHA = 1.5
 
 
-def _weighted_picker(weights: Tuple[Tuple[str, int], ...]):
-    """O(1)-ish cumulative-weight picker over a small weight table."""
+def _cumulative(weights: Tuple[Tuple[str, int], ...]):
+    """``(keys, cumulative_bounds, total)`` of a small weight table.
+
+    A draw ``point = randrange(total)`` picks the first key whose
+    cumulative bound exceeds it: ``bisect_right(bounds, point)``.
+    """
     keys = [key for key, _ in weights]
     cumulative = []
     running = 0
     for _, weight in weights:
         running += weight
         cumulative.append(running)
-    total = running
-
-    def pick(rng: random.Random) -> int:
-        point = rng.randrange(total)
-        for index, bound in enumerate(cumulative):
-            if point < bound:
-                return index
-        return len(keys) - 1  # unreachable
-
-    return keys, pick
+    return keys, cumulative, running
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,8 @@ class ArrivalSchedule:
     nanoseconds from test start); ``tenant[i]`` / ``kind[i]`` index
     ``tenant_names`` / ``kind_names``; ``conn[i]`` is the connection the
     request arrives on, and ``conn % servers`` its server — the sharding
-    axis.  ``stage_of`` and the digest are derived, not stored.
+    axis.  ``by_server[s]`` lists, in order, the indices of server *s*'s
+    requests.  ``stage_of`` and the digest are derived, not stored.
     """
 
     config: TrafficConfig
@@ -75,6 +72,7 @@ class ArrivalSchedule:
     conn: array
     tenant_names: Tuple[str, ...]
     kind_names: Tuple[str, ...]
+    by_server: Tuple[array, ...]
 
     def __len__(self) -> int:
         return len(self.t_ns)
@@ -82,12 +80,11 @@ class ArrivalSchedule:
     def stage_of(self, index: int) -> int:
         # Inverse of stage_bounds: stage s covers [s*n//stages,
         # (s+1)*n//stages), so s is the largest value with
-        # s*n//stages <= index.
+        # s*n//stages <= index.  The generator draws request r at the
+        # rate of stage r*stages//n instead; the two rules disagree on
+        # a few requests (ROADMAP.md, "stage-boundary mismatch").
         stages, n = len(self.config.ramp), len(self.t_ns)
         return ((index + 1) * stages - 1) // n
-
-    def server_of(self, index: int) -> int:
-        return self.conn[index] % self.config.servers
 
     def digest(self) -> str:
         """SHA-256 over the raw column bytes: the byte-identity witness
@@ -106,43 +103,40 @@ class ArrivalSchedule:
         return tuple((s * n // stages, (s + 1) * n // stages)
                      for s in range(stages))
 
-    def iter_requests(self, server: int = -1
-                      ) -> Iterator[Tuple[int, int, int, int, int]]:
-        """Yield ``(index, t_ns, tenant, kind, conn)``, optionally only
-        for requests whose connection shards to *server*."""
-        servers = self.config.servers
-        for index in range(len(self.t_ns)):
-            if server >= 0 and self.conn[index] % servers != server:
-                continue
-            yield (index, self.t_ns[index], self.tenant[index],
-                   self.kind[index], self.conn[index])
+    def arrivals(self, server: int
+                 ) -> Iterator[Tuple[int, int, int, int, int, int]]:
+        """Yield ``(t_ns, stage, tenant, kind, conn, index)`` for each
+        request of *server*, in schedule order; ``stage`` is
+        :meth:`stage_of`'s."""
+        t_col, tenant, kind, conn = self.t_ns, self.tenant, self.kind, \
+            self.conn
+        stages, n = len(self.config.ramp), len(t_col)
+        for index in self.by_server[server]:
+            yield (t_col[index], ((index + 1) * stages - 1) // n,
+                   tenant[index], kind[index], conn[index], index)
 
 
-def _gap_drawer(arrival: str):
-    """Return draw(rng, rate) -> gap_ns for the configured process.
+def _gap_drawer(arrival: str, rng: random.Random, rate: int):
+    """Return ``(draw, scale)`` for one stage's *rate*: each gap is
+    ``int(scale * draw())`` nanoseconds.
 
-    Each drawer converts a float draw to integer nanoseconds
-    immediately (round-half-even via int(x + 0.5) is avoided — plain
-    truncation of a positive float is platform-stable), so no float
-    state survives between requests.
+    The float draw is converted to integer nanoseconds immediately
+    (round-half-even via int(x + 0.5) is avoided — plain truncation of
+    a positive float is platform-stable), so no float state survives
+    between requests.  ``scale`` is 1.0 unless the process needs one;
+    multiplying by 1.0 is exact.
     """
     if arrival == "poisson":
-        def draw(rng: random.Random, rate: int) -> int:
-            return int(rng.expovariate(rate / NS))
-    elif arrival == "lognormal":
+        return functools.partial(rng.expovariate, rate / NS), 1.0
+    if arrival == "lognormal":
         # sigma=1 burstiness; mu set so the mean is exactly 1/rate:
         # mean of lognormal(mu, sigma) = exp(mu + sigma^2/2).
         sigma = 1.0
-
-        def draw(rng: random.Random, rate: int) -> int:
-            mu = math.log(NS / rate) - sigma * sigma / 2.0
-            return int(rng.lognormvariate(mu, sigma))
-    else:  # pareto
-        def draw(rng: random.Random, rate: int) -> int:
-            # Scale xm so the mean alpha*xm/(alpha-1) is 1/rate.
-            xm = (PARETO_ALPHA - 1.0) / PARETO_ALPHA * (NS / rate)
-            return int(xm * rng.paretovariate(PARETO_ALPHA))
-    return draw
+        mu = math.log(NS / rate) - sigma * sigma / 2.0
+        return functools.partial(rng.lognormvariate, mu, sigma), 1.0
+    # pareto: scale xm so the mean alpha*xm/(alpha-1) is 1/rate.
+    xm = (PARETO_ALPHA - 1.0) / PARETO_ALPHA * (NS / rate)
+    return functools.partial(rng.paretovariate, PARETO_ALPHA), xm
 
 
 @functools.lru_cache(maxsize=4)
@@ -152,42 +146,58 @@ def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
     ``config.rate`` must be resolved (non-zero).  Draw order per request
     is fixed — gap, tenant, kind, connection — and every consumer draw
     happens even when a value is forced (single tenant still burns a
-    draw via the picker), so adding consumers later can't silently
-    reshuffle the stream for old configs.  Memoised per process, so
-    the result is shared: no consumer may mutate its columns.
+    draw), so adding consumers later can't silently reshuffle the
+    stream for old configs.  Memoised per process, so the result is
+    shared: no consumer may mutate its columns.
     """
     if config.rate <= 0:
         raise ValueError("generate_schedule needs a resolved rate")
     rng = random.Random(seed)
-    draw_gap = _gap_drawer(config.arrival)
-    tenant_names, pick_tenant = _weighted_picker(config.tenants)
-    kind_tables = {}
-    for name, _ in config.tenants:
-        kind_tables[name] = _weighted_picker(config.mix_for(name))
-    kind_names = tuple(sorted({kind for keys, _ in kind_tables.values()
+    randrange = rng.randrange
+    tenant_names, tenant_bounds, tenant_total = _cumulative(config.tenants)
+    kind_tables = [_cumulative(config.mix_for(name))
+                   for name in tenant_names]
+    kind_names = tuple(sorted({kind for keys, _, _ in kind_tables
                                for kind in keys}))
     kind_index = {kind: i for i, kind in enumerate(kind_names)}
+    # Per tenant: (bounds, total, tenant-local -> global kind index).
+    kind_tables = [(bounds, total, [kind_index[key] for key in keys])
+                   for keys, bounds, total in kind_tables]
 
     n = config.requests
     stages = len(config.ramp)
+    connections, servers = config.connections, config.servers
     t_col, tenant_col = array("q"), array("q")
     kind_col, conn_col = array("q"), array("q")
+    by_server = tuple(array("q") for _ in range(servers))
+    t_append, tenant_append = t_col.append, tenant_col.append
+    kind_append, conn_append = kind_col.append, conn_col.append
+    server_append = [column.append for column in by_server]
     now = 0
-    for index in range(n):
-        stage_rate = config.rate * config.ramp[index * stages // n]
-        now += draw_gap(rng, stage_rate)
-        tenant = pick_tenant(rng)
-        keys, pick_kind = kind_tables[tenant_names[tenant]]
-        kind = kind_index[keys[pick_kind(rng)]]
-        conn = rng.randrange(config.connections)
-        t_col.append(now)
-        tenant_col.append(tenant)
-        kind_col.append(kind)
-        conn_col.append(conn)
+    for stage, multiplier in enumerate(config.ramp):
+        # Request r is drawn at the rate of stage r*stages//n, so stage
+        # s starts at ceil(s*n/stages).  stage_of/stage_bounds tally by
+        # floor(s*n/stages) instead (ROADMAP.md, "stage-boundary
+        # mismatch"); this rule is kept so the draw stream is unchanged.
+        first = -(-stage * n // stages)
+        end = -(-(stage + 1) * n // stages)
+        draw, scale = _gap_drawer(config.arrival, rng,
+                                  config.rate * multiplier)
+        for index in range(first, end):
+            now += int(scale * draw())
+            tenant = bisect_right(tenant_bounds, randrange(tenant_total))
+            bounds, total, kinds = kind_tables[tenant]
+            kind = kinds[bisect_right(bounds, randrange(total))]
+            conn = randrange(connections)
+            t_append(now)
+            tenant_append(tenant)
+            kind_append(kind)
+            conn_append(conn)
+            server_append[conn % servers](index)
     return ArrivalSchedule(config=config, seed=seed, t_ns=t_col,
                            tenant=tenant_col, kind=kind_col, conn=conn_col,
                            tenant_names=tuple(tenant_names),
-                           kind_names=kind_names)
+                           kind_names=kind_names, by_server=by_server)
 
 
 def schedule_summary(schedule: ArrivalSchedule) -> Dict:

@@ -35,7 +35,7 @@ def test_conservation_offered_equals_completed_plus_shed():
         offered = sum(doc["offered"].values())
         assert offered == sum(doc["completed"].values()) \
             + sum(doc["shed"].values())
-        assert offered == sum(1 for _ in schedule.iter_requests(server))
+        assert offered == sum(1 for _ in schedule.arrivals(server))
 
 
 def test_underloaded_server_sheds_nothing():
