@@ -85,14 +85,13 @@ def _run_stress(iterations):
 
 
 def _run_sqlite(transactions):
-    from repro.evaluation.runner import build_speedtest1_with
     from repro.kernel.kernel import Kernel
-    from repro.workloads.sqlite import install_sqlite
+    from repro.workloads.sqlite import build_speedtest1, install_sqlite
 
     kernel = Kernel(seed=30)
     kernel.torn_window_probability = 0.0
     install_sqlite(kernel)
-    build_speedtest1_with(transactions).register(kernel)
+    build_speedtest1(transactions).register(kernel)
     process = kernel.spawn_process("/usr/bin/speedtest1")
     started = time.perf_counter()
     kernel.run_process(process, max_steps=20_000_000)

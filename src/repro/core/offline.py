@@ -11,7 +11,7 @@ Figure 3 log files.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.liblogger import LibLogger
 from repro.core.logs import LOG_ROOT, SiteLog, seal_logs
@@ -79,7 +79,8 @@ class OfflinePhase:
         return {path: log.render() for path, log in self.results.items()}
 
 
-def import_logs(kernel, rendered: Dict[str, str], seal: bool = True) -> None:
+def import_logs(kernel, rendered: Mapping[str, str],
+                seal: bool = True) -> None:
     """Install exported offline logs into *kernel*'s filesystem."""
     for program, text in rendered.items():
         log = SiteLog.parse(program, text)

@@ -11,9 +11,12 @@ source of the instruction's semantics — the single-step path
 (:mod:`repro.cpu.blocks`) both execute the *same* closure, so the two
 execution modes cannot drift apart.
 
-Closures are compiled once per :class:`~repro.cpu.icache.ICache` line (the
-cache stores ``(raw, insn, fn)``), so steady-state execution pays one dict
-lookup instead of re-walking a dispatch chain per retired instruction.
+Closures are compiled once per distinct fetched byte window per process
+(:func:`repro.cpu.icache.decode_line` memoises ``(raw, insn, fn)`` lines,
+which each :class:`~repro.cpu.icache.ICache` then caches by address), so
+steady-state execution pays one dict lookup instead of re-walking a
+dispatch chain per retired instruction.  Executors must therefore stay
+stateless: everything they touch arrives through ``(env, ctx)``.
 
 Execution environment contract (duck-typed, see
 :class:`repro.kernel.process.Thread`): ``context``, ``icache``,

@@ -77,11 +77,13 @@ class EngineConfig:
     """Which execution tiers are enabled, and their heat thresholds."""
 
     __slots__ = ("chain", "superblock", "trace_jit",
-                 "superblock_threshold", "jit_threshold", "superblock_max")
+                 "superblock_threshold", "jit_threshold", "superblock_max",
+                 "block_cache")
 
     def __init__(self, chain: bool = True, superblock: bool = True,
                  trace_jit: bool = True, superblock_threshold: int = 16,
-                 jit_threshold: int = 8, superblock_max: int = 96):
+                 jit_threshold: int = 8, superblock_max: int = 96,
+                 block_cache: bool = True):
         # Tier hierarchy: superblocks are formed from chains and traces are
         # compiled from superblocks, so disabling a tier disables the ones
         # stacked on it.
@@ -91,14 +93,21 @@ class EngineConfig:
         self.superblock_threshold = superblock_threshold
         self.jit_threshold = jit_threshold
         self.superblock_max = superblock_max
+        #: The basic-block translation cache the tiers sit on; off selects
+        #: the reference single-step interpreter (a kernel's initial
+        #: ``block_cache_enabled``).  Not part of :meth:`flags`, whose
+        #: dict is written into replay bundles and stats labels.
+        self.block_cache = block_cache
 
     @classmethod
     def from_env(cls) -> "EngineConfig":
-        """The configuration the escape hatches select."""
+        """The configuration the escape hatches select — the one place
+        the ``REPRO_NO_*`` environment variables are read."""
         env = os.environ.get
         return cls(chain=env("REPRO_NO_CHAIN", "") != "1",
                    superblock=env("REPRO_NO_SUPERBLOCK", "") != "1",
-                   trace_jit=env("REPRO_NO_TRACE_JIT", "") != "1")
+                   trace_jit=env("REPRO_NO_TRACE_JIT", "") != "1",
+                   block_cache=env("REPRO_NO_BLOCK_CACHE", "") != "1")
 
     def flags(self) -> dict:
         """JSON-safe tier flags (evaluation cache keys, stats labels)."""

@@ -38,6 +38,7 @@ candidates on the written pages instead of scanning every cached entry.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.decoder import decode
@@ -53,6 +54,10 @@ LINE_SPAN = 16
 #: instruction, and its compiled executor closure.
 Line = Tuple[bytes, Instruction, Executor]
 
+#: Bound on the process-wide decoded-line memo (:func:`decode_line`); the
+#: programs of a full evaluation run fetch a few thousand distinct windows.
+DECODED_LINES_MAX = 1 << 14
+
 #: How a block ends, for the chaining tier (:mod:`repro.cpu.engine`):
 #: a statically-known single successor (direct jump/call, fall-through
 #: cut), a conditional branch (two static successors), an indirect branch
@@ -64,6 +69,22 @@ TERM_DIRECT = 0
 TERM_COND = 1
 TERM_INDIRECT = 2
 TERM_END = 3
+
+
+@functools.lru_cache(maxsize=DECODED_LINES_MAX)
+def decode_line(raw: bytes) -> Line:
+    """Decode and compile the instruction at the start of *raw*.
+
+    A pure function of the fetched bytes — :func:`decode` reads nothing
+    else and the executors are stateless closures — so it is memoised per
+    process and one line is shared, read-only, by every core of every
+    kernel that fetches the same bytes.  Only the decode is shared: each
+    :class:`ICache` still caches lines *per address* and invalidates them
+    as before, so stale and torn decodes (P5) are unchanged.  A
+    :class:`~repro.errors.DecodeError` propagates and is never memoised.
+    """
+    insn = decode(raw, 0)
+    return raw[: insn.length], insn, compile_insn(insn)
 
 
 class Block:
@@ -182,11 +203,10 @@ class ICache:
                 fault = exc
         if raw is None:
             raise fault
-        insn = decode(raw, 0)
-        line = (raw[: insn.length], insn, compile_insn(insn))
+        line = decode_line(raw)
         self._lines[address] = line
         for page in range(page_index(address),
-                          page_index(address + insn.length - 1) + 1):
+                          page_index(address + len(line[0]) - 1) + 1):
             self._line_pages.setdefault(page, set()).add(address)
         return line
 

@@ -35,6 +35,7 @@ Compilation is *best-effort*: any construct outside the supported subset
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import List
 
@@ -46,6 +47,9 @@ _M_HEX = "0xffffffffffffffff"
 _SIGN_HEX = "0x8000000000000000"
 _PACK_Q = struct.Struct("<Q").pack
 _UNPACK_Q = struct.Struct("<Q").unpack
+
+#: Bound on the process-wide trace code memo (:func:`_trace_code`).
+TRACE_CODE_MAX = 1 << 10
 
 #: Condition → Python expression over the bound ``f`` (flags) local.
 #: Mirrors :func:`repro.cpu.dispatch.cond_met`; conditions it raises
@@ -177,10 +181,20 @@ def compile_superblock(sb, env):
     namespace = {"_pack": _PACK_Q, "_unpack": _UNPACK_Q,
                  "_Breakpoint": Breakpoint, "_InvalidOpcode": InvalidOpcode,
                  "_Halt": Halt, "_sb": sb}
-    exec(compile(source, f"<trace:{sb.entry:#x}>", "exec"), namespace)
+    # The code object is shared; the function is not — exec'ing into a
+    # fresh namespace binds ``_sb`` to this superblock alone.
+    exec(_trace_code(source, f"<trace:{sb.entry:#x}>"), namespace)
     trace = namespace["_trace"]
     trace.__source__ = source  # introspection/debugging
     return trace
+
+
+@functools.lru_cache(maxsize=TRACE_CODE_MAX)
+def _trace_code(source: str, filename: str):
+    """``compile()`` memoised per process on exactly its inputs: kernels
+    that form the same superblock over the same bytes (every run of a
+    workload does) generate the same source and reuse its code object."""
+    return compile(source, filename, "exec")
 
 
 def _generate(sb) -> str:

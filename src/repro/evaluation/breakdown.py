@@ -60,9 +60,8 @@ def _counts_for(name: str, iterations: int, seed: int,
     lifetime; returns ``(sink, final cycle counter)``.  *extra_sinks*
     (e.g. a :class:`~repro.observability.analyzers.LatencyAnalyzer`)
     listen over the same run."""
-    from repro.core import OfflinePhase
     from repro.core.offline import import_logs
-    from repro.evaluation.runner import needs_offline
+    from repro.evaluation.runner import needs_offline, stress_offline_logs
     from repro.interposers.registry import REGISTRY
     from repro.observability.sinks import CounterSink
     from repro.workloads.stress import STRESS_PATH, build_stress
@@ -75,11 +74,7 @@ def _counts_for(name: str, iterations: int, seed: int,
         kernel.bus.attach(extra)
     build_stress(iterations).register(kernel)
     if needs_offline(name):
-        offline_kernel = Kernel(seed=seed + 1)
-        build_stress(16).register(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run(STRESS_PATH)
-        import_logs(kernel, offline.export())
+        import_logs(kernel, stress_offline_logs(seed + 1))
     REGISTRY.create(name, kernel)
     if fault_config is not None:
         from repro.faultinject.engine import FaultInjector

@@ -166,9 +166,9 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     # measured under different REPRO_NO_* hatches must never share an
     # entry: a hatched re-run has to re-execute, not read back the cached
     # full-tier value it was meant to cross-check.
-    constants["engine"] = dict(
-        EngineConfig.from_env().flags(),
-        block_cache=os.environ.get("REPRO_NO_BLOCK_CACHE", "") != "1")
+    engine = EngineConfig.from_env()
+    constants["engine"] = dict(engine.flags(),
+                               block_cache=engine.block_cache)
     if spec.arms_sud:
         constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
     modules = (COMMON_DEPENDENCIES + (spec.factory.partition(":")[0],)

@@ -27,8 +27,10 @@ phase (again differential, startup excluded).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core import OfflinePhase
 from repro.core.offline import import_logs
@@ -93,16 +95,26 @@ def __getattr__(name: str):
 # ============================================================ microbenchmark
 
 
+@functools.lru_cache(maxsize=None)
+def stress_offline_logs(seed: int) -> Mapping[str, str]:
+    """K23 offline logs of the syscall-500 stress loop, logged on a kernel
+    booted with *seed* (shared by Table 5 and the cycle decomposition).
+
+    Memoised per process: the result is a pure function of *seed*, so
+    every caller gets the same read-only mapping."""
+    kernel = Kernel(seed=seed)
+    build_stress(16).register(kernel)
+    offline = OfflinePhase(kernel)
+    offline.run(STRESS_PATH)
+    return MappingProxyType(offline.export())
+
+
 def _micro_total_cycles(name: str, iterations: int, seed: int) -> int:
     kernel = Kernel(seed=seed)
     kernel.torn_window_probability = 0.0  # measure the surviving fast path
     build_stress(iterations).register(kernel)
     if needs_offline(name):
-        offline_kernel = Kernel(seed=seed + 1000)
-        build_stress(16).register(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run(STRESS_PATH)
-        import_logs(kernel, offline.export())
+        import_logs(kernel, stress_offline_logs(seed + 1000))
     _make_interposer(name, kernel)
     process = kernel.spawn_process(STRESS_PATH)
     before = kernel.cycles.cycles
@@ -259,8 +271,15 @@ MACRO_CONFIGS: List[MacroConfig] = [
 MACRO_BY_KEY = {config.key: config for config in MACRO_CONFIGS}
 
 
-def _offline_for(config: MacroConfig, seed: int) -> Dict[str, str]:
-    """Run the K23 offline phase for one workload configuration."""
+@functools.lru_cache(maxsize=None)
+def macro_offline_logs(key: str, seed: int) -> Mapping[str, str]:
+    """K23 offline logs for the Table 6 row *key*, logged on a kernel
+    booted with *seed*.
+
+    Memoised per process like :func:`stress_offline_logs`; the row's
+    :class:`MacroConfig` is a module constant, so (key, seed) is every
+    input the recipe reads."""
+    config = MACRO_BY_KEY[key]
     kernel = Kernel(seed=seed)
     path = config.installer(kernel)
     offline = OfflinePhase(kernel)
@@ -275,7 +294,7 @@ def _offline_for(config: MacroConfig, seed: int) -> Dict[str, str]:
             generator.close()
 
         offline.run(path, driver=driver, max_steps=20_000_000)
-    return offline.export()
+    return MappingProxyType(offline.export())
 
 
 def _measure_throughput_cpr(config: MacroConfig, name: str,
@@ -284,7 +303,7 @@ def _measure_throughput_cpr(config: MacroConfig, name: str,
     kernel.torn_window_probability = 0.0  # measure the surviving fast path
     path = config.installer(kernel)
     if needs_offline(name):
-        import_logs(kernel, _offline_for(config, seed + 500))
+        import_logs(kernel, macro_offline_logs(config.key, seed + 500))
     _make_interposer(name, kernel)
     kernel.spawn_process(path)
     kernel.run(max_steps=2_000_000)  # master forks; workers reach accept
@@ -302,13 +321,9 @@ def _measure_runtime_cycles(name: str, transactions: int, seed: int) -> int:
     kernel = Kernel(seed=seed)
     kernel.torn_window_probability = 0.0  # measure the surviving fast path
     install_sqlite(kernel)
-    build_speedtest1_with(transactions).register(kernel)
+    build_speedtest1(transactions).register(kernel)
     if needs_offline(name):
-        offline_kernel = Kernel(seed=seed + 500)
-        install_sqlite(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run("/usr/bin/speedtest1", max_steps=20_000_000)
-        import_logs(kernel, offline.export())
+        import_logs(kernel, macro_offline_logs("sqlite", seed + 500))
     _make_interposer(name, kernel)
     process = kernel.spawn_process("/usr/bin/speedtest1")
     before = kernel.cycles.cycles
@@ -316,18 +331,6 @@ def _measure_runtime_cycles(name: str, transactions: int, seed: int) -> int:
     if not process.exited or process.exit_status != 0:
         raise RuntimeError(f"sqlite under {name}: exit={process.exit_status}")
     return kernel.cycles.cycles - before
-
-
-def build_speedtest1_with(transactions: int):
-    """speedtest1 with a custom transaction count (differential timing)."""
-    import repro.workloads.sqlite as sqlite_mod
-
-    saved = sqlite_mod.TRANSACTIONS
-    sqlite_mod.TRANSACTIONS = transactions
-    try:
-        return sqlite_mod.build_speedtest1()
-    finally:
-        sqlite_mod.TRANSACTIONS = saved
 
 
 def measure_macro(config: MacroConfig, name: str, seed: int = 30) -> Dict:

@@ -27,9 +27,11 @@ module reports it and the PR that introduced the harness fixes it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.faultinject.engine import FaultInjector
 from repro.faultinject.schedule import (FaultConfig, FaultSchedule,
@@ -245,25 +247,21 @@ def _observe(kernel, process, mechanism: str, workload: str, seed: int,
     )
 
 
-#: Per-workload offline-phase site logs (K23 variants), computed once and
-#: re-imported into every cell kernel — the offline phase is faultless and
-#: mechanism-independent, so recomputing it per cell would only cost time.
-_OFFLINE_CACHE: Dict[str, Dict] = {}
+@functools.lru_cache(maxsize=None)
+def _offline_logs(workload: str) -> Mapping[str, str]:
+    """Offline-phase site logs for *workload* (K23 variants), computed
+    once per process and re-imported read-only into every cell kernel —
+    the offline phase is faultless and mechanism-independent, and its
+    kernel seed is the constant ``KERNEL_SEED + 1000``, so *workload* is
+    its whole key."""
+    from repro.core import OfflinePhase
+    from repro.kernel import Kernel
 
-
-def _offline_logs(workload: str) -> Dict:
-    logs = _OFFLINE_CACHE.get(workload)
-    if logs is None:
-        from repro.core import OfflinePhase
-        from repro.kernel import Kernel
-
-        kernel = Kernel(seed=KERNEL_SEED + 1000, aslr=False)
-        path = WORKLOADS[workload](kernel)
-        offline = OfflinePhase(kernel)
-        offline.run(path)
-        logs = offline.export()
-        _OFFLINE_CACHE[workload] = logs
-    return logs
+    kernel = Kernel(seed=KERNEL_SEED + 1000, aslr=False)
+    path = WORKLOADS[workload](kernel)
+    offline = OfflinePhase(kernel)
+    offline.run(path)
+    return MappingProxyType(offline.export())
 
 
 def run_cell(mechanism: str, workload: str, seed: int,

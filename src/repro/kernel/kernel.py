@@ -18,7 +18,6 @@ raw material for the exhaustiveness experiments (P2a/P2b).
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -119,13 +118,6 @@ class Kernel:
         self.vdso_calls: List[tuple] = []
         self.quantum = DEFAULT_QUANTUM
         self._preempting = False
-        #: Basic-block translation cache (repro.cpu.blocks).  The
-        #: REPRO_NO_BLOCK_CACHE=1 escape hatch selects the reference
-        #: single-step path; results are byte-identical either way (the
-        #: equivalence the lockstep tests assert), the block path is just
-        #: faster.
-        self.block_cache_enabled = os.environ.get(
-            "REPRO_NO_BLOCK_CACHE", "") != "1"
         #: Execution-engine tiers layered on the block cache
         #: (repro.cpu.engine): block chaining, superblock formation, and
         #: the trace JIT, each with its own escape hatch (REPRO_NO_CHAIN /
@@ -133,6 +125,12 @@ class Kernel:
         #: byte-identical across every configuration; the tiers only
         #: remove interpreter overhead.
         self.engine = EngineConfig.from_env()
+        #: Basic-block translation cache (repro.cpu.blocks).  The
+        #: REPRO_NO_BLOCK_CACHE=1 escape hatch (read by
+        #: ``EngineConfig.from_env``) selects the reference single-step
+        #: path; results are byte-identical either way (the equivalence
+        #: the lockstep tests assert), the block path is just faster.
+        self.block_cache_enabled = self.engine.block_cache
         #: Probability that a mid-patch preemption window actually lets
         #: sibling threads run (pitfall P5).  The window is nanoseconds wide
         #: on hardware, so organic workloads rarely land in it; the default

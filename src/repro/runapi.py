@@ -31,8 +31,10 @@ canonicalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.faultinject.engine import FaultInjector
 from repro.faultinject.schedule import FaultSchedule
@@ -312,38 +314,32 @@ class RunResult:
 # ----------------------------------------------------------- offline phase
 
 
-#: (workload, params, offline seed) → exported K23 offline logs.  The
-#: offline phase is faultless and mechanism-independent, so shadow pairs
-#: and repeated runs re-import rather than recompute.
-_OFFLINE_CACHE: Dict[Tuple, Dict] = {}
+@functools.lru_cache(maxsize=None)
+def _offline_logs(workload: str, params: Tuple, offline_seed: int,
+                  aslr: bool) -> Mapping[str, str]:
+    """Exported K23 offline logs for one workload build.  The offline
+    phase is faultless and mechanism-independent, so it is memoised per
+    process on exactly its inputs: shadow pairs and repeated runs
+    re-import the same read-only mapping rather than recompute it."""
+    from repro.core import OfflinePhase
+    from repro.kernel import Kernel
 
+    spec = WORKLOADS[workload]
+    kernel = Kernel(seed=offline_seed, aslr=aslr)
+    path = spec.installer(kernel, dict(params))
+    offline = OfflinePhase(kernel)
+    if spec.kind == "server":
+        def driver(kern, proc):
+            kern.run(max_steps=SERVER_BOOT_STEPS)
+            source = KeepAliveSource(kern, spec.port,
+                                     spec.connections, spec.payload)
+            source.drive(4 * spec.connections)
+            source.close()
 
-def _offline_logs(config: RunConfig) -> Dict:
-    offline_seed = config.seed + 1000
-    key = (config.workload, config.params, offline_seed, config.aslr)
-    logs = _OFFLINE_CACHE.get(key)
-    if logs is None:
-        from repro.core import OfflinePhase
-        from repro.kernel import Kernel
-
-        spec = config.spec
-        kernel = Kernel(seed=offline_seed, aslr=config.aslr)
-        path = spec.installer(kernel, dict(config.params))
-        offline = OfflinePhase(kernel)
-        if spec.kind == "server":
-            def driver(kern, proc):
-                kern.run(max_steps=SERVER_BOOT_STEPS)
-                source = KeepAliveSource(kern, spec.port,
-                                         spec.connections, spec.payload)
-                source.drive(4 * spec.connections)
-                source.close()
-
-            offline.run(path, driver=driver, max_steps=20_000_000)
-        else:
-            offline.run(path, max_steps=20_000_000)
-        logs = offline.export()
-        _OFFLINE_CACHE[key] = logs
-    return logs
+        offline.run(path, driver=driver, max_steps=20_000_000)
+    else:
+        offline.run(path, max_steps=20_000_000)
+    return MappingProxyType(offline.export())
 
 
 # ------------------------------------------------------------- preparation
@@ -478,7 +474,8 @@ def prepare(config: RunConfig) -> PreparedRun:
     if REGISTRY.needs_offline(config.mechanism):
         from repro.core.offline import import_logs
 
-        import_logs(kernel, _offline_logs(config))
+        import_logs(kernel, _offline_logs(config.workload, config.params,
+                                          config.seed + 1000, config.aslr))
     REGISTRY.create(config.mechanism, kernel)
     injector = None
     if config.schedule is not None:

@@ -31,7 +31,9 @@ SQLITE_TABLE2_SITES = 20
 INLINE_PAD = 11
 
 
-def build_speedtest1() -> ProgramBuilder:
+def build_speedtest1(transactions: int = TRANSACTIONS) -> ProgramBuilder:
+    """speedtest1 running *transactions* transactions (the differential
+    runtime measurement builds two sizes)."""
     builder = ProgramBuilder(SQLITE_PATH, stub_profile=34)
     builder.string("db", DB_PATH)
     builder.string("wal", WAL_PATH)
@@ -50,7 +52,7 @@ def build_speedtest1() -> ProgramBuilder:
     builder.libc("newfstatat", (1 << 64) - 100, data_ref("db"), 0, 0)
 
     asm.mov_ri(Reg.R12, SYNC_EVERY)  # countdown to the next WAL sync
-    builder.loop(TRANSACTIONS, counter=Reg.R15)
+    builder.loop(transactions, counter=Reg.R15)
     # Read three b-tree pages (interior, leaf, overflow).
     builder.libc("lseek", Reg.R14, 0, 0)
     builder.libc("read", Reg.R14, data_ref("page"), 4096)

@@ -123,12 +123,16 @@ def test_config_from_env(monkeypatch):
     monkeypatch.delenv("REPRO_NO_CHAIN", raising=False)
     monkeypatch.delenv("REPRO_NO_TRACE_JIT", raising=False)
     monkeypatch.setenv("REPRO_NO_SUPERBLOCK", "1")
+    monkeypatch.setenv("REPRO_NO_BLOCK_CACHE", "1")
     config = EngineConfig.from_env()
     assert config.chain is True
     assert config.superblock is False
     assert config.trace_jit is False
+    assert config.block_cache is False
     assert config.flags() == {"chain": True, "superblock": False,
                               "trace_jit": False}
+    monkeypatch.delenv("REPRO_NO_BLOCK_CACHE")
+    assert EngineConfig.from_env().block_cache is True
 
 
 # ---------------------------------------------------------------- chaining

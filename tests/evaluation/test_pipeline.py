@@ -192,6 +192,18 @@ class TestCacheKeys:
         other_seed = cell_key("micro", "SUD", "syscall-stress", 21)
         assert len({micro, macro, other_seed}) == 3
 
+    def test_every_engine_hatch_gets_its_own_key(self, monkeypatch):
+        hatches = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
+                   "REPRO_NO_SUPERBLOCK", "REPRO_NO_TRACE_JIT")
+        for hatch in hatches:
+            monkeypatch.delenv(hatch, raising=False)
+        keys = {cell_key("micro", "SUD", "syscall-stress", 20)}
+        for hatch in hatches:
+            monkeypatch.setenv(hatch, "1")
+            keys.add(cell_key("micro", "SUD", "syscall-stress", 20))
+            monkeypatch.delenv(hatch)
+        assert len(keys) == 1 + len(hatches)
+
     def test_unknown_mechanism_rejected(self):
         from repro.interposers import UnknownMechanismError
 
