@@ -27,8 +27,6 @@ from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import ResultCache
 from repro.interposers.registry import REGISTRY
 
-MECHANISMS = REGISTRY.names()
-
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
 
@@ -81,7 +79,7 @@ def eval_cache(pytestconfig):
 @pytest.fixture(scope="session")
 def bench_mechanisms(smoke):
     """The mechanism axis benchmarks measure this session."""
-    return pipe.SMOKE_MECHANISMS if smoke else MECHANISMS
+    return pipe.SMOKE_MECHANISMS if smoke else REGISTRY.names()
 
 
 @pytest.fixture(scope="session")

@@ -32,9 +32,9 @@ hooks; :data:`EMPTY_HOOK` is the identity.
 
 **Traffic** — the :class:`~repro.workloads.clients.TrafficSource`
 protocol every load driver implements: :class:`KeepAliveSource` is the
-closed-loop keep-alive driver (the old ``LoadGenerator``),
-:class:`MirroredSource` the dark-launch mirroring wrapper (the old
-``MirroredLoadGenerator``; both old names remain as warn-once shims).
+closed-loop keep-alive driver (:func:`~repro.workloads.clients.wrk` and
+:func:`~repro.workloads.clients.redis_benchmark` build one) and
+:class:`MirroredSource` the dark-launch mirroring wrapper.
 :class:`TrafficConfig` describes an open-loop load test that
 ``RunConfig(traffic=...)`` or :func:`repro.traffic.engine.run_loadtest`
 executes into an :class:`SLOReport` (``METRICS_slo.json``);
@@ -42,10 +42,6 @@ executes into an :class:`SLOReport` (``METRICS_slo.json``);
 events the full-serve fleet emits.
 
 **Simulation** — the :class:`~repro.kernel.kernel.Kernel` itself.
-
-The historical ``repro.evaluation.runner.MECHANISMS`` /
-``make_interposer`` entry points are deprecated shims over
-:data:`REGISTRY` and warn (once per process) on first access.
 """
 
 from __future__ import annotations

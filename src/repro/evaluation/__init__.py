@@ -26,17 +26,6 @@ from repro.evaluation.runner import (
     measure_macro,
     macro_results,
 )
-
-
-def __getattr__(name: str):
-    # Back-compat: ``repro.evaluation.MECHANISMS`` resolves through the
-    # runner's deprecation shim (DeprecationWarning; use
-    # repro.interposers.registry.REGISTRY.names() instead).
-    if name == "MECHANISMS":
-        from repro.evaluation import runner
-
-        return runner.MECHANISMS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.evaluation.cache import ResultCache
 from repro.evaluation.pipeline import (
     CellResult,
@@ -54,7 +43,6 @@ from repro.evaluation.pipeline import (
 __all__ = [
     "RepeatedMeasurement",
     "geomean",
-    "MECHANISMS",
     "measure_micro_cycles",
     "micro_overheads",
     "MacroConfig",

@@ -61,7 +61,7 @@ def _counts_for(name: str, iterations: int, seed: int,
     (e.g. a :class:`~repro.observability.analyzers.LatencyAnalyzer`)
     listen over the same run."""
     from repro.core.offline import import_logs
-    from repro.evaluation.runner import needs_offline, stress_offline_logs
+    from repro.evaluation.runner import stress_offline_logs
     from repro.interposers.registry import REGISTRY
     from repro.observability.sinks import CounterSink
     from repro.workloads.stress import STRESS_PATH, build_stress
@@ -73,7 +73,7 @@ def _counts_for(name: str, iterations: int, seed: int,
     for extra in extra_sinks:
         kernel.bus.attach(extra)
     build_stress(iterations).register(kernel)
-    if needs_offline(name):
+    if REGISTRY.needs_offline(name):
         import_logs(kernel, stress_offline_logs(seed + 1))
     REGISTRY.create(name, kernel)
     if fault_config is not None:

@@ -2,20 +2,29 @@
 
 The simulator is deterministic (rr-style: same seed, same inputs, same
 cycle counts), so a (mechanism, workload, config) cell is a pure function
-of its inputs and can be memoized soundly.  The cache key captures exactly
-those inputs:
+of its inputs and can be memoized soundly — but only of the inputs the
+key records.  The key records:
 
 - the mechanism name and the workload/cell identity (kind, key, seed,
   iteration parameters);
 - the *values* of the cycle-model constants the mechanism's measured path
   depends on (the registry's per-mechanism ``cost_events`` plus the
   baseline events, ``CLOCK_HZ``, and — for SUD-armed mechanisms — the
-  signal-contention factor).  Editing ``HASHSET_CHECK`` therefore
+  signal-contention factor), and the engine flags.  These are read when
+  the key is built, so a value patched at run time (a sensitivity sweep,
+  a test's monkeypatch) leaves the source untouched yet still
+  invalidates exactly the cells it affects: patching ``HASHSET_CHECK``
   invalidates the K23-ultra cells and nothing else;
-- AST-level source digests of the modules the cell executes (measurement
-  driver, interposer framework, the mechanism's own module, the kernel,
-  and the cell's workload modules).  Digests are computed over the parsed
-  AST, so comment-only and formatting-only edits do **not** invalidate.
+- :func:`package_digest`: one digest over the compiled code of every
+  module in the ``repro`` package.  Comment-only and blank-line edits
+  leave it unchanged; any code edit anywhere in the package changes it.
+
+The package digest is deliberately coarse — an edit under ``repro/tools``
+invalidates every table cell too.  A finer key would have to know which
+modules a cell executes, and no import walk can: the registry loads the
+mechanism factories by string through :mod:`importlib`, and a walk from
+the pipeline reaches most of the package anyway.  Digesting everything
+can never miss a module a cell depends on.
 
 Entries are one JSON file per key under the cache root (default
 ``~/.cache/repro-eval``, override with ``$REPRO_EVAL_CACHE``); writes are
@@ -24,76 +33,24 @@ atomic (temp file + rename) so concurrent runs never observe torn entries.
 
 from __future__ import annotations
 
-import ast
+import functools
 import hashlib
-import importlib
-import inspect
 import json
 import os
 import tempfile
+from importlib.machinery import SourceFileLoader
 from pathlib import Path
+from types import CodeType
 from typing import Dict, Iterable, Optional, Tuple
 
 #: Bump when the key layout or cell value format changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Sentinel distinguishing "no entry" from a cached falsy value.
 MISS = object()
 
-#: Modules every cell executes, whatever the mechanism or workload.  The
-#: interpreter stack (dispatch semantics, block cache, icache, memory) is
-#: included so a change to execution machinery invalidates every cell —
-#: stale cached cells must never mask an interpreter behaviour change.
-COMMON_DEPENDENCIES: Tuple[str, ...] = (
-    "repro.evaluation.runner",
-    "repro.interposers.base",
-    "repro.kernel.kernel",
-    "repro.cpu.core",
-    "repro.cpu.dispatch",
-    "repro.cpu.blocks",
-    "repro.cpu.icache",
-    "repro.cpu.engine",
-    "repro.cpu.tracejit",
-    "repro.memory.address_space",
-)
-
-#: Workload-key prefix → modules that cell's measurement exercises.
-_MACRO_WORKLOAD_MODULES: Dict[str, Tuple[str, ...]] = {
-    "nginx": ("repro.workloads.nginx", "repro.workloads.http",
-              "repro.workloads.clients"),
-    "lighttpd": ("repro.workloads.lighttpd", "repro.workloads.http",
-                 "repro.workloads.clients"),
-    "redis": ("repro.workloads.redis", "repro.workloads.clients"),
-    "sqlite": ("repro.workloads.sqlite",),
-}
-
-_MICRO_WORKLOAD_MODULES: Tuple[str, ...] = ("repro.workloads.stress",)
-
-#: Modules every shadow (dark-launch) cell executes on top of the
-#: workload's own: the run surface, the mirroring seam, and the
-#: normalization/diff machinery the verdict is computed with.
-_SHADOW_MODULES: Tuple[str, ...] = (
-    "repro.runapi",
-    "repro.shadow.divergence",
-    "repro.shadow.harness",
-    "repro.workloads.clients",
-    "repro.faultinject.conformance",
-    "repro.tools.tracediff",
-)
-
-#: Modules every loadtest (traffic-engine) shard executes on top of the
-#: served workload's own: schedule generation, the queueing fabric, the
-#: fleet driver (calibration + full-serve), and the run surface.
-_LOADTEST_MODULES: Tuple[str, ...] = (
-    "repro.runapi",
-    "repro.traffic.config",
-    "repro.traffic.schedule",
-    "repro.traffic.loadbalancer",
-    "repro.traffic.fleet",
-    "repro.traffic.engine",
-    "repro.observability.analyzers.latency",
-    "repro.observability.spans",
-)
+#: The ``repro`` package directory: everything :func:`package_digest` covers.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 
 def default_cache_root() -> Path:
@@ -103,42 +60,57 @@ def default_cache_root() -> Path:
     return Path("~/.cache/repro-eval").expanduser()
 
 
-# ------------------------------------------------------------- source digests
+# -------------------------------------------------------------- code digests
 
 
-def source_digest(source: str) -> str:
-    """SHA-256 of the parsed AST of *source* — stable across comment-only
-    and whitespace-only edits, changed by any semantic edit."""
-    tree = ast.parse(source)
-    return hashlib.sha256(ast.dump(tree).encode("utf-8")).hexdigest()
+def _canonical(value):
+    """A ``repr``-stable stand-in for a code object or one of its
+    constants.
+
+    Line tables, first line numbers and file names are left out, so
+    moving code between lines (a comment or a blank line) changes
+    nothing.  ``frozenset`` members are sorted: their iteration order
+    follows ``PYTHONHASHSEED`` and would otherwise differ per process.
+    Every other constant (``None``, numbers, strings, bytes) has an
+    exact ``repr`` already.
+    """
+    if isinstance(value, CodeType):
+        return ("code", value.co_name, value.co_code,
+                getattr(value, "co_exceptiontable", b""), value.co_names,
+                value.co_varnames, value.co_freevars, value.co_cellvars,
+                value.co_argcount, value.co_posonlyargcount,
+                value.co_kwonlyargcount, value.co_flags,
+                tuple(map(_canonical, value.co_consts)))
+    if isinstance(value, tuple):
+        return tuple(map(_canonical, value))
+    if isinstance(value, frozenset):
+        return ("frozenset", sorted(map(_canonical, value), key=repr))
+    return value
 
 
-def module_source_digest(module_name: str) -> str:
-    """AST digest of an importable module's source (cached per process)."""
-    cached = _MODULE_DIGESTS.get(module_name)
-    if cached is None:
-        module = importlib.import_module(module_name)
-        cached = source_digest(inspect.getsource(module))
-        _MODULE_DIGESTS[module_name] = cached
-    return cached
+def code_digest(code: CodeType) -> str:
+    """SHA-256 of one compiled code object, line layout excluded."""
+    return hashlib.sha256(repr(_canonical(code)).encode("utf-8")).hexdigest()
 
 
-_MODULE_DIGESTS: Dict[str, str] = {}
+@functools.lru_cache(maxsize=None)
+def package_digest(root: Path = PACKAGE_ROOT) -> str:
+    """One digest over every ``*.py`` under *root* (memoised per process).
 
-
-def workload_modules(kind: str, workload: str) -> Tuple[str, ...]:
-    """The workload modules one cell depends on."""
-    if kind == "micro":
-        return _MICRO_WORKLOAD_MODULES
-    prefix = workload.split("-", 1)[0]
-    base = _MACRO_WORKLOAD_MODULES.get(prefix, ())
-    if kind == "shadow":
-        if workload == "stress":
-            base = _MICRO_WORKLOAD_MODULES
-        return _SHADOW_MODULES + base
-    if kind == "loadtest":
-        return _LOADTEST_MODULES + base
-    return base
+    Files are visited in sorted relative-path order, and each relative
+    path is hashed with its module's :func:`code_digest`, so adding,
+    removing or renaming a module changes the digest too.  Code objects
+    come from :meth:`SourceFileLoader.get_code`, which reuses
+    ``__pycache__`` exactly as ``import`` does: the digest covers the
+    bytecode the cells actually run.
+    """
+    digest = hashlib.sha256()
+    for relative in sorted(path.relative_to(root).as_posix()
+                           for path in root.rglob("*.py")):
+        name = relative[:-3].replace("/", ".")
+        code = SourceFileLoader(name, str(root / relative)).get_code(name)
+        digest.update(f"{relative}\0{code_digest(code)}\n".encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ------------------------------------------------------------------ cell keys
@@ -171,12 +143,10 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
                                block_cache=engine.block_cache)
     if spec.arms_sud:
         constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
-    modules = (COMMON_DEPENDENCIES + (spec.factory.partition(":")[0],)
-               + workload_modules(kind, workload))
     sorted_params = sorted((key, value) for key, value in params)
-    # Shadow cells run a second mechanism: fold its cost constants and
-    # its module digest into the key so editing the shadow-side
-    # mechanism invalidates the cell exactly like editing the primary.
+    # Shadow cells run a second mechanism: fold its cost constants into
+    # the key so patching the shadow-side mechanism's costs invalidates
+    # the cell exactly like patching the primary's.
     shadow_name = next((value for key, value in sorted_params
                         if key == "shadow"), None)
     if shadow_name is not None:
@@ -186,7 +156,6 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
             for name in shadow_spec.relevant_events}
         if shadow_spec.arms_sud:
             constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
-        modules = modules + (shadow_spec.factory.partition(":")[0],)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,
@@ -196,8 +165,7 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
         "seed": seed,
         "params": sorted_params,
         "constants": constants,
-        "sources": {name: module_source_digest(name)
-                    for name in sorted(set(modules))},
+        "sources": package_digest(),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

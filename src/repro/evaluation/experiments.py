@@ -35,8 +35,6 @@ from repro.evaluation.runner import (
     micro_overheads,
 )
 from repro.interposers.registry import REGISTRY
-
-MECHANISMS = REGISTRY.names()
 from repro.evaluation.tables import (
     render_table2,
     render_table4,
@@ -111,7 +109,7 @@ def run_table5(jobs: int = 1, cache: Optional[ResultCache] = None,
         specs = pipe.micro_specs(mechanisms, iterations_low=low,
                                  iterations_high=high)
     else:
-        mechanisms = MECHANISMS
+        mechanisms = REGISTRY.names()
         specs = pipe.micro_specs(mechanisms)
     run = pipe.run_cells(specs, jobs=jobs, cache=cache)
     if echo_stats:
@@ -123,7 +121,7 @@ def run_table6(keys: "List[str] | None" = None, jobs: int = 1,
                cache: Optional[ResultCache] = None, smoke: bool = False,
                echo_stats: bool = False) -> str:
     """Table 6 through the pipeline — byte-identical to the serial path."""
-    mechanisms = pipe.SMOKE_MECHANISMS if smoke else MECHANISMS
+    mechanisms = pipe.SMOKE_MECHANISMS if smoke else REGISTRY.names()
     if keys is None and smoke:
         keys = list(pipe.SMOKE_MACRO_KEYS)
     specs = pipe.macro_specs(keys, mechanisms)
@@ -145,7 +143,7 @@ def run_table6_serial(keys: "List[str] | None" = None) -> str:
             "label": config.label,
             "native": results["native"].get("throughput"),
             "relative": {name: results[name]["relative_pct"]
-                         for name in MECHANISMS if name != "native"},
+                         for name in REGISTRY.names() if name != "native"},
             "paper_relative": config.paper_relative,
         })
     return render_table6(rows)

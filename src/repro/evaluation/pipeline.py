@@ -21,8 +21,8 @@ previously serial, recompute-everything harness into a pipeline:
 3. **memoize** — each cell is looked up in / written to the
    content-addressed :class:`~repro.evaluation.cache.ResultCache`, keyed on
    the mechanism, the workload, the cycle-model constants the mechanism
-   depends on, and AST-level source digests of the modules the cell
-   executes (see :mod:`repro.evaluation.cache`);
+   depends on, and one digest of the whole package's code (see
+   :mod:`repro.evaluation.cache`);
 4. **merge** — results are folded back into the exact dict shapes the
    existing table renderers consume, in registry/config order, so pipeline
    output is byte-identical to a serial run regardless of completion order.

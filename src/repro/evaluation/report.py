@@ -14,8 +14,6 @@ from typing import Optional
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import ResultCache
 from repro.interposers.registry import REGISTRY
-
-MECHANISMS = REGISTRY.names()
 from repro.evaluation.tables import PAPER_TABLE5, render_table2, render_table4, render_table5
 
 
@@ -63,7 +61,7 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
 
     emit("\n## Table 5 — microbenchmark overheads\n")
     run = pipe.run_cells(pipe.micro_specs(), jobs=jobs, cache=cache)
-    overheads = pipe.table5_overheads(run, MECHANISMS[1:])
+    overheads = pipe.table5_overheads(run, REGISTRY.names()[1:])
     emit("```")
     emit(render_table5(overheads))
     emit("```")

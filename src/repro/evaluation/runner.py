@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core import OfflinePhase
 from repro.core.offline import import_logs
@@ -43,54 +43,6 @@ from repro.workloads.nginx import NGINX_PORT, install_nginx
 from repro.workloads.redis import REDIS_PORT, install_redis
 from repro.workloads.sqlite import build_speedtest1, install_sqlite
 from repro.workloads.stress import build_stress, STRESS_PATH
-
-#: Evaluation order, matching Table 5 — derived from the registry.
-#: Internal only; the public way to enumerate mechanisms is
-#: ``repro.interposers.registry.REGISTRY.names()``.  ``MECHANISMS`` and
-#: ``make_interposer`` remain importable from this module through the
-#: deprecation shim (module ``__getattr__``) below.
-_MECHANISMS = REGISTRY.names()
-
-
-def _make_interposer(name: str, kernel: Kernel):
-    """Instantiate (and install) one evaluated mechanism by registry name."""
-    return REGISTRY.create(name, kernel)
-
-
-def needs_offline(name: str) -> bool:
-    return REGISTRY.needs_offline(name)
-
-
-#: Deprecated module attributes → (replacement hint, value factory).
-_DEPRECATED = {
-    "MECHANISMS": ("repro.api.REGISTRY.names()",
-                   lambda: _MECHANISMS),
-    "make_interposer": ("repro.api.REGISTRY.create(name, kernel)",
-                        lambda: _make_interposer),
-}
-
-#: Attributes already warned about — each shim warns once per process, so
-#: a hot loop over a legacy import doesn't flood stderr.
-_WARNED: set = set()
-
-
-def __getattr__(name: str):
-    """Deprecation shim (PEP 562): importing ``MECHANISMS`` or
-    ``make_interposer`` from this module still works but warns (once per
-    process per attribute) — :mod:`repro.api` is the supported surface."""
-    entry = _DEPRECATED.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    hint, factory = entry
-    if name not in _WARNED:
-        _WARNED.add(name)
-        import warnings
-
-        warnings.warn(f"importing {name!r} from repro.evaluation.runner is "
-                      f"deprecated; use {hint}", DeprecationWarning,
-                      stacklevel=2)
-    return factory()
-
 
 # ============================================================ microbenchmark
 
@@ -113,9 +65,9 @@ def _micro_total_cycles(name: str, iterations: int, seed: int) -> int:
     kernel = Kernel(seed=seed)
     kernel.torn_window_probability = 0.0  # measure the surviving fast path
     build_stress(iterations).register(kernel)
-    if needs_offline(name):
+    if REGISTRY.needs_offline(name):
         import_logs(kernel, stress_offline_logs(seed + 1000))
-    _make_interposer(name, kernel)
+    REGISTRY.create(name, kernel)
     process = kernel.spawn_process(STRESS_PATH)
     before = kernel.cycles.cycles
     kernel.run_process(process, max_steps=50_000_000)
@@ -134,9 +86,12 @@ def measure_micro_cycles(name: str, iterations_low: int = 300,
     return (high - low) / (iterations_high - iterations_low)
 
 
-def micro_overheads(mechanisms=_MECHANISMS[1:], seed: int = 20
-                    ) -> Dict[str, float]:
-    """Overhead factors relative to native (the Table 5 values)."""
+def micro_overheads(mechanisms: Optional[Sequence[str]] = None,
+                    seed: int = 20) -> Dict[str, float]:
+    """Overhead factors relative to native (the Table 5 values); every
+    registered mechanism but native when *mechanisms* is None."""
+    if mechanisms is None:
+        mechanisms = REGISTRY.names()[1:]
     native = measure_micro_cycles("native", seed=seed)
     return {name: measure_micro_cycles(name, seed=seed) / native
             for name in mechanisms}
@@ -302,9 +257,9 @@ def _measure_throughput_cpr(config: MacroConfig, name: str,
     kernel = Kernel(seed=seed)
     kernel.torn_window_probability = 0.0  # measure the surviving fast path
     path = config.installer(kernel)
-    if needs_offline(name):
+    if REGISTRY.needs_offline(name):
         import_logs(kernel, macro_offline_logs(config.key, seed + 500))
-    _make_interposer(name, kernel)
+    REGISTRY.create(name, kernel)
     kernel.spawn_process(path)
     kernel.run(max_steps=2_000_000)  # master forks; workers reach accept
     generator = config.client_factory(kernel, config.port,
@@ -322,9 +277,9 @@ def _measure_runtime_cycles(name: str, transactions: int, seed: int) -> int:
     kernel.torn_window_probability = 0.0  # measure the surviving fast path
     install_sqlite(kernel)
     build_speedtest1(transactions).register(kernel)
-    if needs_offline(name):
+    if REGISTRY.needs_offline(name):
         import_logs(kernel, macro_offline_logs("sqlite", seed + 500))
-    _make_interposer(name, kernel)
+    REGISTRY.create(name, kernel)
     process = kernel.spawn_process("/usr/bin/speedtest1")
     before = kernel.cycles.cycles
     kernel.run_process(process, max_steps=20_000_000)
@@ -347,9 +302,13 @@ def measure_macro(config: MacroConfig, name: str, seed: int = 30) -> Dict:
             "throughput": throughput}
 
 
-def macro_results(config: MacroConfig, mechanisms=_MECHANISMS,
+def macro_results(config: MacroConfig,
+                  mechanisms: Optional[Sequence[str]] = None,
                   seed: int = 30) -> Dict[str, Dict]:
-    """All mechanisms for one row, plus relative percentages vs native."""
+    """All mechanisms (every registered one when *mechanisms* is None) for
+    one row, plus relative percentages vs native."""
+    if mechanisms is None:
+        mechanisms = REGISTRY.names()
     results = {name: measure_macro(config, name, seed=seed)
                for name in mechanisms}
     native = results["native"]

@@ -350,7 +350,7 @@ class PreparedRun:
     """A built-but-unexecuted run: kernel up, mechanism installed.
 
     :meth:`execute` finishes the standard way; lockstep harnesses
-    instead call :meth:`boot` + :meth:`load_generator` (server) or
+    instead call :meth:`boot` + :meth:`traffic_source` (server) or
     :meth:`spawn` (batch) and drive the kernel themselves, then
     :meth:`finish` to collect the :class:`RunResult`.
     """
@@ -388,10 +388,6 @@ class PreparedRun:
         connections = self.config.connections or spec.connections
         return KeepAliveSource(self.kernel, spec.port, connections,
                                spec.payload)
-
-    def load_generator(self) -> KeepAliveSource:
-        """Legacy alias for :meth:`traffic_source`."""
-        return self.traffic_source()
 
     def execute(self) -> RunResult:
         """Run to completion the standard way and collect the result."""

@@ -25,7 +25,6 @@ from typing import List, Optional
 
 from repro.core import OfflinePhase
 from repro.core.offline import import_logs
-from repro.evaluation.runner import needs_offline
 from repro.interposers.hooks import CountingHook, TracingHook, chain
 from repro.interposers.registry import REGISTRY
 from repro.kernel import Kernel
@@ -70,7 +69,7 @@ def trace(program: str, mechanism: str = "K23-ultra", seed: int = 1,
     hook = chain(tracer, counter)
 
     install_coreutils(kernel)
-    if needs_offline(mechanism):
+    if REGISTRY.needs_offline(mechanism):
         offline_kernel = Kernel(seed=seed + 1)
         install_coreutils(offline_kernel)
         offline = OfflinePhase(offline_kernel)

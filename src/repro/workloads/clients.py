@@ -14,18 +14,13 @@ lockstep mirror, and the open-loop admission driver of the traffic engine
 
 All sources drive the simulated servers from host level over keep-alive
 connections, mirroring the paper's same-machine setup where client cost is
-off the measured (server-side) path.
-
-The historical names ``LoadGenerator`` / ``MirroredLoadGenerator`` remain
-as deprecation shims that warn once per process on direct construction
-(the ``runner.MECHANISMS`` pattern): construct
-:class:`KeepAliveSource` / :class:`MirroredSource` — or use the
-:func:`wrk` / :func:`redis_benchmark` factories — instead.
+off the measured (server-side) path.  Construct :class:`KeepAliveSource`
+(or use the :func:`wrk` / :func:`redis_benchmark` factories) for the
+closed-loop driver and :class:`MirroredSource` for the lockstep mirror.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, List, Optional
@@ -33,17 +28,6 @@ from typing import Callable, List, Optional
 HTTP_REQUEST = (b"GET / HTTP/1.1\r\nHost: localhost\r\n"
                 b"Connection: keep-alive\r\n\r\n")
 REDIS_GET = b"*2\r\n$3\r\nGET\r\n$6\r\nkey:42\r\n"
-
-#: Deprecated constructor names that already warned this process.
-_WARNED: set = set()
-
-
-def _warn_once(name: str, hint: str) -> None:
-    if name in _WARNED:
-        return
-    _WARNED.add(name)
-    warnings.warn(f"{name} is deprecated; {hint}",
-                  DeprecationWarning, stacklevel=3)
 
 
 @dataclass
@@ -310,39 +294,6 @@ class MirroredSource(TrafficSource):
     def close(self) -> None:
         self.primary.close()
         self.shadow.close()
-
-
-# --------------------------------------------------------- deprecation shims
-
-
-class LoadGenerator(KeepAliveSource):
-    """Deprecated name for :class:`KeepAliveSource` (warns once)."""
-
-    def __init__(self, *args, **kwargs):
-        _warn_once("LoadGenerator",
-                   "construct KeepAliveSource (a TrafficSource) or use "
-                   "the wrk()/redis_benchmark() factories")
-        super().__init__(*args, **kwargs)
-
-
-class MirroredLoadGenerator(MirroredSource):
-    """Deprecated name for :class:`MirroredSource` (warns once).
-
-    Preserves the historical ``drive`` return shape —
-    ``(DriveResult, new mismatches)`` — for callers that unpack it.
-    """
-
-    def __init__(self, *args, **kwargs):
-        _warn_once("MirroredLoadGenerator",
-                   "construct MirroredSource (a TrafficSource); its "
-                   "drive() returns a DriveResult and mismatches "
-                   "accumulate on .mismatches")
-        super().__init__(*args, **kwargs)
-
-    def drive(self, requests: int):
-        start = len(self.mismatches)
-        result = super().drive(requests)
-        return result, self.mismatches[start:]
 
 
 def wrk(kernel, port: int, connections: int) -> KeepAliveSource:

@@ -102,6 +102,14 @@ class TestRun:
         assert result.trace_path == str(out)
         assert out.exists()
 
+    def test_prepared_run_traffic_source_is_keepalive(self):
+        from repro.workloads.clients import KeepAliveSource
+
+        prepared = prepare(RunConfig(mechanism="native", workload="redis",
+                                     seed=5))
+        prepared.boot()
+        assert type(prepared.traffic_source()) is KeepAliveSource
+
     def test_fault_schedule_arms_an_injector(self):
         prepared = prepare(RunConfig("zpoline-default", "cat", seed=9,
                                      schedule=build_schedule(3)))

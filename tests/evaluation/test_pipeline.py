@@ -7,8 +7,16 @@ tier-1 stays fast while still exercising the pool, the cache, and the
 deterministic merge end to end.
 """
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cpu.cycles import DEFAULT_COSTS, Event
 from repro.evaluation import experiments
 from repro.evaluation import pipeline as pipe
@@ -17,8 +25,8 @@ from repro.evaluation.cache import (
     NullCache,
     ResultCache,
     cell_key,
-    module_source_digest,
-    source_digest,
+    code_digest,
+    package_digest,
 )
 from repro.evaluation.tables import render_table5
 
@@ -174,17 +182,71 @@ class TestCacheKeys:
     def test_comment_only_edit_does_not_change_source_digest(self):
         base = "def f(x):\n    return x + 1\n"
         commented = ("# a new comment explaining f\n"
+                     "\n"
                      "def f(x):\n"
                      "    return x + 1  # trailing note\n")
         semantic = "def f(x):\n    return x + 2\n"
-        assert source_digest(base) == source_digest(commented)
-        assert source_digest(base) != source_digest(semantic)
+        digest = {name: code_digest(compile(text, f"{name}.py", "exec"))
+                  for name, text in (("base", base), ("commented", commented),
+                                     ("semantic", semantic))}
+        assert digest["base"] == digest["commented"]
+        assert digest["base"] != digest["semantic"]
 
     def test_module_digest_is_stable_and_real(self):
-        first = module_source_digest("repro.workloads.stress")
-        second = module_source_digest("repro.workloads.stress")
+        first = package_digest()
+        second = package_digest()
         assert first == second
         assert len(first) == 64
+        assert package_digest.__wrapped__() == first  # memo == fresh walk
+
+    def test_code_edit_anywhere_changes_every_kind_of_key(self, tmp_path):
+        """The modules behind K23's numbers (the rewriter, the syscall
+        paths) are covered whichever kind of cell runs them."""
+        root = _package_copy(tmp_path)
+        before = _keys_of(root)
+        assert len(set(before.values())) == len(before)
+        _edit(root / "kernel" / "syscall_impl.py",
+              "    return 0\n", "    return 1\n")
+        after_kernel = _keys_of(root)
+        _edit(root / "core" / "libk23.py",
+              "        return sites\n", "        return list(sites)\n")
+        after_libk23 = _keys_of(root)
+        for kind in before:
+            assert after_kernel[kind] != before[kind], kind
+            assert after_libk23[kind] != after_kernel[kind], kind
+
+    def test_comment_and_blank_line_edits_change_no_key(self, tmp_path):
+        root = _package_copy(tmp_path)
+        before = _keys_of(root)
+        _edit(root / "kernel" / "syscall_impl.py",
+              "    return 0\n", "    # a note\n\n    return 0  # why\n")
+        _edit(root / "core" / "libk23.py",
+              "        return sites\n", "\n        return sites\n")
+        assert _keys_of(root) == before
+
+    def test_digest_covers_exactly_the_package(self, tmp_path):
+        root = _package_copy(tmp_path)
+        digest = package_digest.__wrapped__
+        outside = tmp_path / "src" / "outside.py"
+        outside.write_text("X = 1\n")
+        before = digest(root)
+        _edit(outside, "X = 1", "X = 2")
+        assert digest(root) == before
+        (root / "tools" / "extra.py").write_text("")
+        assert digest(root) != before
+
+    def test_digest_independent_of_hash_seed_and_bytecode_cache(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = ("from repro.evaluation.cache import package_digest; "
+                  "print(package_digest())")
+        digests = set()
+        for seed, flags in (("1", ["-B"]), ("2", [])):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run([sys.executable, *flags, "-c", script],
+                                  env=env, capture_output=True, text=True,
+                                  check=True, timeout=120)
+            digests.add(done.stdout.strip())
+        assert digests == {package_digest()}
 
     def test_distinct_cells_get_distinct_keys(self):
         micro = cell_key("micro", "SUD", "syscall-stress", 20)
@@ -209,6 +271,45 @@ class TestCacheKeys:
 
         with pytest.raises(UnknownMechanismError):
             cell_key("micro", "frobnicator", "syscall-stress", 20)
+
+
+#: Prints the key of one K23-ultra cell of each kind as JSON.
+_KEYS_SCRIPT = """
+import json
+from repro.evaluation import pipeline as pipe
+from repro.traffic.engine import loadtest_specs
+specs = {
+    "micro": pipe.micro_specs(["K23-ultra"])[0],
+    "macro": pipe.macro_specs(["nginx-1w-0k"], ["K23-ultra"])[0],
+    "shadow": pipe.shadow_specs("native", ["K23-ultra"], "nginx")[0],
+    "loadtest": loadtest_specs(["K23-ultra"], "nginx", {}, 7, 2)[0],
+}
+print(json.dumps({kind: spec.cache_key() for kind, spec in specs.items()}))
+"""
+
+
+def _package_copy(tmp_path):
+    """A bytecode-free copy of the ``repro`` package under *tmp_path*."""
+    root = tmp_path / "src" / "repro"
+    shutil.copytree(Path(repro.__file__).parent, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+def _keys_of(root):
+    """The cell keys a fresh interpreter computes from the copy at *root*
+    (``-B``: no stale ``__pycache__`` can mask an edit)."""
+    env = dict(os.environ, PYTHONPATH=str(root.parent))
+    done = subprocess.run([sys.executable, "-B", "-c", _KEYS_SCRIPT],
+                          env=env, cwd=root.parent, capture_output=True,
+                          text=True, check=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def _edit(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
 
 
 # ------------------------------------------------------------- degradation

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.k23 import K23Interposer
-from repro.evaluation.runner import needs_offline
 from repro.interposers import (
     REGISTRY,
     MechanismRegistry,
@@ -34,12 +33,15 @@ class TestCatalogue:
         assert REGISTRY.names() == TABLE5_ORDER
 
     def test_mechanisms_derived_from_registry(self):
-        # The legacy runner aliases still resolve (through the
-        # DeprecationWarning shim exercised in
-        # tests/evaluation/test_deprecation.py) to the registry order.
-        import repro.evaluation.runner as runner
+        # The evaluation matrix reads the registry where it enumerates
+        # mechanisms; no evaluation module keeps its own copy.
+        from repro.evaluation import experiments, report, runner
+        from repro.evaluation import pipeline as pipe
 
-        assert runner._MECHANISMS == REGISTRY.names()
+        assert (tuple(spec.mechanism for spec in pipe.micro_specs())
+                == REGISTRY.names())
+        for module in (runner, experiments, report):
+            assert not hasattr(module, "MECHANISMS")
 
     def test_needs_offline_only_k23(self):
         offline = {name for name in REGISTRY.names()

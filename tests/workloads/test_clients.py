@@ -1,4 +1,6 @@
-"""Load-generator unit tests."""
+"""Traffic-source unit tests."""
+
+import warnings
 
 import pytest
 
@@ -7,7 +9,9 @@ from repro.workloads.clients import (
     DriveResult,
     HTTP_REQUEST,
     KeepAliveSource,
+    MirroredSource,
     REDIS_GET,
+    TrafficSource,
     redis_benchmark,
     wrk,
 )
@@ -117,3 +121,38 @@ def test_stall_guard_reports_partial(served_kernel):
     result = generator.drive(20)
     assert result.requests < 20
     assert generator.failures > 0
+
+
+def test_new_names_do_not_warn(served_kernel):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        KeepAliveSource(served_kernel, 8080, connections=1, payload=b"x")
+    assert not [w for w in caught
+                if issubclass(w.category, DeprecationWarning)]
+
+
+def test_wrk_and_redis_benchmark_return_sources(served_kernel):
+    assert issubclass(KeepAliveSource, TrafficSource)
+    assert issubclass(MirroredSource, TrafficSource)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert type(wrk(served_kernel, 8080, 2)) is KeepAliveSource
+        assert type(redis_benchmark(served_kernel, 8080, 2)) is \
+            KeepAliveSource
+    assert not [w for w in caught
+                if issubclass(w.category, DeprecationWarning)]
+
+
+def test_mirrored_source_drive_returns_result_only(served_kernel):
+    primary = KeepAliveSource(served_kernel, 8080, connections=1,
+                              payload=b"ping")
+    kernel_b = Kernel(seed=70)
+    keepalive_echo(kernel_b, port=8080)
+    kernel_b.run_process(kernel_b.spawn_process("/bin/kecho"),
+                         max_steps=200_000)
+    shadow = KeepAliveSource(kernel_b, 8080, connections=1,
+                             payload=b"ping")
+    mirror = MirroredSource(primary, shadow)
+    result = mirror.drive(2)
+    assert result.requests == 2
+    assert mirror.mismatches == []
