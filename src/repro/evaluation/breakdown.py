@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cpu.cycles import Event
-from repro.kernel import Kernel
 
 
 @dataclass(frozen=True)
@@ -60,32 +59,19 @@ def _counts_for(name: str, iterations: int, seed: int,
     lifetime; returns ``(sink, final cycle counter)``.  *extra_sinks*
     (e.g. a :class:`~repro.observability.analyzers.LatencyAnalyzer`)
     listen over the same run."""
-    from repro.core.offline import import_logs
-    from repro.evaluation.runner import stress_offline_logs
-    from repro.interposers.registry import REGISTRY
-    from repro.observability.sinks import CounterSink
-    from repro.workloads.stress import STRESS_PATH, build_stress
+    from repro.faultinject.schedule import build_schedule
+    from repro.runapi import RunConfig, prepare
 
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0
-    sink = CounterSink()
-    kernel.bus.attach(sink)
-    for extra in extra_sinks:
-        kernel.bus.attach(extra)
-    build_stress(iterations).register(kernel)
-    if REGISTRY.needs_offline(name):
-        import_logs(kernel, stress_offline_logs(seed + 1))
-    REGISTRY.create(name, kernel)
+    schedule = None
     if fault_config is not None:
-        from repro.faultinject.engine import FaultInjector
-        from repro.faultinject.schedule import build_schedule
-
-        FaultInjector(kernel, build_schedule(fault_seed, fault_config))
-    process = kernel.spawn_process(STRESS_PATH)
-    kernel.run_process(process, max_steps=50_000_000)
-    if not process.exited or process.exit_status != 0:
+        schedule = build_schedule(fault_seed, fault_config)
+    prepared = prepare(RunConfig(
+        name, "stress", seed=seed, aslr=True, schedule=schedule,
+        sinks=extra_sinks, max_steps=50_000_000,
+        params=(("iterations", iterations),)))
+    if not prepared.execute().ok:
         raise RuntimeError(f"decomposition run failed under {name}")
-    return sink, kernel.cycles.cycles
+    return prepared.counters, prepared.kernel.cycles.cycles
 
 
 def decompose(name: str, iterations: int = 800, seed: int = 85,

@@ -26,10 +26,9 @@ from repro.arch import (
 )
 from repro.arch.registers import Reg
 from repro.core import OfflinePhase
-from repro.core.offline import import_logs
-from repro.interposers.registry import REGISTRY
 from repro.kernel import Kernel
 from repro.kernel.syscalls import Nr
+from repro.runapi import RunConfig, boot
 from repro.workloads.coreutils import install_coreutils
 from repro.workloads.programs import ProgramBuilder, data_ref
 
@@ -148,16 +147,9 @@ def figure3(seed: int = 8) -> Tuple[str, str]:
 def figure4(seed: int = 8) -> str:
     """Figure 4: online-phase flow — ptracer stage, handoff, selective
     rewrite, and the two interposition paths."""
-    offline_kernel = Kernel(seed=seed)
-    install_coreutils(offline_kernel, names=["/usr/bin/ls"])
-    offline = OfflinePhase(offline_kernel)
-    offline.run("/usr/bin/ls")
-
-    kernel = Kernel(seed=seed + 1)
-    install_coreutils(kernel, names=["/usr/bin/ls"])
-    import_logs(kernel, offline.export())
-    k23 = REGISTRY.create("K23-ultra", kernel)
-    process = kernel.spawn_process("/usr/bin/ls")
+    prepared = boot(RunConfig("K23-ultra", "ls", seed=seed + 1, aslr=True))
+    kernel, k23 = prepared.kernel, prepared.interposer
+    process = prepared.spawn()
     kernel.run_process(process)
 
     vias: Dict[str, int] = {}

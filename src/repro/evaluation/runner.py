@@ -27,54 +27,30 @@ phase (again differential, startup excluded).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import OfflinePhase
-from repro.core.offline import import_logs
 from repro.cpu.cycles import CLOCK_HZ
 from repro.interposers import REGISTRY
-from repro.kernel import Kernel
-from repro.workloads.clients import redis_benchmark, wrk
-from repro.workloads.lighttpd import LIGHTTPD_PORT, install_lighttpd
-from repro.workloads.nginx import NGINX_PORT, install_nginx
-from repro.workloads.redis import REDIS_PORT, install_redis
-from repro.workloads.sqlite import build_speedtest1, install_sqlite
-from repro.workloads.stress import build_stress, STRESS_PATH
+from repro.runapi import RunConfig, boot
 
 # ============================================================ microbenchmark
 
 
-@functools.lru_cache(maxsize=None)
-def stress_offline_logs(seed: int) -> Mapping[str, str]:
-    """K23 offline logs of the syscall-500 stress loop, logged on a kernel
-    booted with *seed* (shared by Table 5 and the cycle decomposition).
-
-    Memoised per process: the result is a pure function of *seed*, so
-    every caller gets the same read-only mapping."""
-    kernel = Kernel(seed=seed)
-    build_stress(16).register(kernel)
-    offline = OfflinePhase(kernel)
-    offline.run(STRESS_PATH)
-    return MappingProxyType(offline.export())
+def _batch_cycles(config: RunConfig) -> int:
+    """Cycles of one batch run on a sink-free :func:`boot`: no bus sink
+    attaches, so the event bus stays off on the measured path."""
+    result = boot(config).execute()
+    if not result.ok:
+        raise RuntimeError(f"{config.workload} under {config.mechanism}: "
+                           f"exit={result.exit_status}")
+    return result.cycles
 
 
 def _micro_total_cycles(name: str, iterations: int, seed: int) -> int:
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0  # measure the surviving fast path
-    build_stress(iterations).register(kernel)
-    if REGISTRY.needs_offline(name):
-        import_logs(kernel, stress_offline_logs(seed + 1000))
-    REGISTRY.create(name, kernel)
-    process = kernel.spawn_process(STRESS_PATH)
-    before = kernel.cycles.cycles
-    kernel.run_process(process, max_steps=50_000_000)
-    if not process.exited or process.exit_status != 0:
-        raise RuntimeError(
-            f"micro run failed under {name}: exit={process.exit_status}")
-    return kernel.cycles.cycles - before
+    return _batch_cycles(RunConfig(
+        name, "stress", seed=seed, aslr=True, max_steps=50_000_000,
+        params=(("iterations", iterations),)))
 
 
 def measure_micro_cycles(name: str, iterations_low: int = 300,
@@ -108,8 +84,9 @@ class MacroConfig:
         key: short identifier.
         label: row label as printed in the table.
         kind: ``"throughput"`` (req/s) or ``"runtime"`` (sqlite).
-        installer: registers the workload; returns the binary path.
-        port / client_factory / connections / requests: load-generation.
+        workload / params: the :data:`repro.runapi.WORKLOADS` entry the
+            row runs and its installer params.
+        connections / requests: load-generation.
         workers: parallel server contexts for the capacity model.
         efficiency: multi-worker scaling factor (calibrated, see module
             docstring).
@@ -122,9 +99,8 @@ class MacroConfig:
     key: str
     label: str
     kind: str
-    installer: Callable[[Kernel], str]
-    port: int = 0
-    client_factory: Optional[Callable] = None
+    workload: str
+    params: Tuple[Tuple[str, int], ...] = ()
     connections: int = 1
     requests: int = 240
     workers: int = 1
@@ -134,70 +110,62 @@ class MacroConfig:
     paper_relative: Optional[Dict[str, float]] = None
 
 
-def _http_config(key, label, installer_fn, port, workers, file_kb,
+def _http_config(key, label, workload, workers, file_kb,
                  efficiency, paper_native, paper_relative) -> MacroConfig:
     return MacroConfig(
-        key=key, label=label, kind="throughput",
-        installer=lambda kernel: installer_fn(kernel, workers, file_kb),
-        port=port, client_factory=wrk, connections=workers,
-        requests=80 * max(1, min(workers, 4)), workers=workers,
-        efficiency=efficiency, paper_native=paper_native,
+        key=key, label=label, kind="throughput", workload=workload,
+        params=(("file_kb", file_kb), ("workers", workers)),
+        connections=workers, requests=80 * max(1, min(workers, 4)),
+        workers=workers, efficiency=efficiency, paper_native=paper_native,
         paper_relative=paper_relative)
 
 
 MACRO_CONFIGS: List[MacroConfig] = [
     _http_config(
-        "nginx-1w-0k", "nginx (1 worker, 0 KB)", install_nginx, NGINX_PORT,
-        1, 0, 1.0, 184762,
+        "nginx-1w-0k", "nginx (1 worker, 0 KB)", "nginx", 1, 0, 1.0, 184762,
         {"zpoline-default": 99.05, "zpoline-ultra": 98.40,
          "lazypoline": 97.85, "K23-default": 97.94, "K23-ultra": 97.29,
          "K23-ultra+": 96.70, "SUD": 51.29}),
     _http_config(
-        "nginx-1w-4k", "nginx (1 worker, 4 KB)", install_nginx, NGINX_PORT,
-        1, 4, 1.0, 139709,
+        "nginx-1w-4k", "nginx (1 worker, 4 KB)", "nginx", 1, 4, 1.0, 139709,
         {"zpoline-default": 96.73, "zpoline-ultra": 96.14,
          "lazypoline": 96.04, "K23-default": 96.24, "K23-ultra": 95.89,
          "K23-ultra+": 95.76, "SUD": 45.95}),
     _http_config(
-        "nginx-10w-0k", "nginx (10 workers, 0 KB)", install_nginx,
-        NGINX_PORT, 10, 0, 1.0, 1214421,
+        "nginx-10w-0k", "nginx (10 workers, 0 KB)", "nginx", 10, 0, 1.0, 1214421,
         {"zpoline-default": 99.62, "zpoline-ultra": 99.34,
          "lazypoline": 98.79, "K23-default": 99.52, "K23-ultra": 98.39,
          "K23-ultra+": 97.83, "SUD": 53.93}),
     _http_config(
-        "nginx-10w-4k", "nginx (10 workers, 4 KB)", install_nginx,
-        NGINX_PORT, 10, 4, 1.0, 830426,
+        "nginx-10w-4k", "nginx (10 workers, 4 KB)", "nginx", 10, 4, 1.0, 830426,
         {"zpoline-default": 98.83, "zpoline-ultra": 98.76,
          "lazypoline": 98.14, "K23-default": 98.59, "K23-ultra": 98.12,
          "K23-ultra+": 98.23, "SUD": 53.97}),
     _http_config(
-        "lighttpd-1w-0k", "lighttpd (1 worker, 0 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 1, 0, 1.0, 189729,
+        "lighttpd-1w-0k", "lighttpd (1 worker, 0 KB)", "lighttpd", 1, 0, 1.0, 189729,
         {"zpoline-default": 98.76, "zpoline-ultra": 99.48,
          "lazypoline": 98.23, "K23-default": 99.15, "K23-ultra": 97.89,
          "K23-ultra+": 97.50, "SUD": 61.25}),
     _http_config(
-        "lighttpd-1w-4k", "lighttpd (1 worker, 4 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 1, 4, 1.0, 147927,
+        "lighttpd-1w-4k", "lighttpd (1 worker, 4 KB)", "lighttpd", 1, 4, 1.0, 147927,
         {"zpoline-default": 99.28, "zpoline-ultra": 98.37,
          "lazypoline": 97.93, "K23-default": 98.56, "K23-ultra": 98.01,
          "K23-ultra+": 97.62, "SUD": 61.62}),
     _http_config(
-        "lighttpd-10w-0k", "lighttpd (10 workers, 0 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 10, 0, 1.0, 1444141,
+        "lighttpd-10w-0k", "lighttpd (10 workers, 0 KB)", "lighttpd",
+        10, 0, 1.0, 1444141,
         {"zpoline-default": 98.77, "zpoline-ultra": 98.60,
          "lazypoline": 98.18, "K23-default": 98.16, "K23-ultra": 98.36,
          "K23-ultra+": 97.69, "SUD": 59.83}),
     _http_config(
-        "lighttpd-10w-4k", "lighttpd (10 workers, 4 KB)", install_lighttpd,
-        LIGHTTPD_PORT, 10, 4, 1.0, 976989,
+        "lighttpd-10w-4k", "lighttpd (10 workers, 4 KB)", "lighttpd",
+        10, 4, 1.0, 976989,
         {"zpoline-default": 99.17, "zpoline-ultra": 98.98,
          "lazypoline": 98.67, "K23-default": 99.01, "K23-ultra": 98.65,
          "K23-ultra+": 98.62, "SUD": 65.06}),
     MacroConfig(
         key="redis-1t", label="redis (1 I/O thread)", kind="throughput",
-        installer=lambda kernel: install_redis(kernel, 1),
-        port=REDIS_PORT, client_factory=redis_benchmark, connections=1,
+        workload="redis", params=(("io_threads", 1),), connections=1,
         requests=200, workers=1, efficiency=1.0, client_limit=174613.0,
         paper_native=174613,
         paper_relative={"zpoline-default": 100.00, "zpoline-ultra": 99.93,
@@ -206,8 +174,7 @@ MACRO_CONFIGS: List[MacroConfig] = [
                         "SUD": 96.15}),
     MacroConfig(
         key="redis-6t", label="redis (6 I/O threads)", kind="throughput",
-        installer=lambda kernel: install_redis(kernel, 6),
-        port=REDIS_PORT, client_factory=redis_benchmark, connections=6,
+        workload="redis", params=(("io_threads", 6),), connections=6,
         requests=300, workers=6, efficiency=0.35, client_limit=398804.0,
         paper_native=398804,
         paper_relative={"zpoline-default": 99.94, "zpoline-ultra": 99.80,
@@ -216,7 +183,7 @@ MACRO_CONFIGS: List[MacroConfig] = [
                         "SUD": 35.75}),
     MacroConfig(
         key="sqlite", label="sqlite (speedtest1, size 800)", kind="runtime",
-        installer=install_sqlite, paper_native=None,
+        workload="sqlite", paper_native=None,
         paper_relative={"zpoline-default": 98.12, "zpoline-ultra": 97.80,
                         "lazypoline": 97.31, "K23-default": 97.56,
                         "K23-ultra": 97.13, "K23-ultra+": 97.20,
@@ -226,73 +193,33 @@ MACRO_CONFIGS: List[MacroConfig] = [
 MACRO_BY_KEY = {config.key: config for config in MACRO_CONFIGS}
 
 
-@functools.lru_cache(maxsize=None)
-def macro_offline_logs(key: str, seed: int) -> Mapping[str, str]:
-    """K23 offline logs for the Table 6 row *key*, logged on a kernel
-    booted with *seed*.
-
-    Memoised per process like :func:`stress_offline_logs`; the row's
-    :class:`MacroConfig` is a module constant, so (key, seed) is every
-    input the recipe reads."""
-    config = MACRO_BY_KEY[key]
-    kernel = Kernel(seed=seed)
-    path = config.installer(kernel)
-    offline = OfflinePhase(kernel)
-    if config.kind == "runtime":
-        offline.run(path, max_steps=20_000_000)
-    else:
-        def driver(kern, proc):
-            kern.run(max_steps=600_000)
-            generator = config.client_factory(kern, config.port,
-                                              config.connections)
-            generator.drive(4 * config.connections)
-            generator.close()
-
-        offline.run(path, driver=driver, max_steps=20_000_000)
-    return MappingProxyType(offline.export())
-
-
 def _measure_throughput_cpr(config: MacroConfig, name: str,
                             seed: int) -> float:
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0  # measure the surviving fast path
-    path = config.installer(kernel)
-    if REGISTRY.needs_offline(name):
-        import_logs(kernel, macro_offline_logs(config.key, seed + 500))
-    REGISTRY.create(name, kernel)
-    kernel.spawn_process(path)
-    kernel.run(max_steps=2_000_000)  # master forks; workers reach accept
-    generator = config.client_factory(kernel, config.port,
-                                      config.connections)
-    generator.warmup(2)
-    result = generator.drive(config.requests)
+    prepared = boot(RunConfig(name, config.workload, seed=seed, aslr=True,
+                              params=config.params,
+                              connections=config.connections))
+    prepared.boot()  # master forks; workers reach accept
+    source = prepared.traffic_source()
+    source.warmup(2)
+    result = source.drive(config.requests)
     if result.failures:
         raise RuntimeError(
             f"{config.key} under {name}: {result.failures} failed requests")
     return result.cycles_per_request
 
 
-def _measure_runtime_cycles(name: str, transactions: int, seed: int) -> int:
-    kernel = Kernel(seed=seed)
-    kernel.torn_window_probability = 0.0  # measure the surviving fast path
-    install_sqlite(kernel)
-    build_speedtest1(transactions).register(kernel)
-    if REGISTRY.needs_offline(name):
-        import_logs(kernel, macro_offline_logs("sqlite", seed + 500))
-    REGISTRY.create(name, kernel)
-    process = kernel.spawn_process("/usr/bin/speedtest1")
-    before = kernel.cycles.cycles
-    kernel.run_process(process, max_steps=20_000_000)
-    if not process.exited or process.exit_status != 0:
-        raise RuntimeError(f"sqlite under {name}: exit={process.exit_status}")
-    return kernel.cycles.cycles - before
+def _measure_runtime_cycles(config: MacroConfig, name: str,
+                            transactions: int, seed: int) -> int:
+    return _batch_cycles(RunConfig(
+        name, config.workload, seed=seed, aslr=True, max_steps=20_000_000,
+        params=config.params + (("transactions", transactions),)))
 
 
 def measure_macro(config: MacroConfig, name: str, seed: int = 30) -> Dict:
     """Measure one Table 6 cell; returns throughput/runtime figures."""
     if config.kind == "runtime":
-        low = _measure_runtime_cycles(name, 20, seed)
-        high = _measure_runtime_cycles(name, 120, seed)
+        low = _measure_runtime_cycles(config, name, 20, seed)
+        high = _measure_runtime_cycles(config, name, 120, seed)
         return {"cycles": high - low}
     cpr = _measure_throughput_cpr(config, name, seed)
     capacity = config.workers * config.efficiency * CLOCK_HZ / cpr

@@ -27,18 +27,14 @@ module reports it and the PR that introduced the harness fixes it.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faultinject.engine import FaultInjector
 from repro.faultinject.schedule import (FaultConfig, FaultSchedule,
                                         build_schedule)
 from repro.kernel.syscalls import Errno, Nr
-from repro.workloads.coreutils import install_coreutils
-from repro.workloads.stress import STRESS_PATH, build_stress
 
 #: Conformance cells run this many stress iterations (enough syscall
 #: occurrences for every schedule channel to land; small enough for CI).
@@ -61,27 +57,9 @@ _TIMER_NRS = frozenset({Nr.clock_gettime, Nr.gettimeofday})
 _FS_ROOTS = ("/tmp", "/home/user")
 
 
-def _install_stress(kernel) -> str:
-    build_stress(STRESS_ITERATIONS).register(kernel)
-    return STRESS_PATH
-
-
-def _coreutil(path: str) -> Callable:
-    def install(kernel) -> str:
-        install_coreutils(kernel)
-        return path
-    return install
-
-
-#: Conformance workloads: name → installer(kernel) -> program path.
-WORKLOADS: Dict[str, Callable] = {
-    "stress": _install_stress,
-    "pwd": _coreutil("/usr/bin/pwd"),
-    "touch": _coreutil("/usr/bin/touch"),
-    "ls": _coreutil("/usr/bin/ls"),
-    "cat": _coreutil("/usr/bin/cat"),
-    "clear": _coreutil("/usr/bin/clear"),
-}
+#: Conformance workloads: :data:`repro.runapi.WORKLOADS` names (stress
+#: runs at :data:`STRESS_ITERATIONS`).
+WORKLOADS: Tuple[str, ...] = ("stress", "pwd", "touch", "ls", "cat", "clear")
 
 
 def conformance_config() -> FaultConfig:
@@ -247,23 +225,6 @@ def _observe(kernel, process, mechanism: str, workload: str, seed: int,
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _offline_logs(workload: str) -> Mapping[str, str]:
-    """Offline-phase site logs for *workload* (K23 variants), computed
-    once per process and re-imported read-only into every cell kernel —
-    the offline phase is faultless and mechanism-independent, and its
-    kernel seed is the constant ``KERNEL_SEED + 1000``, so *workload* is
-    its whole key."""
-    from repro.core import OfflinePhase
-    from repro.kernel import Kernel
-
-    kernel = Kernel(seed=KERNEL_SEED + 1000, aslr=False)
-    path = WORKLOADS[workload](kernel)
-    offline = OfflinePhase(kernel)
-    offline.run(path)
-    return MappingProxyType(offline.export())
-
-
 def run_cell(mechanism: str, workload: str, seed: int,
              config: Optional[FaultConfig] = None,
              block_cache: Optional[bool] = None,
@@ -276,41 +237,28 @@ def run_cell(mechanism: str, workload: str, seed: int,
     cell's bus; the bus is observe-only, so the Observation is identical
     with or without it.
     """
-    from repro.interposers.registry import REGISTRY
-    from repro.kernel import Kernel
+    from repro.runapi import RunConfig, prepare
 
     if workload not in WORKLOADS:
         raise ValueError(f"unknown conformance workload {workload!r}; "
                          f"valid: {', '.join(WORKLOADS)}")
-    kernel = Kernel(seed=KERNEL_SEED, aslr=False)
-    # Counters ride along on every cell: the bus is observe-only, so an
-    # attached sink cannot perturb the run (the lockstep property tests
-    # pin this), and the snapshots feed the matrix artifact's metadata.
-    from repro.observability.sinks import CounterSink
-
-    sink = CounterSink()
-    kernel.bus.attach(sink)
-    if trace_sink is not None:
-        kernel.bus.attach(trace_sink)
-    if block_cache is not None:
-        kernel.block_cache_enabled = block_cache
-    # Measure the surviving fast path deterministically, as the evaluation
-    # pipeline does — fault variety comes from the schedule, not the torn
-    # window's own dice.
-    kernel.torn_window_probability = 0.0
-    path = WORKLOADS[workload](kernel)
-    if REGISTRY.needs_offline(mechanism):
-        from repro.core.offline import import_logs
-
-        import_logs(kernel, _offline_logs(workload))
-    REGISTRY.create(mechanism, kernel)
     schedule = build_schedule(seed, config or conformance_config())
-    injector = FaultInjector(kernel, schedule)
-    process = kernel.spawn_process(path)
+    # Counters ride along on every cell (prepare always attaches a
+    # CounterSink): the bus is observe-only, so an attached sink cannot
+    # perturb the run (the lockstep property tests pin this), and the
+    # snapshots feed the matrix artifact's metadata.
+    prepared = prepare(RunConfig(
+        mechanism, workload, seed=KERNEL_SEED, schedule=schedule,
+        sinks=(trace_sink,) if trace_sink is not None else (),
+        params=((("iterations", STRESS_ITERATIONS),)
+                if workload == "stress" else ()),
+        block_cache=block_cache))
+    kernel = prepared.kernel
+    process = prepared.spawn()
     kernel.run_process(process, max_steps=max_steps)
     if not process.exited:
         raise RuntimeError(
             f"conformance cell did not finish: {mechanism}/{workload}"
             f"/seed={seed} ({max_steps} steps)")
-    return _observe(kernel, process, mechanism, workload, seed, injector,
-                    schedule, sink=sink)
+    return _observe(kernel, process, mechanism, workload, seed,
+                    prepared.injector, schedule, sink=prepared.counters)

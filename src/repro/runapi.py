@@ -15,15 +15,22 @@ frozen config object and two functions:
                            seed=7))
     result.exit_status, result.counters, result.verdicts
 
-:func:`prepare` is the two-phase variant: it returns a
-:class:`PreparedRun` with the kernel built and the mechanism installed
-but nothing executed, so lockstep harnesses (the shadow mirror) can
-drive two prepared runs request-by-request themselves.
+:func:`boot` is the one place a run's kernel is built: it returns a
+:class:`PreparedRun` with the workload installed, the K23 offline logs
+imported and the mechanism created, but nothing executed.  It attaches
+only the sinks it is given, so the measurement cells (Tables 5 and 6,
+the traffic fleet) boot with none and keep the event bus off on their
+hot path.  :func:`prepare` is ``boot`` plus the observation surface
+(``CounterSink``, analyzers, ``config.sinks``, trace sink, recorder);
+lockstep harnesses (the shadow mirror) drive two prepared runs
+request-by-request themselves.  :func:`offline_logs` is the one
+memoised K23 offline recipe, keyed on the workload build alone.
 
-Workloads come in two kinds.  **batch** workloads (``stress`` and the
-coreutils) spawn one process and run it to exit; **server** workloads
-(``nginx``, ``lighttpd``, ``redis``) boot the server to its accept
-loop and drive it with the in-repo wrk/redis-benchmark stand-ins.
+Workloads come in two kinds.  **batch** workloads (``stress``,
+``sqlite`` and the coreutils) spawn one process and run it to exit;
+**server** workloads (``nginx``, ``lighttpd``, ``redis``) boot the
+server to its accept loop and drive it with the in-repo
+wrk/redis-benchmark stand-ins.
 Mechanism names are resolved case-insensitively against the registry
 (``"k23-ultra"`` → ``"K23-ultra"``), so CLI surfaces need no separate
 canonicalization.
@@ -34,16 +41,22 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, Mapping,
+                    Optional, Tuple)
 
-from repro.faultinject.engine import FaultInjector
-from repro.faultinject.schedule import FaultSchedule
 from repro.interposers.registry import REGISTRY
-from repro.observability.analyzers import Analyzer, AnalyzerSuite, PitfallVerdict
 from repro.observability.sinks import CounterSink, Sink
-from repro.traffic.config import TrafficConfig
 from repro.workloads.clients import (HTTP_REQUEST, REDIS_GET,
                                      KeepAliveSource)
+
+if TYPE_CHECKING:
+    # Imported where used: a measurement cell that arms no schedule,
+    # analyzer or traffic engine does not pay for loading them.
+    from repro.faultinject.engine import FaultInjector
+    from repro.faultinject.schedule import FaultSchedule
+    from repro.observability.analyzers import (Analyzer, AnalyzerSuite,
+                                               PitfallVerdict)
+    from repro.traffic.config import TrafficConfig
 
 #: Steps the kernel runs after spawning a server so the master forks and
 #: every worker reaches its accept loop (mirrors the evaluation runner).
@@ -62,6 +75,11 @@ class WorkloadSpec:
         kind: ``"batch"`` (spawn one process, run to exit) or
             ``"server"`` (boot to accept, drive with a load generator).
         installer: ``installer(kernel, params) -> program path``.
+        params: the param names *installer* reads; :class:`RunConfig`
+            rejects any other key.
+        run_length: the one param that only sets a batch workload's run
+            length (stress ``iterations``, sqlite ``transactions``); it
+            is left out of the offline-log key (:func:`offline_logs`).
         port / payload / connections: load-generation defaults for
             server workloads.
     """
@@ -69,6 +87,8 @@ class WorkloadSpec:
     name: str
     kind: str
     installer: Callable[..., str]
+    params: Tuple[str, ...] = ()
+    run_length: Optional[str] = None
     port: int = 0
     payload: bytes = b""
     connections: int = 1
@@ -116,6 +136,12 @@ def _install_redis(kernel, params: Dict[str, int]) -> str:
                          multiconn=bool(params.get("multiconn", 0)))
 
 
+def _install_sqlite(kernel, params: Dict[str, int]) -> str:
+    from repro.workloads.sqlite import TRANSACTIONS, install_sqlite
+
+    return install_sqlite(kernel, params.get("transactions", TRANSACTIONS))
+
+
 def _server_ports():
     from repro.workloads.lighttpd import LIGHTTPD_PORT
     from repro.workloads.nginx import NGINX_PORT
@@ -125,19 +151,28 @@ def _server_ports():
 
 _NGINX_PORT, _LIGHTTPD_PORT, _REDIS_PORT = _server_ports()
 
+_SERVER_PARAMS = ("file_kb", "multiconn", "workers")
+
 #: Every workload :func:`run` understands, batch and server alike.
 WORKLOADS: Dict[str, WorkloadSpec] = {
-    "stress": WorkloadSpec("stress", "batch", _install_stress),
+    "stress": WorkloadSpec("stress", "batch", _install_stress,
+                           params=("iterations",), run_length="iterations"),
     "pwd": WorkloadSpec("pwd", "batch", _coreutil("/usr/bin/pwd")),
     "touch": WorkloadSpec("touch", "batch", _coreutil("/usr/bin/touch")),
     "ls": WorkloadSpec("ls", "batch", _coreutil("/usr/bin/ls")),
     "cat": WorkloadSpec("cat", "batch", _coreutil("/usr/bin/cat")),
     "clear": WorkloadSpec("clear", "batch", _coreutil("/usr/bin/clear")),
+    "sqlite": WorkloadSpec("sqlite", "batch", _install_sqlite,
+                           params=("transactions",),
+                           run_length="transactions"),
     "nginx": WorkloadSpec("nginx", "server", _install_nginx,
-                          port=_NGINX_PORT, payload=HTTP_REQUEST),
+                          params=_SERVER_PARAMS, port=_NGINX_PORT,
+                          payload=HTTP_REQUEST),
     "lighttpd": WorkloadSpec("lighttpd", "server", _install_lighttpd,
-                             port=_LIGHTTPD_PORT, payload=HTTP_REQUEST),
+                             params=_SERVER_PARAMS, port=_LIGHTTPD_PORT,
+                             payload=HTTP_REQUEST),
     "redis": WorkloadSpec("redis", "server", _install_redis,
+                          params=("io_threads", "multiconn", "workers"),
                           port=_REDIS_PORT, payload=REDIS_GET),
 }
 
@@ -173,7 +208,8 @@ class RunConfig:
         params: workload installer parameters as a sorted tuple of
             pairs, e.g. ``(("iterations", 300),)`` for stress or
             ``(("workers", 10),)`` for nginx — tuple-of-pairs keeps the
-            config hashable.
+            config hashable.  Only the names in the workload's
+            :attr:`WorkloadSpec.params` are accepted.
         aslr: address-space layout randomization (off by default: the
             differential harnesses need layout-stable kernels).
         block_cache: force the interpreter mode (None = kernel default).
@@ -231,10 +267,12 @@ class RunConfig:
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative int, "
                              f"got {self.seed!r}")
-        if self.schedule is not None \
-                and not isinstance(self.schedule, FaultSchedule):
-            raise ValueError("schedule must be a FaultSchedule "
-                             "(build one with repro.api.build_schedule)")
+        if self.schedule is not None:
+            from repro.faultinject.schedule import FaultSchedule
+
+            if not isinstance(self.schedule, FaultSchedule):
+                raise ValueError("schedule must be a FaultSchedule (build "
+                                 "one with repro.api.build_schedule)")
         if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
         if self.connections is not None and self.connections < 1:
@@ -252,6 +290,8 @@ class RunConfig:
             raise ValueError(f"checkpoint_interval must be >= 1, "
                              f"got {self.checkpoint_interval}")
         if self.traffic is not None:
+            from repro.traffic.config import TrafficConfig
+
             if isinstance(self.traffic, dict):
                 object.__setattr__(self, "traffic",
                                    TrafficConfig.from_dict(self.traffic))
@@ -270,6 +310,13 @@ class RunConfig:
         object.__setattr__(self, "analyzers", tuple(self.analyzers))
         object.__setattr__(self, "params",
                            tuple(sorted(tuple(p) for p in self.params)))
+        unknown = sorted({key for key, _value in self.params}
+                         - set(self.spec.params))
+        if unknown:
+            raise ValueError(
+                f"unknown param(s) {', '.join(unknown)} for workload "
+                f"{self.workload!r}; valid: "
+                f"{', '.join(self.spec.params) or '(none)'}")
 
     @property
     def spec(self) -> WorkloadSpec:
@@ -306,7 +353,7 @@ class RunResult:
     @property
     def ok(self) -> bool:
         """Batch: clean exit.  Server: every driven request answered."""
-        if self.exit_status is not None:
+        if WORKLOADS[self.workload].kind == "batch":
             return self.exit_status == 0
         return self.failures == 0
 
@@ -314,18 +361,29 @@ class RunResult:
 # ----------------------------------------------------------- offline phase
 
 
+def offline_logs(workload: str, params=()) -> Mapping[str, str]:
+    """Exported K23 offline logs for one workload build.
+
+    The offline phase logs each site as a (region, offset) pair, so its
+    logs depend on neither the kernel seed nor the ASLR layout, nor on
+    how long a batch workload runs: the key is *workload* plus *params*
+    without the spec's ``run_length`` param.  The offline run itself
+    uses the installer's default for that param."""
+    spec = WORKLOADS[workload]
+    return _offline_recipe(workload, tuple(sorted(
+        (key, value) for key, value in params if key != spec.run_length)))
+
+
 @functools.lru_cache(maxsize=None)
-def _offline_logs(workload: str, params: Tuple, offline_seed: int,
-                  aslr: bool) -> Mapping[str, str]:
-    """Exported K23 offline logs for one workload build.  The offline
-    phase is faultless and mechanism-independent, so it is memoised per
-    process on exactly its inputs: shadow pairs and repeated runs
-    re-import the same read-only mapping rather than recompute it."""
+def _offline_recipe(workload: str, params: Tuple) -> Mapping[str, str]:
+    """The offline run behind :func:`offline_logs`, memoised per process:
+    it is faultless and mechanism-independent, so every caller re-imports
+    the same read-only mapping rather than recompute it."""
     from repro.core import OfflinePhase
     from repro.kernel import Kernel
 
     spec = WORKLOADS[workload]
-    kernel = Kernel(seed=offline_seed, aslr=aslr)
+    kernel = Kernel(seed=0, aslr=False)
     path = spec.installer(kernel, dict(params))
     offline = OfflinePhase(kernel)
     if spec.kind == "server":
@@ -358,7 +416,8 @@ class PreparedRun:
     config: RunConfig
     kernel: object
     path: str
-    counters: CounterSink
+    interposer: object = None
+    counters: Optional[CounterSink] = None
     suite: Optional[AnalyzerSuite] = None
     trace_sink: Optional[object] = None
     injector: Optional[FaultInjector] = None
@@ -433,17 +492,22 @@ class PreparedRun:
             cycles=cycles,
             requests=requests,
             failures=failures,
-            counters=self.counters.snapshot(),
+            counters=(self.counters.snapshot()
+                      if self.counters is not None else {}),
             verdicts=verdicts,
             trace_path=trace_path,
         )
 
 
-def prepare(config: RunConfig) -> PreparedRun:
-    """Build the machine for *config* without executing anything.
+def boot(config: RunConfig, sinks: Iterable[Sink] = ()) -> PreparedRun:
+    """Build the machine for *config* with only *sinks* on its bus.
 
-    Deterministic by construction: fixed seed, torn-window dice off,
-    fault variety only from the explicit schedule.
+    The one place a run's kernel is built: seed and ASLR from *config*,
+    torn-window dice off, the workload installed, K23 offline logs
+    imported, the mechanism created and the fault schedule armed.
+    Nothing has executed yet.  ``config.sinks``, analyzers, tracing and
+    recording are :func:`prepare`'s; measurement cells call ``boot``
+    with no sinks so the bus stays disabled on their hot path.
     """
     from repro.kernel import Kernel
 
@@ -451,43 +515,57 @@ def prepare(config: RunConfig) -> PreparedRun:
     kernel.torn_window_probability = 0.0
     if config.block_cache is not None:
         kernel.block_cache_enabled = config.block_cache
+    for sink in sinks:
+        kernel.bus.attach(sink)
+    path = config.spec.installer(kernel, dict(config.params))
+    if REGISTRY.needs_offline(config.mechanism):
+        from repro.core.offline import import_logs
+
+        import_logs(kernel, offline_logs(config.workload, config.params))
+    interposer = REGISTRY.create(config.mechanism, kernel)
+    injector = None
+    if config.schedule is not None:
+        from repro.faultinject.engine import FaultInjector
+
+        injector = FaultInjector(kernel, config.schedule)
+    return PreparedRun(config=config, kernel=kernel, path=path,
+                       interposer=interposer, injector=injector)
+
+
+def prepare(config: RunConfig) -> PreparedRun:
+    """:func:`boot` with the full observation surface attached: a
+    :class:`CounterSink` (feeding ``RunResult.counters``), the analyzer
+    suite, ``config.sinks``, the trace sink and the recorder."""
     counters = CounterSink()
-    kernel.bus.attach(counters)
+    sinks = [counters]
     suite = None
     if config.analyzers:
+        from repro.observability.analyzers import AnalyzerSuite
+
         suite = AnalyzerSuite(config.analyzers)
-        kernel.bus.attach(suite)
-    for sink in config.sinks:
-        kernel.bus.attach(sink)
+        sinks.append(suite)
+    sinks.extend(config.sinks)
     trace_sink = None
     if config.trace_path is not None:
         from repro.observability.export import TraceSink
 
         trace_sink = TraceSink(mechanism=config.mechanism,
                                workload=config.workload)
-        kernel.bus.attach(trace_sink)
-    path = config.spec.installer(kernel, dict(config.params))
-    if REGISTRY.needs_offline(config.mechanism):
-        from repro.core.offline import import_logs
-
-        import_logs(kernel, _offline_logs(config.workload, config.params,
-                                          config.seed + 1000, config.aslr))
-    REGISTRY.create(config.mechanism, kernel)
-    injector = None
-    if config.schedule is not None:
-        injector = FaultInjector(kernel, config.schedule)
-    recorder = None
+        sinks.append(trace_sink)
+    prepared = boot(config, sinks)
+    prepared.counters = counters
+    prepared.suite = suite
+    prepared.trace_sink = trace_sink
     if config.record is not None:
         from repro.replay.recorder import Recorder
 
+        kernel = prepared.kernel
         recorder = Recorder(config.record, kernel, config=config,
                             interval=config.checkpoint_interval)
         kernel.bus.attach(recorder)
         kernel.recorder = recorder
-    return PreparedRun(config=config, kernel=kernel, path=path,
-                       counters=counters, suite=suite,
-                       trace_sink=trace_sink, injector=injector,
-                       recorder=recorder)
+        prepared.recorder = recorder
+    return prepared
 
 
 def run(config: RunConfig) -> RunResult:

@@ -49,12 +49,11 @@ def _interp_probe() -> str:
     icache / block-cache hit rates on a short native syscall-stress run."""
     import time
 
-    from repro.kernel.kernel import Kernel
-    from repro.workloads.stress import STRESS_PATH, install_stress
+    from repro.runapi import RunConfig, boot
 
-    kernel = Kernel(seed=42)
-    install_stress(kernel, iterations=500)
-    process = kernel.spawn_process(STRESS_PATH)
+    prepared = boot(RunConfig("native", "stress", seed=42, aslr=True,
+                              params=(("iterations", 500),)))
+    kernel, process = prepared.kernel, prepared.spawn()
     started = time.perf_counter()
     retired = kernel.run_process(process, max_steps=2_000_000)
     elapsed = time.perf_counter() - started

@@ -6,8 +6,8 @@ Usage::
                                    [--seed N] [--trace-out FILE.json]
                                    [--jsonl-out FILE.jsonl]
 
-``<program>`` is one of the bundled workloads (pwd, touch, ls, cat, clear)
-or any absolute path previously registered by a setup module.
+``<program>`` is one of the bundled coreutils (pwd, touch, ls, cat,
+clear), by name or by path.
 ``--interposer`` is any Table 5 mechanism name (default: K23-ultra); K23
 variants automatically run their offline phase first.  ``--trace-out``
 additionally records the run through the instrumentation bus and writes a
@@ -23,21 +23,19 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core import OfflinePhase
-from repro.core.offline import import_logs
 from repro.interposers.hooks import CountingHook, TracingHook, chain
 from repro.interposers.registry import REGISTRY
-from repro.kernel import Kernel
-from repro.workloads.coreutils import install_coreutils
+from repro.runapi import RunConfig, boot
 
 COREUTILS = {"pwd", "touch", "ls", "cat", "clear"}
 
 
 def _resolve_program(name: str) -> str:
-    if name.lstrip("/").rsplit("/", 1)[-1] in COREUTILS:
-        return f"/usr/bin/{name.rsplit('/', 1)[-1]}"
-    if name.startswith("/"):
-        return name
+    """Map a coreutil name or path to its :data:`repro.runapi.WORKLOADS`
+    key."""
+    base = name.rsplit("/", 1)[-1]
+    if base in COREUTILS:
+        return base
     raise SystemExit(f"unknown program {name!r}; "
                      f"bundled: {', '.join(sorted(COREUTILS))}")
 
@@ -46,38 +44,30 @@ def trace(program: str, mechanism: str = "K23-ultra", seed: int = 1,
           summary: bool = False, out=None, trace_out: Optional[str] = None,
           jsonl_out: Optional[str] = None):
     out = out or sys.stdout
-    path = _resolve_program(program)
+    workload = _resolve_program(program)
 
-    kernel = Kernel(seed=seed)
+    sinks = []
     trace_sink = None
     jsonl_sink = None
     jsonl_file = None
     if trace_out is not None:
         from repro.observability.export import TraceSink
 
-        trace_sink = TraceSink(mechanism=mechanism,
-                               workload=path.rsplit("/", 1)[-1])
-        kernel.bus.attach(trace_sink)
+        trace_sink = TraceSink(mechanism=mechanism, workload=workload)
+        sinks.append(trace_sink)
     if jsonl_out is not None:
         from repro.observability.sinks import StreamingJSONLSink
 
         jsonl_file = open(jsonl_out, "w")
         jsonl_sink = StreamingJSONLSink(jsonl_file)
-        kernel.bus.attach(jsonl_sink)
+        sinks.append(jsonl_sink)
+    prepared = boot(RunConfig(mechanism, workload, seed=seed, aslr=True),
+                    sinks)
+    kernel, interposer = prepared.kernel, prepared.interposer
     tracer = TracingHook(bus=kernel.bus)
     counter = CountingHook(bus=kernel.bus)
-    hook = chain(tracer, counter)
-
-    install_coreutils(kernel)
-    if REGISTRY.needs_offline(mechanism):
-        offline_kernel = Kernel(seed=seed + 1)
-        install_coreutils(offline_kernel)
-        offline = OfflinePhase(offline_kernel)
-        offline.run(path)
-        import_logs(kernel, offline.export())
-    interposer = REGISTRY.create(mechanism, kernel)
-    interposer.hook = hook
-    process = kernel.spawn_process(path)
+    interposer.hook = chain(tracer, counter)
+    process = prepared.spawn()
     kernel.run_process(process)
 
     if not summary:

@@ -107,11 +107,11 @@ def calibrate_service_table(mechanism: str, workload: str,
     if cached is not None:
         return cached
 
-    from repro.runapi import RunConfig, prepare
+    from repro.runapi import RunConfig, boot
 
     config = RunConfig(mechanism=mechanism, workload=workload, seed=seed,
                        params=traffic_workload_params(traffic))
-    prepared = prepare(config)
+    prepared = boot(config)
     prepared.boot()
     kernel, spec = prepared.kernel, prepared.spec
     expected = response_length(workload, dict(config.params))
@@ -419,12 +419,12 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
     capture; its flight-recorder ring is dumped automatically when
     stall-shed detection fires.
     """
-    from repro.runapi import RunConfig, prepare
+    from repro.runapi import RunConfig, boot
 
     config = RunConfig(mechanism=mechanism, workload=workload,
                        seed=seed + server,
                        params=traffic_workload_params(traffic))
-    prepared = prepare(config)
+    prepared = boot(config)
     prepared.boot()
     kernel, spec = prepared.kernel, prepared.spec
     expected = response_length(workload, dict(config.params))

@@ -78,9 +78,9 @@ def build_speedtest1(transactions: int = TRANSACTIONS) -> ProgramBuilder:
     return builder
 
 
-def install_sqlite(kernel) -> str:
+def install_sqlite(kernel, transactions: int = TRANSACTIONS) -> str:
     kernel.vfs.mkdir("/var/db", exist_ok=True)
     kernel.vfs.create(DB_PATH, b"\x00" * 8192)
     kernel.vfs.create(WAL_PATH, b"")
-    build_speedtest1().register(kernel)
+    build_speedtest1(transactions).register(kernel)
     return SQLITE_PATH

@@ -7,6 +7,7 @@ import pytest
 from repro.api import (AnalyzerSuite, FaultSchedule, LatencyAnalyzer,
                        PitfallVerdict, RunConfig, RunResult, build_schedule,
                        prepare, run)
+from repro.runapi import boot
 
 
 class TestRunConfigValidation:
@@ -39,6 +40,19 @@ class TestRunConfigValidation:
             RunConfig("native", "nginx", requests=0)
         with pytest.raises(ValueError, match="connections"):
             RunConfig("native", "nginx", connections=0)
+
+    def test_unknown_param_names_the_workload_and_valid_keys(self):
+        """A misspelt installer param must not silently run the default
+        workload build — replay bundles carry params as JSON."""
+        with pytest.raises(ValueError, match=r"iteration .*'stress'.*"
+                                             r"valid: iterations"):
+            RunConfig("native", "stress", params=(("iteration", 300),))
+        with pytest.raises(ValueError, match="valid: transactions"):
+            RunConfig("native", "sqlite", params=(("iterations", 20),))
+        with pytest.raises(ValueError, match=r"valid: \(none\)"):
+            RunConfig("native", "cat", params=(("iterations", 20),))
+        with pytest.raises(ValueError, match="file_kb"):
+            RunConfig("native", "nginx", params=(("file_size_kb", 4),))
 
     def test_params_sorted_and_hashable(self):
         config = RunConfig("native", "nginx",
@@ -77,6 +91,12 @@ class TestRun:
         assert result.cycles > 0
         assert result.counters["total_cycles"] > 0
         assert result.mechanism == "zpoline-default"
+
+    def test_unfinished_batch_run_is_not_ok(self):
+        result = run(RunConfig("native", "stress", max_steps=100,
+                               params=(("iterations", 100),)))
+        assert result.exit_status is None
+        assert not result.ok
 
     def test_server_run_result_shape(self):
         result = run(RunConfig("lazypoline", "redis", seed=5, requests=6))
@@ -126,3 +146,24 @@ class TestRun:
                                      analyzers=(LatencyAnalyzer(),)))
         assert isinstance(prepared.suite, AnalyzerSuite)
         assert prepared.suite["latency"] is not None
+
+
+class TestBoot:
+    def test_boot_attaches_no_sink(self):
+        prepared = boot(RunConfig("K23-ultra", "stress", seed=3,
+                                  params=(("iterations", 10),)))
+        assert not prepared.kernel.bus.enabled
+        assert prepared.interposer is prepared.kernel.interposer
+        result = prepared.execute()
+        assert result.ok and result.counters == {}
+
+    def test_boot_and_prepare_measure_the_same_cycles(self):
+        config = RunConfig("K23-ultra", "redis", seed=5, requests=6)
+        assert boot(config).execute().cycles == run(config).cycles
+
+    def test_prepare_attaches_sinks_in_order(self):
+        from repro.observability.sinks import CounterSink
+
+        extra = CounterSink()
+        prepared = prepare(RunConfig("native", "cat", sinks=(extra,)))
+        assert prepared.kernel.bus.sinks[:2] == [prepared.counters, extra]

@@ -5,9 +5,7 @@ test here fails if a memo is keyed too coarsely — if it ever hands one
 input's value to another — while the memo's own hit counters show it is
 actually being used:
 
-- offline recipes (:func:`repro.evaluation.runner.stress_offline_logs`,
-  :func:`~repro.evaluation.runner.macro_offline_logs`, and the runapi and
-  conformance ``_offline_logs``);
+- the offline recipe behind :func:`repro.runapi.offline_logs`;
 - decoded instruction lines (:func:`repro.cpu.icache.decode_line`);
 - trace code objects (``repro.cpu.tracejit._trace_code``).
 """
@@ -23,8 +21,7 @@ from repro.cpu import tracejit
 from repro.cpu.engine import EngineConfig
 from repro.cpu.icache import ICache, decode_line
 from repro.errors import Halt
-from repro.evaluation.runner import (macro_offline_logs, measure_micro_cycles,
-                                     stress_offline_logs)
+from repro.evaluation.runner import MACRO_BY_KEY, measure_micro_cycles
 from repro.faultinject import conformance
 from repro.interposers.registry import REGISTRY
 from repro.kernel import Kernel
@@ -33,8 +30,7 @@ from tests.cpu.test_engine import HOT, build
 
 MECHANISMS = REGISTRY.names()
 
-MEMOS = (stress_offline_logs, macro_offline_logs, runapi._offline_logs,
-         conformance._offline_logs, decode_line, tracejit._trace_code)
+MEMOS = (runapi._offline_recipe, decode_line, tracejit._trace_code)
 
 
 def clear_memos():
@@ -82,8 +78,7 @@ def test_cells_identical_from_empty_and_prefilled_memos(cold_and_warm,
 
 def test_prefilled_pass_reuses_every_exercised_memo(cold_and_warm):
     _cold, _warm, reused = cold_and_warm
-    assert reused["repro.evaluation.runner.stress_offline_logs"] > 0
-    assert reused["repro.faultinject.conformance._offline_logs"] > 0
+    assert reused["repro.runapi._offline_recipe"] > 0
     assert reused["repro.cpu.icache.decode_line"] > 0
     engine = EngineConfig.from_env()  # the suite also runs under hatches
     if engine.block_cache and engine.trace_jit:
@@ -244,51 +239,78 @@ def test_self_modifying_loop_redecodes_every_store():
 # ----------------------------------------------------- (d) offline recipes
 
 
-def test_stress_recipe_keyed_by_seed():
-    stress_offline_logs.cache_clear()
-    a = stress_offline_logs(7)
-    b = stress_offline_logs(8)
-    assert a is not b
-    assert stress_offline_logs.cache_info().currsize == 2
-    assert stress_offline_logs(7) is a
-
-
-def test_macro_recipe_keyed_by_row_and_seed():
-    macro_offline_logs.cache_clear()
-    redis = macro_offline_logs("redis-1t", 520)
-    assert macro_offline_logs("redis-1t", 521) is not redis
-    sqlite = macro_offline_logs("sqlite", 520)
-    assert set(sqlite) != set(redis)
-    assert macro_offline_logs("redis-1t", 520) is redis
+def test_recipe_key_drops_only_the_run_length():
+    """Table 5's 300- and 1500-iteration cells, the conformance stress
+    cells and a param-less caller all share one offline run."""
+    runapi._offline_recipe.cache_clear()
+    logs = runapi.offline_logs("stress", (("iterations", 300),))
+    assert runapi.offline_logs("stress", (("iterations", 1500),)) is logs
+    assert runapi.offline_logs("stress") is logs
+    sqlite = runapi.offline_logs("sqlite", (("transactions", 20),))
+    assert runapi.offline_logs("sqlite", (("transactions", 120),)) is sqlite
+    assert runapi._offline_recipe.cache_info().currsize == 2
 
 
 def test_runapi_recipe_keyed_by_every_input():
-    runapi._offline_logs.cache_clear()
-    base = ("stress", (("iterations", 10),), 1001, False)
-    logs = runapi._offline_logs(*base)
-    for variant in (("pwd", (), 1001, False),
-                    ("stress", (("iterations", 11),), 1001, False),
-                    ("stress", (("iterations", 10),), 1002, False),
-                    ("stress", (("iterations", 10),), 1001, True)):
-        assert runapi._offline_logs(*variant) is not logs
-    assert runapi._offline_logs.cache_info().currsize == 5
-    assert runapi._offline_logs(*base) is logs
+    runapi._offline_recipe.cache_clear()
+    redis = runapi.offline_logs("redis", (("io_threads", 1),))
+    variants = [runapi.offline_logs("redis", (("io_threads", 6),)),
+                runapi.offline_logs("redis", (("io_threads", 1),
+                                              ("multiconn", 1))),
+                runapi.offline_logs("sqlite"),
+                runapi.offline_logs("cat")]
+    assert all(logs is not redis for logs in variants)
+    assert runapi._offline_recipe.cache_info().currsize == 5
+    # multiconn builds a different binary, and each program logs its own
+    # sites: a key that dropped either input would hand out wrong logs.
+    assert variants[1] != redis
+    assert set(variants[2]) != set(variants[3]) != set(redis)
+    assert runapi.offline_logs("redis", (("io_threads", 1),)) is redis
+
+
+def test_macro_recipe_keyed_by_row_and_seed():
+    """Each Table 6 row gets its own logs, and every seed of a row
+    shares them: sites are logged as (region, offset), so the seed is
+    not part of the key."""
+    runapi._offline_recipe.cache_clear()
+    rows = [MACRO_BY_KEY[key] for key in ("redis-1t", "redis-6t", "sqlite")]
+    logs = [runapi.offline_logs(row.workload, row.params) for row in rows]
+    assert logs[1] is not logs[0]
+    assert set(logs[2]) != set(logs[0])
+    assert runapi._offline_recipe.cache_info().currsize == 3
+    redis = rows[0]
+    hits = runapi._offline_recipe.cache_info().hits
+    for seed in (520, 521):
+        runapi.boot(runapi.RunConfig(
+            "K23-default", redis.workload, seed=seed, aslr=True,
+            params=redis.params, connections=redis.connections))
+    info = runapi._offline_recipe.cache_info()
+    assert info.currsize == 3
+    assert info.hits == hits + 2
+    assert runapi.offline_logs(redis.workload, redis.params) is logs[0]
 
 
 def test_conformance_recipe_keyed_by_workload():
-    conformance._offline_logs.cache_clear()
-    stress = conformance._offline_logs("stress")
-    cat = conformance._offline_logs("cat")
-    assert set(stress) != set(cat)
-    assert conformance._offline_logs("stress") is stress
+    runapi._offline_recipe.cache_clear()
+    logs = {workload: runapi.offline_logs(workload)
+            for workload in conformance.WORKLOADS}
+    assert runapi._offline_recipe.cache_info().currsize == \
+        len(conformance.WORKLOADS)
+    assert set(logs["stress"]) != set(logs["cat"])
+    # The stress cells' run length is dropped from the key, so they
+    # reuse the param-less entry.
+    assert runapi.offline_logs("stress", (
+        ("iterations", conformance.STRESS_ITERATIONS),)) is logs["stress"]
+    assert runapi._offline_recipe.cache_info().currsize == \
+        len(conformance.WORKLOADS)
 
 
 def test_import_logs_leaves_the_memoised_logs_unchanged():
-    logs = stress_offline_logs(9)
+    logs = runapi.offline_logs("stress")
     before = dict(logs)
     for seed in (1, 2):
         import_logs(Kernel(seed=seed), logs)
     assert logs == before
-    assert stress_offline_logs(9) is logs
+    assert runapi.offline_logs("stress") is logs
     with pytest.raises(TypeError):
         logs["/usr/bin/other"] = ""  # the memoised value is read-only

@@ -5,12 +5,16 @@ ASLR seeds, scheduler quantum — and its components must fail safely under
 adversarial inputs (tampered logs, truncated logs, mid-run faults).
 """
 
+import itertools
+
 import pytest
 
+from repro import runapi
 from repro.core import K23Interposer, OfflinePhase
 from repro.core.logs import LOG_ROOT, SiteLog, seal_logs
 from repro.core.offline import import_logs
 from repro.kernel import Kernel
+from repro.workloads.clients import KeepAliveSource
 from repro.workloads.coreutils import install_coreutils
 from tests.simutil import make_hello, spawn_and_run
 
@@ -33,15 +37,39 @@ class TestSeedInvariance:
 
     @pytest.mark.parametrize("seed", [3, 17])
     def test_offline_logs_identical_across_seeds(self, seed):
-        """Unique-site sets are layout-independent by construction."""
-        logs = []
-        for run_seed in (seed, seed + 1000):
-            kernel = Kernel(seed=run_seed)
-            install_coreutils(kernel, names=["/usr/bin/pwd"])
-            offline = OfflinePhase(kernel)
-            _proc, log = offline.run("/usr/bin/pwd")
-            logs.append(sorted(log))
-        assert logs[0] == logs[1]
+        """Site logs are layout- and length-independent by construction,
+        which is what lets :func:`repro.runapi.offline_logs` key on the
+        workload build alone: for every workload, each seed, ASLR setting
+        and run length must log exactly what the memoised recipe hands
+        out."""
+        for workload in sorted(runapi.WORKLOADS):
+            expected = runapi.offline_logs(workload)
+            for run in itertools.product((seed, seed + 1000), (True, False),
+                                         (0, 1)):
+                assert _offline_export(workload, *run) == expected, \
+                    (workload, run)
+
+
+def _offline_export(workload, seed, aslr, length):
+    """One offline phase for *workload*, run independently of the memo.
+    *length* picks the short or long run: the spec's run-length param for
+    batch workloads, the driven request count for servers."""
+    spec = runapi.WORKLOADS[workload]
+    params = {}
+    if spec.run_length is not None:
+        params[spec.run_length] = (16, 150)[length]
+    kernel = Kernel(seed=seed, aslr=aslr)
+    path = spec.installer(kernel, params)
+    offline = OfflinePhase(kernel)
+    driver = None
+    if spec.kind == "server":
+        def driver(kern, proc):
+            kern.run(max_steps=(600_000, runapi.SERVER_BOOT_STEPS)[length])
+            source = KeepAliveSource(kern, spec.port, 1, spec.payload)
+            source.drive((4, 12)[length])
+            source.close()
+    offline.run(path, driver=driver, max_steps=20_000_000)
+    return offline.export()
 
 
 class TestSchedulerInvariance:
