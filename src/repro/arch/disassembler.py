@@ -26,6 +26,7 @@ paper's Figure 1: valid sites, partial-instruction hits, and data hits.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple
@@ -33,6 +34,9 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 from repro.arch.decoder import decode
 from repro.arch.isa import Instruction, SYSCALL_PATTERNS
 from repro.errors import DecodeError
+
+#: Code regions whose sweep result stays memoised (see DESIGN.md §3c).
+LINEAR_SITES_MAX = 256
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,19 @@ def find_syscall_sites_linear(code: bytes) -> List[int]:
     Subject to both false negatives and false positives once the sweep
     desynchronizes inside embedded data (P2a / P3a).  Stops at trailing
     zero padding: no site starts with 00 (earlier items are unchanged).
+    Each caller gets its own list.
     """
+    return list(_linear_sites(bytes(code)))
+
+
+@functools.lru_cache(maxsize=LINEAR_SITES_MAX)
+def _linear_sites(code: bytes) -> Tuple[int, ...]:
+    """:func:`find_syscall_sites_linear`, memoised on the code bytes."""
     limit = len(code.rstrip(b"\x00"))
-    return [item.offset for item in itertools.takewhile(
-                lambda item: item.offset < limit, linear_sweep(code))
-            if item.instruction is not None and item.instruction.is_syscall_site]
+    return tuple(item.offset for item in itertools.takewhile(
+                     lambda item: item.offset < limit, linear_sweep(code))
+                 if item.instruction is not None
+                 and item.instruction.is_syscall_site)
 
 
 def find_syscall_sites_bytescan(code: bytes) -> List[int]:

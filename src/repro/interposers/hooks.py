@@ -158,20 +158,11 @@ class RedirectHook:
         self.mapping = dict(mapping)
         self.redirections: List[Tuple[str, str]] = []
 
-    def _read_cstr(self, thread, addr: int) -> str:
-        out = bytearray()
-        space = thread.process.address_space
-        while len(out) < 4096:
-            byte = space.read_kernel(addr + len(out), 1)
-            if byte == b"\x00":
-                break
-            out += byte
-        return out.decode("latin-1")
-
     def __call__(self, thread, nr, args, forward):
         arg_index = self.PATH_SYSCALLS.get(nr)
         if arg_index is not None and args[arg_index]:
-            original = self._read_cstr(thread, args[arg_index])
+            original = thread.process.address_space.read_cstr(
+                args[arg_index])
             target = self.mapping.get(original)
             if target is not None:
                 if len(target) > len(original):

@@ -87,16 +87,8 @@ class EpollFD:
 # --------------------------------------------------------------------- helpers
 
 
-def _read_cstr(process: Process, addr: int, limit: int = 4096) -> str:
-    out = bytearray()
-    cursor = addr
-    while len(out) < limit:
-        byte = process.address_space.read_kernel(cursor, 1)
-        if byte == b"\x00":
-            break
-        out += byte
-        cursor += 1
-    return out.decode("latin-1")
+def _read_cstr(process: Process, addr: int) -> str:
+    return process.address_space.read_cstr(addr)
 
 
 def _read_ptr_array(process: Process, addr: int, limit: int = 256) -> List[int]:

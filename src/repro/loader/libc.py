@@ -15,7 +15,8 @@ interposers the isolated-copy semantics prior work relies on (§5.3).
 
 from __future__ import annotations
 
-from typing import Dict
+import functools
+from typing import Dict, Tuple
 
 from repro.arch.registers import Reg
 from repro.cpu.cycles import Event
@@ -92,8 +93,92 @@ _PLAIN_WRAPPERS: Dict[str, int] = {
 }
 
 
+#: The host-implemented entry points, in :func:`_register_hostcalls` order.
+_HOST_SYMBOLS = ("dlopen", "dlmopen", "pthread_create", "pthread_exit",
+                 "burn")
+
+
 def build_libc(kernel) -> SimImage:
-    """Assemble a fresh libc image bound to *kernel*'s hostcall registry."""
+    """The libc image bound to *kernel*'s hostcall registry.
+
+    Registers libc's host functions with *kernel* and returns the image
+    assembled for their indices; kernels that register at the same
+    indices share one image.
+    """
+    return _assemble_libc(_register_hostcalls(kernel))
+
+
+def _register_hostcalls(kernel) -> Tuple[int, ...]:
+    """Register dlopen, dlmopen, pthread_create, thread_exit and burn with
+    *kernel*; returns their hostcall indices in that order."""
+
+    def dlopen_host(thread):
+        kernel.cycles.charge(Event.DLOPEN)
+        path = thread.process.address_space.read_cstr(
+            thread.context.get(Reg.RDI))
+        base = kernel.loader.load_library(thread.process, path,
+                                          run_constructors_on=thread)
+        thread.context.set(Reg.RAX, base)
+
+    def dlmopen_host(thread):
+        kernel.cycles.charge(Event.DLOPEN)
+        namespace = thread.context.get(Reg.RDI)
+        path = thread.process.address_space.read_cstr(
+            thread.context.get(Reg.RSI))
+        base = kernel.loader.load_library(thread.process, path,
+                                          run_constructors_on=thread,
+                                          namespace=namespace)
+        thread.context.set(Reg.RAX, base)
+
+    def pthread_create_host(thread):
+        """Spawn a new thread at the function in RDI (pthread_create-lite).
+
+        Inherits the caller's registers, PKRU, and — as on Linux clone —
+        the SUD configuration.  The new thread gets its own stack.
+        """
+        from repro.memory.pages import PAGE_SIZE as _PS, Prot as _Prot
+
+        process = thread.process
+        entry = thread.context.get(Reg.RDI)
+        child = process.spawn_thread()
+        child.context.restore(thread.context.save())
+        stack = process.address_space.mmap(None, 16 * _PS,
+                                           _Prot.READ | _Prot.WRITE,
+                                           name="[thread-stack]")
+        child.context.set(Reg.RSP, stack + 16 * _PS - 16)
+        child.context.rip = entry
+        child.sud = thread.sud.copy()
+        thread.context.set(Reg.RAX, child.tid)
+
+    def thread_exit_host(thread):
+        """End the calling thread (pthread_exit-lite)."""
+        thread.exited = True
+
+    def burn_host(thread):
+        """Model application compute: charge RDI cycles in one step.
+
+        Workloads use this to represent request-processing work (parsing,
+        hashing, page-cache copies) without single-stepping millions of
+        filler instructions.  It is pure user-space work: no interposer
+        ever sees it, exactly like real computation.
+        """
+        kernel.cycles.charge_cycles(thread.context.get(Reg.RDI),
+                                    label="app-compute")
+
+    register = kernel.hostcalls.register
+    return (register(dlopen_host, "libc.dlopen"),
+            register(dlmopen_host, "libc.dlmopen"),
+            register(pthread_create_host, "libc.pthread_create"),
+            register(thread_exit_host, "libc.thread_exit"),
+            register(burn_host, "libc.burn"))
+
+
+@functools.lru_cache(maxsize=None)
+def _assemble_libc(indices: Tuple[int, ...]) -> SimImage:
+    """Assemble libc with its host functions at hostcall *indices* (the
+    order :func:`_register_hostcalls` returns).  Memoised on the indices:
+    the image depends on nothing else, and every caller gets the same
+    finalized, read-only image."""
     image = SimImage(name=LIBC_PATH, entry="")
     asm = image.asm
 
@@ -146,101 +231,13 @@ def build_libc(kernel) -> SimImage:
         asm.ret()
         asm.align(16)
 
-    # -- dlopen / dlmopen (host-implemented loader entry points) ---------------
-    def _read_cstr(thread, addr: int) -> str:
-        out = bytearray()
-        space = thread.process.address_space
-        while len(out) < 4096:
-            byte = space.read_kernel(addr + len(out), 1)
-            if byte == b"\x00":
-                break
-            out += byte
-        return out.decode("latin-1")
-
-    def dlopen_host(thread):
-        kernel.cycles.charge(Event.DLOPEN)
-        path = _read_cstr(thread, thread.context.get(Reg.RDI))
-        base = kernel.loader.load_library(thread.process, path,
-                                          run_constructors_on=thread)
-        thread.context.set(Reg.RAX, base)
-
-    def dlmopen_host(thread):
-        kernel.cycles.charge(Event.DLOPEN)
-        namespace = thread.context.get(Reg.RDI)
-        path = _read_cstr(thread, thread.context.get(Reg.RSI))
-        base = kernel.loader.load_library(thread.process, path,
-                                          run_constructors_on=thread,
-                                          namespace=namespace)
-        thread.context.set(Reg.RAX, base)
-
-    def pthread_create_host(thread):
-        """Spawn a new thread at the function in RDI (pthread_create-lite).
-
-        Inherits the caller's registers, PKRU, and — as on Linux clone —
-        the SUD configuration.  The new thread gets its own stack.
-        """
-        from repro.memory.pages import PAGE_SIZE as _PS, Prot as _Prot
-
-        process = thread.process
-        entry = thread.context.get(Reg.RDI)
-        child = process.spawn_thread()
-        child.context.restore(thread.context.save())
-        stack = process.address_space.mmap(None, 16 * _PS,
-                                           _Prot.READ | _Prot.WRITE,
-                                           name="[thread-stack]")
-        child.context.set(Reg.RSP, stack + 16 * _PS - 16)
-        child.context.rip = entry
-        child.sud = thread.sud.copy()
-        thread.context.set(Reg.RAX, child.tid)
-
-    def thread_exit_host(thread):
-        """End the calling thread (pthread_exit-lite)."""
-        thread.exited = True
-
-    def burn_host(thread):
-        """Model application compute: charge RDI cycles in one step.
-
-        Workloads use this to represent request-processing work (parsing,
-        hashing, page-cache copies) without single-stepping millions of
-        filler instructions.  It is pure user-space work: no interposer
-        ever sees it, exactly like real computation.
-        """
-        kernel.cycles.charge_cycles(thread.context.get(Reg.RDI),
-                                    label="app-compute")
-
-    dlopen_idx = kernel.hostcalls.register(dlopen_host, "libc.dlopen")
-    dlmopen_idx = kernel.hostcalls.register(dlmopen_host, "libc.dlmopen")
-    pthread_idx = kernel.hostcalls.register(pthread_create_host,
-                                            "libc.pthread_create")
-    texit_idx = kernel.hostcalls.register(thread_exit_host,
-                                          "libc.thread_exit")
-    burn_idx = kernel.hostcalls.register(burn_host, "libc.burn")
-
-    asm.label("dlopen")
-    asm.endbr64()
-    asm.hostcall(dlopen_idx)
-    asm.ret()
-    asm.align(16)
-    asm.label("dlmopen")
-    asm.endbr64()
-    asm.hostcall(dlmopen_idx)
-    asm.ret()
-    asm.align(16)
-    asm.label("pthread_create")
-    asm.endbr64()
-    asm.hostcall(pthread_idx)
-    asm.ret()
-    asm.align(16)
-    asm.label("pthread_exit")
-    asm.endbr64()
-    asm.hostcall(texit_idx)
-    asm.ret()
-    asm.align(16)
-    asm.label("burn")
-    asm.endbr64()
-    asm.hostcall(burn_idx)
-    asm.ret()
-    asm.align(16)
+    # -- dlopen / dlmopen / threads / burn (host-implemented entry points) ----
+    for symbol, index in zip(_HOST_SYMBOLS, indices):
+        asm.label(symbol)
+        asm.endbr64()
+        asm.hostcall(index)
+        asm.ret()
+        asm.align(16)
 
     # -- data section: vDSO slots + a realistic jump-table-style data island --
     image.begin_data()

@@ -23,8 +23,9 @@ phantom sites to byte-scanning experiments.
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.registers import Reg
 from repro.errors import LoaderError
@@ -101,6 +102,8 @@ class Loader:
         space = process.address_space
         space.mmap(base, round_up_pages(len(blob)), Prot.READ | Prot.WRITE,
                    name=image.name, fixed=True)
+        # Images are shared across kernels (DESIGN.md §3c): always copy,
+        # so rewriters and GOT patches touch only this process's pages.
         space.write_kernel(base, blob)
         code_len = round_up_pages(image.code_size)
         space.mprotect(base, code_len, Prot.READ | Prot.EXEC)
@@ -254,14 +257,17 @@ class Loader:
                    Prot.READ | Prot.WRITE, name="[stack]", fixed=True)
         stack_top = stack_base + STACK_PAGES * PAGE_SIZE - 16
 
-        # Startup stub.
+        # Startup stub (shared code; the entry address is patched into this
+        # process's copy of its data page, like a GOT slot).
         entry_abs = main_base + main_image.symbol(main_image.entry)
-        stub = self._build_stub(process, main_image, lib_records, entry_abs)
+        stub = self._build_stub(process, main_image, lib_records)
         stub_base = self._pick_base(process, STUB_BASE)
         stub_blob = stub.blob
         space.mmap(stub_base, round_up_pages(len(stub_blob)),
                    Prot.READ | Prot.WRITE, name="[ld.so]", fixed=True)
         space.write_kernel(stub_base, stub_blob)
+        space.write_kernel(stub_base + stub.symbol("entry_slot"),
+                           struct.pack("<Q", entry_abs))
         code_len = round_up_pages(stub.code_size)
         space.mprotect(stub_base, code_len, Prot.READ | Prot.EXEC)
         process.loaded_images["[ld.so]"] = (stub_base, stub, 0)
@@ -273,103 +279,26 @@ class Loader:
 
     # ------------------------------------------------------------------ stub gen
 
-    def _build_stub(self, process, main_image: SimImage, lib_records,
-                    entry_abs: int) -> SimImage:
-        """Generate the pre-main startup stub for this exec.
+    def _build_stub(self, process, main_image: SimImage,
+                    lib_records) -> SimImage:
+        """The pre-main startup stub for this exec.
 
-        The stub is its own image ("[ld.so]"): code pages r-x, data page rw-
-        (path strings, scratch buffers, and the entry-address slot live in
-        non-executable data, so scanners never see their bytes).
+        Registers the constructor thunks (preloads first — glibc init
+        order) and ``loader_done`` with this kernel, then returns the stub
+        code for those hostcall indices (:func:`_assemble_stub`).
         """
         kernel = self.kernel
-        stub = SimImage(name="[ld.so]", entry="")
-        asm = stub.asm
-        data_strings: List[tuple] = []  # (label, text)
-        counters = {"n": 0}
-
-        def syscall_(number: int) -> None:
-            asm.mov_ri(Reg.RAX, int(number))
-            asm.mark(f"stub.{counters['n']}")
-            counters["n"] += 1
-            asm.syscall_()
-
-        def lea_data(reg: Reg, label: str, text: str) -> None:
-            if all(lbl != label for lbl, _ in data_strings):
-                data_strings.append((label, text))
-            asm.lea_rip_label(reg, label)
-
-        # -- early loader work ------------------------------------------------
-        asm.xor_rr(Reg.RDI, Reg.RDI)
-        syscall_(Nr.brk)
-        lea_data(Reg.RDI, "s_preload", "/etc/ld.so.preload")
-        syscall_(Nr.access)  # usually ENOENT
-        asm.mov_ri(Reg.RDI, 0x1002)
-        asm.xor_rr(Reg.RSI, Reg.RSI)
-        syscall_(Nr.arch_prctl)
-        asm.xor_rr(Reg.RDI, Reg.RDI)
-        syscall_(Nr.uname)
-        asm.mov_ri(Reg.RDI, (1 << 64) - 100)  # AT_FDCWD
-        lea_data(Reg.RSI, "s_cache", "/etc/ld.so.cache")
-        asm.xor_rr(Reg.RDX, Reg.RDX)
-        syscall_(Nr.openat)
-        asm.mov_rr(Reg.RBX, Reg.RAX)
-        asm.mov_rr(Reg.RDI, Reg.RBX)
-        syscall_(Nr.fstat)
-        asm.mov_rr(Reg.RDI, Reg.RBX)
-        syscall_(Nr.close)
-
-        # -- per-library mapping storm ------------------------------------------
-        for index, (lib_path, _base, _image) in enumerate(lib_records):
-            asm.mov_ri(Reg.RDI, (1 << 64) - 100)
-            lea_data(Reg.RSI, f"s_lib{index}", lib_path)
-            asm.xor_rr(Reg.RDX, Reg.RDX)
-            syscall_(Nr.openat)
-            asm.mov_rr(Reg.RBX, Reg.RAX)
-            asm.mov_rr(Reg.RDI, Reg.RBX)
-            lea_data(Reg.RSI, "s_buf", "\x00" * 64)
-            asm.mov_ri(Reg.RDX, 832)
-            syscall_(Nr.read)
-            asm.mov_rr(Reg.RDI, Reg.RBX)
-            syscall_(Nr.fstat)
-            # Two anonymous segment mappings + one mprotect (PT_LOAD replay).
-            for _ in range(2):
-                asm.xor_rr(Reg.RDI, Reg.RDI)
-                asm.mov_ri(Reg.RSI, 4 * PAGE_SIZE)
-                asm.mov_ri(Reg.RDX, 0x3)
-                asm.mov_ri(Reg.R10, 0x22)  # MAP_PRIVATE|MAP_ANONYMOUS
-                asm.mov_ri(Reg.R8, (1 << 64) - 1)
-                syscall_(Nr.mmap)
-            asm.mov_rr(Reg.RDI, Reg.RAX)
-            asm.mov_ri(Reg.RSI, PAGE_SIZE)
-            asm.mov_ri(Reg.RDX, 0x1)
-            syscall_(Nr.mprotect)
-            asm.mov_rr(Reg.RDI, Reg.RBX)
-            syscall_(Nr.close)
-
-        # -- locale / gconv probing (the long tail of real startups) --------------
-        for probe in range(max(0, main_image.stub_profile) // 2):
-            asm.mov_ri(Reg.RDI, (1 << 64) - 100)
-            lea_data(Reg.RSI, f"s_loc{probe}",
-                     f"/usr/lib/locale/C.UTF-8/LC_{probe:02d}")
-            asm.xor_rr(Reg.RDX, Reg.RDX)
-            syscall_(Nr.openat)  # ENOENT
-            lea_data(Reg.RDI, f"s_loc{probe}",
-                     f"/usr/lib/locale/C.UTF-8/LC_{probe:02d}")
-            syscall_(Nr.stat)  # ENOENT
-
-        # -- constructors (preloads first — glibc init order), then handoff -------
+        ctor_indices: List[int] = []
         for lib_path, base, lib_image in lib_records:
             for ordinal, constructor in enumerate(lib_image.constructors):
-                index = kernel.hostcalls.register(
+                ctor_indices.append(kernel.hostcalls.register(
                     _make_ctor_thunk(constructor, base),
-                    f"ctor:{lib_path}#{ordinal}")
-                asm.hostcall(index)
+                    f"ctor:{lib_path}#{ordinal}"))
         for ordinal, constructor in enumerate(main_image.constructors):
             main_base_entry = process.loaded_images[main_image.name][0]
-            index = kernel.hostcalls.register(
+            ctor_indices.append(kernel.hostcalls.register(
                 _make_ctor_thunk(constructor, main_base_entry),
-                f"ctor:{main_image.name}#{ordinal}")
-            asm.hostcall(index)
+                f"ctor:{main_image.name}#{ordinal}"))
 
         def loader_done(thread) -> None:
             proc = thread.process
@@ -378,22 +307,117 @@ class Loader:
                  if r.pid == proc.pid and r.app_requested])
             proc.premain_log_len = len(kernel.syscall_log)
 
-        asm.hostcall(kernel.hostcalls.register(loader_done, "loader_done"))
+        done_index = kernel.hostcalls.register(loader_done, "loader_done")
+        return _assemble_stub(tuple(path for path, _, _ in lib_records),
+                              main_image.stub_profile, tuple(ctor_indices),
+                              done_index)
 
-        # -- jump to the program entry (address loaded from non-exec data) -------
-        asm.lea_rip_label(Reg.RAX, "entry_slot")
-        asm.load(Reg.RAX, Reg.RAX)
-        asm.jmp_reg(Reg.RAX)
 
-        # -- data section ----------------------------------------------------------
-        stub.begin_data()
-        asm.label("entry_slot")
-        asm.dq(entry_abs)
-        for label, text in data_strings:
-            asm.label(label)
-            asm.ascii(text)
-        stub.finalize()
-        return stub
+@functools.lru_cache(maxsize=None)
+def _assemble_stub(lib_paths: Tuple[str, ...], stub_profile: int,
+                   ctor_indices: Tuple[int, ...],
+                   done_index: int) -> SimImage:
+    """Assemble the startup stub: its own image ("[ld.so]"), code pages
+    r-x, data page rw- (path strings, scratch buffers, and the entry-address
+    slot live in non-executable data, so scanners never see their bytes).
+
+    Memoised on exactly its inputs.  The ``entry_slot`` holds 0; the
+    loader writes the program entry into each process's mapped copy.
+    """
+    stub = SimImage(name="[ld.so]", entry="")
+    asm = stub.asm
+    data_strings: List[tuple] = []  # (label, text)
+    counters = {"n": 0}
+
+    def syscall_(number: int) -> None:
+        asm.mov_ri(Reg.RAX, int(number))
+        asm.mark(f"stub.{counters['n']}")
+        counters["n"] += 1
+        asm.syscall_()
+
+    def lea_data(reg: Reg, label: str, text: str) -> None:
+        if all(lbl != label for lbl, _ in data_strings):
+            data_strings.append((label, text))
+        asm.lea_rip_label(reg, label)
+
+    # -- early loader work ------------------------------------------------
+    asm.xor_rr(Reg.RDI, Reg.RDI)
+    syscall_(Nr.brk)
+    lea_data(Reg.RDI, "s_preload", "/etc/ld.so.preload")
+    syscall_(Nr.access)  # usually ENOENT
+    asm.mov_ri(Reg.RDI, 0x1002)
+    asm.xor_rr(Reg.RSI, Reg.RSI)
+    syscall_(Nr.arch_prctl)
+    asm.xor_rr(Reg.RDI, Reg.RDI)
+    syscall_(Nr.uname)
+    asm.mov_ri(Reg.RDI, (1 << 64) - 100)  # AT_FDCWD
+    lea_data(Reg.RSI, "s_cache", "/etc/ld.so.cache")
+    asm.xor_rr(Reg.RDX, Reg.RDX)
+    syscall_(Nr.openat)
+    asm.mov_rr(Reg.RBX, Reg.RAX)
+    asm.mov_rr(Reg.RDI, Reg.RBX)
+    syscall_(Nr.fstat)
+    asm.mov_rr(Reg.RDI, Reg.RBX)
+    syscall_(Nr.close)
+
+    # -- per-library mapping storm ------------------------------------------
+    for index, lib_path in enumerate(lib_paths):
+        asm.mov_ri(Reg.RDI, (1 << 64) - 100)
+        lea_data(Reg.RSI, f"s_lib{index}", lib_path)
+        asm.xor_rr(Reg.RDX, Reg.RDX)
+        syscall_(Nr.openat)
+        asm.mov_rr(Reg.RBX, Reg.RAX)
+        asm.mov_rr(Reg.RDI, Reg.RBX)
+        lea_data(Reg.RSI, "s_buf", "\x00" * 64)
+        asm.mov_ri(Reg.RDX, 832)
+        syscall_(Nr.read)
+        asm.mov_rr(Reg.RDI, Reg.RBX)
+        syscall_(Nr.fstat)
+        # Two anonymous segment mappings + one mprotect (PT_LOAD replay).
+        for _ in range(2):
+            asm.xor_rr(Reg.RDI, Reg.RDI)
+            asm.mov_ri(Reg.RSI, 4 * PAGE_SIZE)
+            asm.mov_ri(Reg.RDX, 0x3)
+            asm.mov_ri(Reg.R10, 0x22)  # MAP_PRIVATE|MAP_ANONYMOUS
+            asm.mov_ri(Reg.R8, (1 << 64) - 1)
+            syscall_(Nr.mmap)
+        asm.mov_rr(Reg.RDI, Reg.RAX)
+        asm.mov_ri(Reg.RSI, PAGE_SIZE)
+        asm.mov_ri(Reg.RDX, 0x1)
+        syscall_(Nr.mprotect)
+        asm.mov_rr(Reg.RDI, Reg.RBX)
+        syscall_(Nr.close)
+
+    # -- locale / gconv probing (the long tail of real startups) --------------
+    for probe in range(max(0, stub_profile) // 2):
+        asm.mov_ri(Reg.RDI, (1 << 64) - 100)
+        lea_data(Reg.RSI, f"s_loc{probe}",
+                 f"/usr/lib/locale/C.UTF-8/LC_{probe:02d}")
+        asm.xor_rr(Reg.RDX, Reg.RDX)
+        syscall_(Nr.openat)  # ENOENT
+        lea_data(Reg.RDI, f"s_loc{probe}",
+                 f"/usr/lib/locale/C.UTF-8/LC_{probe:02d}")
+        syscall_(Nr.stat)  # ENOENT
+
+    # -- constructors, then handoff ----------------------------------------------
+    for index in ctor_indices:
+        asm.hostcall(index)
+    asm.hostcall(done_index)
+
+    # -- jump to the program entry (address loaded from non-exec data) -------
+    asm.lea_rip_label(Reg.RAX, "entry_slot")
+    asm.load(Reg.RAX, Reg.RAX)
+    asm.jmp_reg(Reg.RAX)
+
+    # -- data section ----------------------------------------------------------
+    stub.begin_data()
+    asm.label("entry_slot")
+    asm.dq(0)
+    for label, text in data_strings:
+        asm.label(label)
+        asm.ascii(text)
+    stub.finalize()
+    return stub
 
 
 def _make_ctor_thunk(constructor, base: int):

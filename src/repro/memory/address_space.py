@@ -337,6 +337,32 @@ class AddressSpace:
                 raise SegmentationFault(addr, "read", reason="unmapped")
         return self._copy_out(addr, length)
 
+    def read_cstr(self, addr: int, limit: int = 4096) -> str:
+        """Kernel-privilege read of the NUL-terminated string at *addr*
+        (syscall path arguments, dlopen names), decoded as latin-1.
+
+        Reads at most *limit* bytes, one page-sized chunk at a time.  Like
+        a byte-wise loop, it touches only the pages it needs and raises
+        :class:`SegmentationFault` at the first unmapped byte before the
+        NUL; a string without a NUL in *limit* bytes is cut there.
+        """
+        out = bytearray()
+        cursor = addr
+        while len(out) < limit:
+            idx = cursor // PAGE_SIZE
+            page = self._pages.get(idx)
+            if page is None:
+                raise SegmentationFault(cursor, "read", reason="unmapped")
+            off = cursor - idx * PAGE_SIZE
+            end = min(PAGE_SIZE, off + limit - len(out))
+            nul = page.find(0, off, end)
+            if nul >= 0:
+                out += page[off:nul]
+                break
+            out += page[off:end]
+            cursor += end - off
+        return out.decode("latin-1")
+
     def write_kernel(self, addr: int, data: bytes) -> None:
         """Kernel-privilege write (loader, ptrace POKE, process_vm_writev)."""
         for idx in page_span(addr, len(data)):

@@ -95,10 +95,9 @@ class WorkloadSpec:
 
 
 def _install_stress(kernel, params: Dict[str, int]) -> str:
-    from repro.workloads.stress import STRESS_PATH, build_stress
+    from repro.workloads.stress import install_stress
 
-    build_stress(params.get("iterations", 60)).register(kernel)
-    return STRESS_PATH
+    return install_stress(kernel, params.get("iterations", 60))
 
 
 def _coreutil(path: str) -> Callable[..., str]:

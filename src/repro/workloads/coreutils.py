@@ -14,9 +14,11 @@ characteristic calls.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 from repro.arch.registers import Reg
+from repro.loader.image import SimImage
 from repro.workloads.programs import ProgramBuilder, RESULT, data_ref
 
 #: Paper Table 2 expectations, used by tests and the Table 2 benchmark.
@@ -163,9 +165,16 @@ def install_coreutils(kernel, names: "List[str] | None" = None) -> List[str]:
     kernel.vfs.create("/home/user/a.txt", b"")
     kernel.vfs.create("/home/user/b.txt", b"")
     paths = []
-    for path, factory in _BUILDERS.items():
+    for path in _BUILDERS:
         if names is not None and path not in names:
             continue
-        factory().register(kernel)
+        kernel.loader.register_image(coreutil_image(path))
         paths.append(path)
     return paths
+
+
+@functools.lru_cache(maxsize=None)
+def coreutil_image(path: str) -> SimImage:
+    """The finalized image of the utility at *path*, built once per
+    process and shared read-only by every kernel that installs it."""
+    return _BUILDERS[path]().build()

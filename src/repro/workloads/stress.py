@@ -8,7 +8,10 @@ mechanism reaches steady state after the first iteration).
 
 from __future__ import annotations
 
+import functools
+
 from repro.kernel.syscalls import FAKE_SYSCALL_STRESS
+from repro.loader.image import SimImage
 from repro.workloads.programs import ProgramBuilder
 
 STRESS_PATH = "/usr/bin/syscall-stress"
@@ -29,6 +32,13 @@ def build_stress(iterations: int = DEFAULT_ITERATIONS) -> ProgramBuilder:
     return builder
 
 
+@functools.lru_cache(maxsize=None)
+def stress_image(iterations: int = DEFAULT_ITERATIONS) -> SimImage:
+    """The finalized stress image for *iterations*, built once per process
+    and shared read-only by every kernel that installs it."""
+    return build_stress(iterations).build()
+
+
 def install_stress(kernel, iterations: int = DEFAULT_ITERATIONS) -> str:
-    build_stress(iterations).register(kernel)
+    kernel.loader.register_image(stress_image(iterations))
     return STRESS_PATH

@@ -7,12 +7,16 @@ actually being used:
 
 - the offline recipe behind :func:`repro.runapi.offline_logs`;
 - decoded instruction lines (:func:`repro.cpu.icache.decode_line`);
-- trace code objects (``repro.cpu.tracejit._trace_code``).
+- trace code objects (``repro.cpu.tracejit._trace_code``);
+- the libc, loader-stub, coreutil and stress images, and zpoline's
+  linear-sweep site lists (``test_shared_images.py`` guards the images
+  against in-place rewrites).
 """
 
 import pytest
 
 from repro import runapi
+from repro.arch import disassembler
 from repro.arch.decoder import DecodeError
 from repro.arch.isa import Mnemonic
 from repro.arch.registers import Reg
@@ -25,12 +29,17 @@ from repro.evaluation.runner import MACRO_BY_KEY, measure_micro_cycles
 from repro.faultinject import conformance
 from repro.interposers.registry import REGISTRY
 from repro.kernel import Kernel
+from repro.loader import libc, linker
 from repro.memory import Prot
+from repro.workloads.coreutils import coreutil_image
+from repro.workloads.stress import stress_image
 from tests.cpu.test_engine import HOT, build
 
 MECHANISMS = REGISTRY.names()
 
-MEMOS = (runapi._offline_recipe, decode_line, tracejit._trace_code)
+MEMOS = (runapi._offline_recipe, decode_line, tracejit._trace_code,
+         libc._assemble_libc, linker._assemble_stub, coreutil_image,
+         stress_image, disassembler._linear_sites)
 
 
 def clear_memos():
@@ -42,7 +51,7 @@ def clear_memos():
 
 
 def cells(mechanism: str, micro_seed: int, cell_seed: int,
-          workload: str = "stress"):
+          workload: str = "ls"):
     """One micro cell and one fault-injected conformance cell."""
     micro = measure_micro_cycles(mechanism, iterations_low=20,
                                  iterations_high=60, seed=micro_seed)
@@ -80,6 +89,12 @@ def test_prefilled_pass_reuses_every_exercised_memo(cold_and_warm):
     _cold, _warm, reused = cold_and_warm
     assert reused["repro.runapi._offline_recipe"] > 0
     assert reused["repro.cpu.icache.decode_line"] > 0
+    for memo in ("repro.loader.libc._assemble_libc",
+                 "repro.loader.linker._assemble_stub",
+                 "repro.workloads.coreutils.coreutil_image",
+                 "repro.workloads.stress.stress_image",
+                 "repro.arch.disassembler._linear_sites"):
+        assert reused[memo] > 0, memo
     engine = EngineConfig.from_env()  # the suite also runs under hatches
     if engine.block_cache and engine.trace_jit:
         assert reused["repro.cpu.tracejit._trace_code"] > 0
@@ -314,3 +329,23 @@ def test_import_logs_leaves_the_memoised_logs_unchanged():
     assert runapi.offline_logs("stress") is logs
     with pytest.raises(TypeError):
         logs["/usr/bin/other"] = ""  # the memoised value is read-only
+
+
+# ------------------------------------------------- (e) linear-sweep sites
+
+
+def test_linear_sites_hand_each_caller_its_own_list():
+    """The sweep is memoised on the code bytes, but a caller that edits
+    the list it got back cannot change what the next caller sees."""
+    disassembler._linear_sites.cache_clear()
+    code = libc.build_libc(Kernel(seed=1)).blob
+    first = disassembler.find_syscall_sites_linear(code)
+    expected = list(first)
+    first.append(-1)
+    first[0] = -2
+    second = disassembler.find_syscall_sites_linear(code)
+    assert second == expected and second is not first
+    assert disassembler.find_syscall_sites_linear(bytearray(code)) == expected
+    info = disassembler._linear_sites.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+

@@ -199,3 +199,80 @@ def test_mapped_bytes_accounting(space):
     assert space.mapped_bytes == 0
     space.mmap(None, 3 * PAGE_SIZE, Prot.READ)
     assert space.mapped_bytes == 3 * PAGE_SIZE
+
+
+# ------------------------------------------------------------ read_cstr
+
+
+def bytewise_cstr(space, addr, limit=4096):
+    """Reference: the one-byte-at-a-time loop ``read_cstr`` replaces."""
+    out = bytearray()
+    while len(out) < limit:
+        byte = space.read_kernel(addr + len(out), 1)
+        if byte == b"\x00":
+            break
+        out += byte
+    return out.decode("latin-1")
+
+
+def outcome(read, space, addr, limit):
+    try:
+        return read(space, addr, limit)
+    except SegmentationFault as fault:
+        return ("fault", fault.address, fault.access, fault.reason)
+
+
+@pytest.fixture
+def two_pages(space):
+    """Two mapped pages of non-NUL bytes followed by an unmapped page."""
+    base = space.mmap(0x10000, 2 * PAGE_SIZE, Prot.NONE, fixed=True)
+    space.write_kernel(base, bytes(0x20 + i % 0xDF
+                                   for i in range(2 * PAGE_SIZE)))
+    return base
+
+
+def check(space, addr, limit=4096):
+    expected = outcome(bytewise_cstr, space, addr, limit)
+    assert outcome(AddressSpace.read_cstr, space, addr, limit) == expected
+    return expected
+
+
+def test_read_cstr_nul_as_last_byte_of_page(space, two_pages):
+    space.write_kernel(two_pages + PAGE_SIZE - 1, b"\x00")
+    text = check(space, two_pages + PAGE_SIZE - 10)
+    assert len(text) == 9
+    assert check(space, two_pages + PAGE_SIZE - 1) == ""
+
+
+def test_read_cstr_crosses_into_next_mapped_page(space, two_pages):
+    space.write_kernel(two_pages + PAGE_SIZE + 5, b"\x00")
+    assert len(check(space, two_pages + PAGE_SIZE - 7)) == 12
+
+
+def test_read_cstr_faults_at_first_unmapped_byte(space, two_pages):
+    end = two_pages + 2 * PAGE_SIZE
+    assert check(space, end - 3) == ("fault", end, "read", "unmapped")
+    assert check(space, end) == ("fault", end, "read", "unmapped")
+    assert check(space, 0) == ("fault", 0, "read", "unmapped")
+    # A NUL before the hole, or a limit that ends at it, never faults.
+    assert len(check(space, end - 3, limit=3)) == 3
+    space.write_kernel(end - 2, b"\x00")
+    assert len(check(space, end - 3)) == 1
+
+
+def test_read_cstr_without_nul_stops_at_limit(space, two_pages):
+    for limit in (0, 1, 100, PAGE_SIZE - 20, PAGE_SIZE + 1):
+        assert len(check(space, two_pages + 20, limit)) == limit
+    # The default limit caps a string with no NUL at all.
+    assert len(check(space, two_pages)) == 4096
+
+
+@pytest.mark.parametrize("nul", [None, 0, 1, PAGE_SIZE - 1, PAGE_SIZE,
+                                 2 * PAGE_SIZE - 1])
+def test_read_cstr_matches_bytewise_reference(space, two_pages, nul):
+    if nul is not None:
+        space.write_kernel(two_pages + nul, b"\x00")
+    for start in (0, 1, PAGE_SIZE - 2, PAGE_SIZE - 1, PAGE_SIZE,
+                  2 * PAGE_SIZE - 1):
+        for limit in (1, 2, PAGE_SIZE, 4096 + 7, 3 * PAGE_SIZE):
+            check(space, two_pages + start, limit)
