@@ -136,7 +136,10 @@ class CycleModel:
         #: Instrumentation bus (replaced by the owning kernel with its
         #: own).  Always a Bus — never None — so the two charge paths
         #: below pay exactly one predicate each while no sink is
-        #: attached: the null-sink fast path.
+        #: attached: the null-sink fast path.  Charges bypass
+        #: ``Bus.emit``: they go into the bus's running tally when a
+        #: totals sink listens, and are built into events only for the
+        #: ``each_charge`` sinks (see repro.observability.bus).
         self.bus = Bus()
 
     def charge(self, event: Event, times: int = 1) -> int:
@@ -146,9 +149,21 @@ class CycleModel:
         self.counts[event] += times
         bus = self.bus
         if bus.enabled:
-            bus.emit(CycleCharge(ts=self.cycles, pid=0, tid=0,
-                                 event=event.value, times=times,
-                                 cycles=added))
+            tally = bus.tally
+            if tally is not None:
+                entry = tally.get(event)
+                if entry is None:
+                    tally[event] = [1, times, added]
+                else:
+                    entry[0] += 1
+                    entry[1] += times
+                    entry[2] += added
+            if bus.each_sinks:
+                charge = CycleCharge(ts=self.cycles, pid=0, tid=0,
+                                     event=event.value, times=times,
+                                     cycles=added)
+                for sink in bus.each_sinks:
+                    sink.accept(charge)
         return added
 
     def charge_cycles(self, cycles: int, label: str = "unattributed") -> None:
@@ -159,8 +174,19 @@ class CycleModel:
         self.raw_cycles[label] = self.raw_cycles.get(label, 0) + cycles
         bus = self.bus
         if bus.enabled:
-            bus.emit(RawCycles(ts=self.cycles, pid=0, tid=0,
-                               label=label, cycles=cycles))
+            tally = bus.raw_tally
+            if tally is not None:
+                entry = tally.get(label)
+                if entry is None:
+                    tally[label] = [1, cycles]
+                else:
+                    entry[0] += 1
+                    entry[1] += cycles
+            if bus.each_sinks:
+                charge = RawCycles(ts=self.cycles, pid=0, tid=0,
+                                   label=label, cycles=cycles)
+                for sink in bus.each_sinks:
+                    sink.accept(charge)
 
     @property
     def seconds(self) -> float:

@@ -69,8 +69,14 @@ def _counts_for(name: str, iterations: int, seed: int,
         name, "stress", seed=seed, aslr=True, schedule=schedule,
         sinks=extra_sinks, max_steps=50_000_000,
         params=(("iterations", iterations),)))
-    if not prepared.execute().ok:
-        raise RuntimeError(f"decomposition run failed under {name}")
+    result = prepared.execute()
+    if not result.ok:
+        faults = ("" if fault_config is None
+                  else f", fault_seed={fault_seed}")
+        raise RuntimeError(
+            f"decomposition run failed: stress under {name}, seed={seed}, "
+            f"iterations={iterations}{faults}: "
+            f"exit={result.exit_status}")
     return prepared.counters, prepared.kernel.cycles.cycles
 
 

@@ -42,7 +42,9 @@ def _batch_cycles(config: RunConfig) -> int:
     attaches, so the event bus stays off on the measured path."""
     result = boot(config).execute()
     if not result.ok:
-        raise RuntimeError(f"{config.workload} under {config.mechanism}: "
+        params = "".join(f", {key}={value}" for key, value in config.params)
+        raise RuntimeError(f"{config.workload} under {config.mechanism}, "
+                           f"seed={config.seed}{params}: "
                            f"exit={result.exit_status}")
     return result.cycles
 
@@ -204,7 +206,8 @@ def _measure_throughput_cpr(config: MacroConfig, name: str,
     result = source.drive(config.requests)
     if result.failures:
         raise RuntimeError(
-            f"{config.key} under {name}: {result.failures} failed requests")
+            f"{config.key} ({config.workload}) under {name}, seed={seed}, "
+            f"requests={config.requests}: {result.failures} failed requests")
     return result.cycles_per_request
 
 

@@ -104,8 +104,9 @@ class Observation:
     #: Instrumentation-bus counter snapshot (CounterSink) for the run —
     #: diagnostic metadata, like ``injections``: mechanisms legitimately
     #: differ here (that's the whole point of the decomposition), and the
-    #: block cache batches ``CycleCharge`` emissions per block, so even
-    #: one mechanism's event tallies differ across interpreter modes.
+    #: block cache batches INSTRUCTION charges per block, so even one
+    #: mechanism's ``CycleCharge`` tally (charge calls, delivered to the
+    #: sink as running totals) differs across interpreter modes.
     #: Excluded from ``==`` and ``diff`` alike — never verdict material.
     counters: Dict = field(default_factory=dict, compare=False)
 

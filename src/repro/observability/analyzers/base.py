@@ -79,14 +79,16 @@ class Analyzer(Sink):
     """Stateful streaming sink with an evidence window and verdicts.
 
     Subclasses implement :meth:`observe` (per-event state updates) and
-    :meth:`on_finish` (end-of-run grading).  ``CycleCharge``/``RawCycles``
-    arrive at instruction rate and are routed to :meth:`observe_charge`
-    (default: dropped) so the evidence window holds *interesting* events.
+    :meth:`on_finish` (end-of-run grading).  Analyzers take no live
+    charges (``each_charge`` False, totals ignored), and ``accept`` drops
+    any ``CycleCharge``/``RawCycles`` a replayed stream feeds in, so the
+    evidence window holds *interesting* events.
     """
 
     #: Table 3 row this analyzer grades ("" = telemetry, no verdicts).
     pitfall: str = ""
     name: str = "analyzer"
+    each_charge = False
 
     def __init__(self, window_size: int = 64):
         self.window: collections.deque = collections.deque(maxlen=window_size)
@@ -97,15 +99,11 @@ class Analyzer(Sink):
 
     def accept(self, event: BusEvent) -> None:
         if isinstance(event, (CycleCharge, RawCycles)):
-            self.observe_charge(event)
             return
         self.window.append(event)
         self.observe(event)
 
     def observe(self, event: BusEvent) -> None:  # pragma: no cover - hook
-        pass
-
-    def observe_charge(self, event: BusEvent) -> None:
         pass
 
     # ---------------------------------------------------------- verdicts
@@ -148,6 +146,8 @@ class AnalyzerSuite(Sink):
     sequence through the same path, so live and replayed grading share
     every line of code.
     """
+
+    each_charge = False
 
     def __init__(self, analyzers: Iterable[Analyzer]):
         self.analyzers: List[Analyzer] = list(analyzers)

@@ -2,7 +2,8 @@
 
 - :class:`NullSink` — accepts and drops everything; exists so the cost
   of an *attached-but-indifferent* consumer can be measured (the
-  disabled-bus fast path never even reaches a sink).
+  disabled-bus fast path never even reaches a sink).  It takes no
+  charges, so it measures the cost of non-charge events only.
 - :class:`CounterSink` — counters + histograms: per-event-type tallies,
   per-:class:`~repro.observability.events.CycleCharge` cycle
   attribution, per-label raw-cycle attribution, and a per-syscall-number
@@ -13,6 +14,14 @@
   keeps the last N events, O(1) per emit.
 - :class:`StreamingJSONLSink` — one JSON object per line to a stream,
   for piping a live run into external tooling.
+
+Each sink declares ``each_charge``: True (the default, and what a plain
+object with only ``accept`` gets) receives every ``CycleCharge`` /
+``RawCycles`` event through ``accept``; False receives charges as
+running totals through ``accept_charges``, or none at all if the sink
+keeps the ignoring default (see :mod:`repro.observability.bus`).  A
+:class:`CountingSink` records the buses feeding it so it can flush
+their pending totals before its numbers are read.
 """
 
 from __future__ import annotations
@@ -30,18 +39,55 @@ from repro.observability.events import (BusEvent, CycleCharge, HookObserved,
 class Sink:
     """Sink protocol: ``accept`` one event, never raise, never return."""
 
+    #: True: every charge arrives as one event through ``accept``.
+    #: False: charges arrive as running totals through ``accept_charges``.
+    each_charge: bool = True
+
     def accept(self, event: BusEvent) -> None:  # pragma: no cover - protocol
         raise NotImplementedError
+
+    def accept_charges(self, charges: Dict[str, list],
+                       raw: Dict[str, list]) -> None:
+        """Charge totals since the last flush: *charges* maps a
+        cycle-model event value to ``[calls, times, cycles]``, *raw* a
+        raw-charge label to ``[calls, cycles]``.  A sink that keeps this
+        ignoring default is sent no charges at all."""
+
+
+class CountingSink(Sink):
+    """A sink that counts charges as running totals.
+
+    The bus calls :meth:`on_attach` / :meth:`on_detach`; readers of the
+    counts call :meth:`flush_charges` first, which hands every feeding
+    bus's pending totals to its totals sinks.
+    """
+
+    each_charge = False
+
+    def __init__(self) -> None:
+        self._feeds: list = []
+
+    def on_attach(self, bus) -> None:
+        self._feeds.append(bus)
+
+    def on_detach(self, bus) -> None:
+        self._feeds.remove(bus)
+
+    def flush_charges(self) -> None:
+        for bus in self._feeds:
+            bus.flush()
 
 
 class NullSink(Sink):
     """Accepts everything, stores nothing."""
 
+    each_charge = False
+
     def accept(self, event: BusEvent) -> None:
         pass
 
 
-class CounterSink(Sink):
+class CounterSink(CountingSink):
     """Counters and histograms over the event stream.
 
     Attributes:
@@ -55,26 +101,66 @@ class CounterSink(Sink):
     """
 
     def __init__(self) -> None:
-        self.events: Dict[str, int] = collections.Counter()
-        self.charge_counts: Dict[str, int] = collections.Counter()
-        self.charge_cycles: Dict[str, int] = collections.Counter()
-        self.raw_counts: Dict[str, int] = collections.Counter()
-        self.raw_cycles: Dict[str, int] = collections.Counter()
+        super().__init__()
+        self._events: Dict[str, int] = collections.Counter()
+        self._charge_counts: Dict[str, int] = collections.Counter()
+        self._charge_cycles: Dict[str, int] = collections.Counter()
+        self._raw_counts: Dict[str, int] = collections.Counter()
+        self._raw_cycles: Dict[str, int] = collections.Counter()
         self.syscalls: Dict[tuple, int] = collections.Counter()
         self.hooks: Dict[str, int] = collections.Counter()
 
     def accept(self, event: BusEvent) -> None:
-        self.events[type(event).__name__] += 1
+        self._events[type(event).__name__] += 1
         if isinstance(event, CycleCharge):
-            self.charge_counts[event.event] += event.times
-            self.charge_cycles[event.event] += event.cycles
+            self._charge_counts[event.event] += event.times
+            self._charge_cycles[event.event] += event.cycles
         elif isinstance(event, RawCycles):
-            self.raw_counts[event.label] += 1
-            self.raw_cycles[event.label] += event.cycles
+            self._raw_counts[event.label] += 1
+            self._raw_cycles[event.label] += event.cycles
         elif isinstance(event, SyscallEnter):
             self.syscalls[(event.phase, event.nr)] += 1
         elif isinstance(event, HookObserved):
             self.hooks[event.hook] += 1
+
+    def accept_charges(self, charges: Dict[str, list],
+                       raw: Dict[str, list]) -> None:
+        events = self._events
+        for key, (calls, times, cycles) in charges.items():
+            events["CycleCharge"] += calls
+            self._charge_counts[key] += times
+            self._charge_cycles[key] += cycles
+        for label, (calls, cycles) in raw.items():
+            events["RawCycles"] += calls
+            self._raw_counts[label] += calls
+            self._raw_cycles[label] += cycles
+
+    # The charge-fed counters flush pending bus totals before every read.
+
+    @property
+    def events(self) -> Dict[str, int]:
+        self.flush_charges()
+        return self._events
+
+    @property
+    def charge_counts(self) -> Dict[str, int]:
+        self.flush_charges()
+        return self._charge_counts
+
+    @property
+    def charge_cycles(self) -> Dict[str, int]:
+        self.flush_charges()
+        return self._charge_cycles
+
+    @property
+    def raw_counts(self) -> Dict[str, int]:
+        self.flush_charges()
+        return self._raw_counts
+
+    @property
+    def raw_cycles(self) -> Dict[str, int]:
+        self.flush_charges()
+        return self._raw_cycles
 
     @property
     def total_cycles(self) -> int:
@@ -87,6 +173,7 @@ class CounterSink(Sink):
 
     def snapshot(self) -> Dict:
         """JSON-ready copy of every counter (sorted, deterministic)."""
+        self.flush_charges()
         return {
             "events": dict(sorted(self.events.items())),
             "charge_counts": dict(sorted(self.charge_counts.items())),
@@ -111,6 +198,7 @@ class RingBufferSink(Sink):
     def __init__(self, capacity: int = 4096, keep_charges: bool = False):
         self.buffer: collections.deque = collections.deque(maxlen=capacity)
         self.keep_charges = keep_charges
+        self.each_charge = keep_charges
         self.dropped = 0
 
     def accept(self, event: BusEvent) -> None:
@@ -133,6 +221,8 @@ class DivergenceSink(Sink):
     compare ``len(sink)`` against the configured divergence budget, and
     the artifact bundle serializes :meth:`snapshot`.
     """
+
+    each_charge = False
 
     def __init__(self) -> None:
         self.divergences: list = []
@@ -158,7 +248,7 @@ class DivergenceSink(Sink):
 JSONL_SCHEMA_VERSION = 2
 
 
-class StreamingJSONLSink(Sink):
+class StreamingJSONLSink(CountingSink):
     """One JSON object per event per line, written as events arrive.
 
     Line 0 is a ``TraceMeta`` header carrying the schema version.  Every
@@ -167,12 +257,15 @@ class StreamingJSONLSink(Sink):
     make two traces of the same run alignable record-by-record.
 
     ``CycleCharge``/``RawCycles`` are summarized on ``close()`` instead
-    of streamed (they arrive at instruction rate).
+    of streamed (they arrive at instruction rate), unless
+    *include_charges* streams every one.
     """
 
     def __init__(self, stream: TextIO, include_charges: bool = False):
+        super().__init__()
         self.stream = stream
         self.include_charges = include_charges
+        self.each_charge = include_charges
         self._charge_cycles: Dict[str, int] = collections.Counter()
         self._seq = 0
         self._write({"type": "TraceMeta",
@@ -195,8 +288,17 @@ class StreamingJSONLSink(Sink):
         record["type"] = type(event).__name__
         self._write(record)
 
+    def accept_charges(self, charges: Dict[str, list],
+                       raw: Dict[str, list]) -> None:
+        summary = self._charge_cycles
+        for key, entry in charges.items():
+            summary[key] += entry[2]
+        for label, entry in raw.items():
+            summary[f"raw:{label}"] += entry[1]
+
     def close(self) -> Optional[Dict[str, int]]:
         """Flush the aggregated charge summary as one final line."""
+        self.flush_charges()
         if self._charge_cycles:
             self._write({"type": "ChargeSummary",
                          "cycles": dict(sorted(self._charge_cycles.items()))})

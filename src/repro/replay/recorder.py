@@ -40,7 +40,7 @@ import pickle
 from typing import Dict, List, Optional
 
 from repro.observability.events import ReplayCheckpoint
-from repro.observability.sinks import Sink, StreamingJSONLSink
+from repro.observability.sinks import CountingSink, StreamingJSONLSink
 from repro.replay.checkpoint import MachineState, capture
 
 #: Bundle format version (meta.json / log.jsonl shape).
@@ -107,11 +107,12 @@ def config_from_json(record: Dict):
     )
 
 
-class Recorder(Sink):
+class Recorder(CountingSink):
     """Record one run into *bundle_dir* (see module docstring)."""
 
     def __init__(self, bundle_dir: str, kernel, config=None,
                  interval: int = DEFAULT_CHECKPOINT_INTERVAL):
+        super().__init__()
         os.makedirs(bundle_dir, exist_ok=True)
         self.bundle_dir = bundle_dir
         self.kernel = kernel
@@ -139,6 +140,10 @@ class Recorder(Sink):
 
     def accept(self, event) -> None:
         self._sink.accept(event)
+
+    def accept_charges(self, charges: Dict[str, list],
+                       raw: Dict[str, list]) -> None:
+        self._sink.accept_charges(charges, raw)
 
     # ------------------------------------------------------ kernel hooks
 
@@ -238,6 +243,7 @@ class Recorder(Sink):
         if self.kernel.recorder is self:
             self.kernel.recorder = None
         final_seq = self.seq
+        self.flush_charges()
         self._sink.close()
         self._events_file.close()
         for index, state in enumerate(self.checkpoints):

@@ -30,7 +30,6 @@ import pickle
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.observability.events import CycleCharge, RawCycles
 from repro.observability.sinks import Sink
 from repro.replay.checkpoint import restore
 from repro.replay.recorder import (EVENTS_FILE, LOG_FILE, META_FILE,
@@ -131,13 +130,13 @@ def load_bundle(bundle_dir: str) -> Bundle:
 class _CollectorSink(Sink):
     """Collects the live semantic event stream as plain records."""
 
+    each_charge = False
+
     def __init__(self, on_event: Optional[Callable[[Dict], None]] = None):
         self.records: List[Dict] = []
         self.on_event = on_event
 
     def accept(self, event) -> None:
-        if isinstance(event, (CycleCharge, RawCycles)):
-            return
         record = asdict(event)
         record["type"] = type(event).__name__
         self.records.append(record)

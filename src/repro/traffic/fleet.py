@@ -139,7 +139,8 @@ def calibrate_service_table(mechanism: str, workload: str,
             response = connection.client_recv_all()
             if len(response) != expected:
                 raise RuntimeError(
-                    f"calibration: {workload}/{mechanism} answered "
+                    f"calibration: {workload} under {mechanism}, "
+                    f"seed={seed}: answered "
                     f"{len(response)}B for a {kind} request "
                     f"(expected {expected}B)")
             samples.append(kernel.cycles.cycles - before)

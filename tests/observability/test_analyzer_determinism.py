@@ -59,8 +59,8 @@ def test_replay_matches_live(kit, block_cache):
 @pytest.mark.parametrize("pitfall", PITFALLS)
 def test_replay_matches_live_every_pitfall(pitfall):
     """Every analyzer's verdict is a pure function of the stream — the
-    recorded charges (kept by the flight recorder) are routed to
-    ``observe_charge`` and change nothing."""
+    recorded charges (kept by the flight recorder) are dropped by
+    ``accept`` and change nothing."""
     live, events = _seeded_run(pitfall, ZPOLINE_KIT, True)
     replayed = default_suite()
     replayed.replay(events)

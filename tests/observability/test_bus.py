@@ -1,14 +1,19 @@
 """Bus + sink unit tests: enable/disable fast path, counter fidelity, ring
 buffer semantics, JSONL streaming, and the exporter's clock constant."""
 
+import collections
 import io
 import json
+
+import pytest
 
 from repro.cpu.cycles import CLOCK_HZ as MODEL_CLOCK_HZ
 from repro.kernel import Kernel
 from repro.observability.bus import Bus
-from repro.observability.events import CycleCharge, QuantumEnd, SyscallEnter
+from repro.observability.events import (CycleCharge, QuantumEnd, RawCycles,
+                                        SyscallEnter)
 from repro.observability.export import CLOCK_HZ as EXPORT_CLOCK_HZ
+from repro.observability.export import TraceSink
 from repro.observability.sinks import (JSONL_SCHEMA_VERSION, CounterSink,
                                        NullSink, RingBufferSink,
                                        StreamingJSONLSink)
@@ -46,19 +51,80 @@ class TestBus:
         assert kernel.cycles.bus is kernel.bus
 
 
+class _AcceptOnly:
+    """A user sink with nothing but ``accept``: takes each charge."""
+
+    def __init__(self):
+        self.seen = []
+
+    def accept(self, event):
+        self.seen.append(event)
+
+
+def _charges_of_events(events):
+    """(per-event-value charged times, every charged cycle) of a stream
+    that carried each charge as its own event."""
+    counts = collections.Counter()
+    cycles = 0
+    for event in events:
+        if isinstance(event, CycleCharge):
+            counts[event.event] += event.times
+            cycles += event.cycles
+        elif isinstance(event, RawCycles):
+            cycles += event.cycles
+    return counts, cycles
+
+
+def _jsonl_charges(sink):
+    counts = collections.Counter()
+    cycles = 0
+    for record in map(json.loads, sink.stream.getvalue().splitlines()):
+        if record["type"] == "CycleCharge":
+            counts[record["event"]] += record["times"]
+        if record["type"] in ("CycleCharge", "RawCycles"):
+            cycles += record["cycles"]
+    return counts, cycles
+
+
+def _trace_charges(sink):
+    counts = {key: n for key, n in sink._charge_counts.items()
+              if not key.startswith("raw:")}
+    return counts, sink._cycles_seen
+
+
+#: Sink kinds → (factory, reader of (charged times by event value, total
+#: charged cycles)).  The first kind counts totals; the rest take each
+#: charge as an event.
+SINK_KINDS = {
+    "counter": (CounterSink,
+                lambda s: (s.charge_counts, s.total_cycles)),
+    "trace": (TraceSink, _trace_charges),
+    "ring-keep-charges": (
+        lambda: RingBufferSink(capacity=1_000_000, keep_charges=True),
+        lambda s: _charges_of_events(s.events())),
+    "jsonl-include-charges": (
+        lambda: StreamingJSONLSink(io.StringIO(), include_charges=True),
+        _jsonl_charges),
+    "accept-only": (_AcceptOnly, lambda s: _charges_of_events(s.seen)),
+}
+
+
 class TestCounterSink:
-    def test_counters_mirror_the_cycle_model(self):
+    @pytest.mark.parametrize("kind", sorted(SINK_KINDS))
+    def test_counters_mirror_the_cycle_model(self, kind):
+        make, read = SINK_KINDS[kind]
         kernel = _stress_kernel()
-        sink = CounterSink()
+        sink = make()
         kernel.bus.attach(sink)
         process = kernel.spawn_process(STRESS_PATH)
         kernel.run_process(process, max_steps=2_000_000)
         assert process.exited and process.exit_status == 0
+        counts, cycles = read(sink)
         model = kernel.cycles.snapshot()
         for event, count in model.items():
-            assert sink.charge_counts[event.value] == count, event
+            assert counts.get(event.value, 0) == count, event
         # Every accumulated cycle is attributed — modelled + raw.
-        assert sink.total_cycles == kernel.cycles.cycles
+        assert cycles == kernel.cycles.cycles
 
     def test_snapshot_is_json_ready(self):
         kernel = _stress_kernel(10)
