@@ -10,14 +10,13 @@ Runs two workloads under every engine tier, timing host wall-clock per
 simulated instruction:
 
 - ``single-step``  — ``REPRO_NO_BLOCK_CACHE=1`` reference interpreter;
-- ``block-cache``  — ``REPRO_NO_CHAIN=1``: PR 2 behaviour, one block per
-  dispatch round-trip;
-- ``chain``        — ``REPRO_NO_SUPERBLOCK=1``: blocks linked across
+- ``block-cache``  — ``REPRO_NO_CHAIN=1``: one block per dispatch
+  round-trip;
+- ``chain``        — ``REPRO_NO_TRACE_JIT=1``: blocks linked across
   direct control flow, dispatcher skipped in steady state;
-- ``superblock``   — ``REPRO_NO_TRACE_JIT=1``: hot chains stitched into
-  single replay units with one batched INSTRUCTION charge;
-- ``trace-jit``    — full engine: hottest superblocks compiled to
-  ``exec``'d Python with the inline-cached single-page memory fast path.
+- ``trace-jit``    — full engine: hot chains compiled to ``exec``'d
+  Python with one batched INSTRUCTION charge and the inline-cached
+  single-page memory fast path.
 
 Workloads:
 
@@ -28,7 +27,7 @@ Workloads:
 
 Each (workload, mode) cell reports best-of-N wall time, insns/sec, and
 the final simulated cycle counter — which must be *identical* across all
-five modes (every tier is a pure interpreter optimization; see
+four modes (every tier is a pure interpreter optimization; see
 tests/cpu/test_engine.py and tests/properties/test_prop_lockstep.py).
 A separate micro-bench times the address-space single-page fast path
 with per-page generations against simulated global-generation eviction.
@@ -62,8 +61,7 @@ PR2_BASELINE_STRESS_IPS = 686_002
 MODES = {
     "single-step": "REPRO_NO_BLOCK_CACHE",
     "block-cache": "REPRO_NO_CHAIN",
-    "chain": "REPRO_NO_SUPERBLOCK",
-    "superblock": "REPRO_NO_TRACE_JIT",
+    "chain": "REPRO_NO_TRACE_JIT",
     "trace-jit": None,
 }
 
@@ -205,8 +203,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     quick = args.quick or args.smoke
     rounds = 1 if quick else 3
-    # The stress loop needs enough trips to amortize warm-up (superblock
-    # and JIT thresholds) the way real table-6 runs do.
+    # The stress loop needs enough trips to amortize warm-up (the
+    # hot-chain threshold) the way real table-6 runs do.
     stress_iters = 500 if quick else 20_000
     sqlite_txns = 20 if quick else 120
 
@@ -224,7 +222,7 @@ def main(argv=None):
     }
     report = {
         "protocol": f"best of {rounds} rounds, host wall clock, "
-                    "5-tier engine matrix",
+                    "4-tier engine matrix",
         "seed_baseline": {
             "workload": "syscall-stress",
             "insns_per_sec": SEED_BASELINE_STRESS_IPS,

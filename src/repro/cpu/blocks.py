@@ -33,6 +33,12 @@ pipeline's numbers must be byte-identical with the cache on or off):
   instruction to the unit exactly as the per-step loop did (a fetch fault
   retires uncharged; an execution fault retires charged; a process exit
   leaves the final instruction uncounted).
+
+With chaining on (:mod:`repro.cpu.engine`), a unit follows linked blocks
+and counts each block's replays; at :data:`HOT_THRESHOLD` with the trace
+JIT on, the hot chain starting there is compiled to a trace, which later
+visits dispatch instead of the blocks.  A declined compile is not retried:
+those blocks keep running chained.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ _MASK64 = (1 << 64) - 1
 #: scheduler quantum of 100, so loops still re-enter their block).
 BLOCK_MAX = 64
 
+#: Replays of a block, with the trace JIT on, before the hot chain
+#: starting there is stitched into a superblock and compiled.
+HOT_THRESHOLD = 16
+
 
 def run_unit(env, budget: int) -> int:
     """Execute up to *budget* instructions starting at ``env.context.rip``.
@@ -60,9 +70,9 @@ def run_unit(env, budget: int) -> int:
 
     With a chaining-enabled :class:`repro.cpu.engine.EngineConfig` on the
     environment's icache, one unit follows the chain of cached blocks
-    (dispatching superblocks and compiled traces where formed) until a
-    unit-ending terminator, an uncached/invalid successor, or the budget;
-    without one, a unit is exactly one block — PR 2 behaviour.
+    (dispatching compiled traces where formed) until a unit-ending
+    terminator, an uncached/invalid successor, or the budget; without
+    one, a unit is exactly one block.
     """
     ctx = env.context
     icache = env.icache
@@ -84,9 +94,10 @@ def _run_chained(env, ctx, icache, engine, block, budget: int) -> int:
         if sb is None:
             heat = block.heat + 1
             block.heat = heat
-            if engine.superblock and heat >= engine.superblock_threshold:
-                sb = form_superblock(icache, block, engine)
-        if sb is not None and sb.valid and sb.n_steps <= budget - total:
+            if heat >= HOT_THRESHOLD and engine.trace_jit:
+                sb = form_superblock(env, icache, block)
+        if (sb is not None and sb.trace and sb.valid
+                and sb.n_steps <= budget - total):
             n = run_superblock(env, ctx, icache, sb, total)
             total += n
             if n < sb.n_steps or sb.tail_end:

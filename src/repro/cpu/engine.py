@@ -1,9 +1,9 @@
-"""Tiered execution engine: chaining, superblocks, and the trace JIT.
+"""Tiered execution engine: block chaining and the trace JIT.
 
-The basic-block translation cache (:mod:`repro.cpu.blocks`, PR 2) made a
+The basic-block translation cache (:mod:`repro.cpu.blocks`) made a
 *block* the unit of replay but still pays a dispatcher round-trip — block
 lookup, heat bookkeeping, a fresh ``run_unit`` frame — per block executed.
-This module adds the three tiers that remove that overhead for hot code:
+This module adds the two tiers that remove that overhead for hot code:
 
 1. **Block chaining** — a block ending in a direct jump, a direct call, or
    a fall-through cut caches a reference to its successor block (a
@@ -12,32 +12,28 @@ This module adds the three tiers that remove that overhead for hot code:
    the scheduler loop per block.  Conditional branches chain too: the edge
    caches the *last observed* successor and is re-validated against
    ``ctx.rip`` on every follow.
-2. **Superblock formation** — when a block's replay count crosses
-   :attr:`EngineConfig.superblock_threshold`, the hot chain starting there
-   is stitched (across direct edges and last-observed conditional edges,
-   ending at an indirect jump / syscall / serializing block) into one
-   :class:`Superblock`: a single replay unit with **one** batched
-   INSTRUCTION charge and one budget check.  Conditional edges inside the
-   superblock become *guards*: if the branch goes the other way at replay
-   time, the superblock exits early, un-charges the unexecuted tail, and
-   the interpreter resumes at the architecturally-correct RIP.
-3. **Trace compilation** — the hottest superblocks
-   (:attr:`EngineConfig.jit_threshold` dispatches) are compiled by
-   :mod:`repro.cpu.tracejit` into one ``exec``'d Python function with
-   register/flag operations inlined and an inline-cached single-page
-   memory fast path seeded from
-   :meth:`repro.memory.address_space.AddressSpace.page_entry`.  Any guard
-   failure or fast-path miss falls back to the interpreter's own
-   primitives, so architectural behaviour is bit-identical.
+2. **Hot chain → compiled trace** — when a block's replay count reaches
+   :data:`repro.cpu.blocks.HOT_THRESHOLD`, the hot chain starting there is
+   stitched (across direct edges and last-observed conditional edges,
+   ending at an indirect jump / syscall / serializing block, at most
+   :data:`SUPERBLOCK_MAX` steps) into one :class:`Superblock` and compiled
+   at once by :mod:`repro.cpu.tracejit` into one ``exec``'d Python
+   function with register/flag operations inlined and an inline-cached
+   single-page memory fast path seeded from
+   :meth:`repro.memory.address_space.AddressSpace.page_entry`.  A trace
+   is one replay unit with **one** batched INSTRUCTION charge and one
+   budget check.  Conditional edges inside it are *guards*: if the branch
+   goes the other way, the trace returns early, the unexecuted tail is
+   un-charged, and the interpreter resumes at the architecturally-correct
+   RIP.  A declined compile leaves the blocks running chained.
 
-Escape hatches (each disables its tier *and everything above it*,
-mirroring ``REPRO_NO_BLOCK_CACHE``):
+Escape hatches (each disables its tier *and everything above it*):
 
-- ``REPRO_NO_CHAIN=1``    → PR 2 behaviour: one block per unit.
-- ``REPRO_NO_SUPERBLOCK=1`` → chaining only.
-- ``REPRO_NO_TRACE_JIT=1``  → chaining + interpreted superblocks.
+- ``REPRO_NO_BLOCK_CACHE=1`` → the reference single-step interpreter.
+- ``REPRO_NO_CHAIN=1``       → one block per unit.
+- ``REPRO_NO_TRACE_JIT=1``   → chaining only.
 
-Invariants (the lockstep fuzzer asserts them across all four configs):
+Invariants (the lockstep fuzzer asserts them across every configuration):
 
 - **Scheduler semantics**: a unit still ends at every point the block
   cache ended one *where the scheduler could act* — syscalls, hostcalls,
@@ -53,46 +49,43 @@ Invariants (the lockstep fuzzer asserts them across all four configs):
   superblock a dropped block participates in, and chain edges are
   validated (``succ.valid``) at follow time, so page-indexed invalidation
   (including the munmap/MAP_FIXED shootdowns) unlinks chains and dooms
-  superblocks in the same call that drops the lines.
+  traces in the same call that drops the lines.
 
 Environments that expose a ``mem_space`` attribute (the process
 :class:`~repro.memory.address_space.AddressSpace`) additionally promise
 that their ``mem_read``/``mem_write`` are exactly
 ``space.read/write(addr, .., pkru=ctx.pkru)`` — the contract that lets a
 compiled trace touch page bytes directly.  Environments without it never
-get traces compiled (``Superblock.trace`` stays ``False``).
+get traces compiled (``Superblock.trace`` is ``False``) and stay chained.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List
 
 from repro.cpu.cycles import Event
-from repro.cpu.icache import Block, TERM_COND, TERM_END, TERM_INDIRECT
+from repro.cpu.icache import Block, TERM_END, TERM_INDIRECT
 from repro.cpu.tracejit import compile_superblock
+
+#: Maximum steps stitched into one superblock.
+SUPERBLOCK_MAX = 96
+
+#: The escape hatches :meth:`EngineConfig.from_env` reads.
+HATCHES = ("REPRO_NO_CHAIN", "REPRO_NO_TRACE_JIT", "REPRO_NO_BLOCK_CACHE")
 
 
 class EngineConfig:
-    """Which execution tiers are enabled, and their heat thresholds."""
+    """Which execution tiers are enabled."""
 
-    __slots__ = ("chain", "superblock", "trace_jit",
-                 "superblock_threshold", "jit_threshold", "superblock_max",
-                 "block_cache")
+    __slots__ = ("chain", "trace_jit", "block_cache")
 
-    def __init__(self, chain: bool = True, superblock: bool = True,
-                 trace_jit: bool = True, superblock_threshold: int = 16,
-                 jit_threshold: int = 8, superblock_max: int = 96,
+    def __init__(self, chain: bool = True, trace_jit: bool = True,
                  block_cache: bool = True):
-        # Tier hierarchy: superblocks are formed from chains and traces are
-        # compiled from superblocks, so disabling a tier disables the ones
-        # stacked on it.
+        # Tier hierarchy: traces are compiled from hot chains, so turning
+        # chaining off turns the trace JIT off too.
         self.chain = chain
-        self.superblock = chain and superblock
-        self.trace_jit = chain and superblock and trace_jit
-        self.superblock_threshold = superblock_threshold
-        self.jit_threshold = jit_threshold
-        self.superblock_max = superblock_max
+        self.trace_jit = chain and trace_jit
         #: The basic-block translation cache the tiers sit on; off selects
         #: the reference single-step interpreter (a kernel's initial
         #: ``block_cache_enabled``).  Not part of :meth:`flags`, whose
@@ -102,70 +95,69 @@ class EngineConfig:
     @classmethod
     def from_env(cls) -> "EngineConfig":
         """The configuration the escape hatches select — the one place
-        the ``REPRO_NO_*`` environment variables are read."""
-        env = os.environ.get
-        return cls(chain=env("REPRO_NO_CHAIN", "") != "1",
-                   superblock=env("REPRO_NO_SUPERBLOCK", "") != "1",
-                   trace_jit=env("REPRO_NO_TRACE_JIT", "") != "1",
-                   block_cache=env("REPRO_NO_BLOCK_CACHE", "") != "1")
+        the ``REPRO_NO_*`` environment variables are read.  Any other
+        ``REPRO_NO_*`` variable is rejected, so a hatch of a deleted tier
+        cannot silently select the full engine."""
+        env = os.environ
+        for name in env:
+            if name.startswith("REPRO_NO_") and name not in HATCHES:
+                raise ValueError(
+                    f"unknown engine hatch {name}; the hatches are "
+                    f"{', '.join(HATCHES)}")
+        return cls(chain=env.get("REPRO_NO_CHAIN", "") != "1",
+                   trace_jit=env.get("REPRO_NO_TRACE_JIT", "") != "1",
+                   block_cache=env.get("REPRO_NO_BLOCK_CACHE", "") != "1")
 
     def flags(self) -> dict:
-        """JSON-safe tier flags (evaluation cache keys, stats labels)."""
-        return {"chain": self.chain, "superblock": self.superblock,
+        """JSON-safe tier flags (evaluation cache keys, replay bundles).
+
+        ``superblock`` equals ``trace_jit``: superblocks form only to be
+        compiled.  The key stays so the dict keeps its shape."""
+        return {"chain": self.chain, "superblock": self.trace_jit,
                 "trace_jit": self.trace_jit}
 
+    def tiers(self, block_cache: bool) -> str:
+        """The tier label of stats and probes, e.g.
+        ``"chain+superblock+trace_jit"``; ``"single-step"`` without the
+        block cache, ``"block-cache"`` with no tier above it."""
+        if not block_cache:
+            return "single-step"
+        return "+".join(name for name, on in self.flags().items()
+                        if on) or "block-cache"
+
     def __repr__(self) -> str:
-        return (f"EngineConfig(chain={self.chain}, "
-                f"superblock={self.superblock}, trace_jit={self.trace_jit})")
+        return f"EngineConfig(chain={self.chain}, trace_jit={self.trace_jit})"
 
 
 class Superblock:
-    """A hot chain of blocks flattened into one replay unit.
+    """A hot chain of blocks compiled into one replay unit.
 
-    ``steps`` is the concatenation of the constituent blocks' steps;
-    ``guards[i]`` is the RIP the next constituent starts at when step *i*
-    is a conditional branch that must go the recorded way (``None``
-    everywhere else).  ``valid`` is flipped by the owning icache the
-    moment any constituent block is dropped; ``trace`` is ``None`` until
-    the JIT threshold, then either the compiled function or ``False``
-    (compilation declined — replay stays interpreted).
+    ``valid`` is flipped by the owning icache the moment any constituent
+    block is dropped; ``trace`` is the compiled function, or ``False``
+    when compilation was declined (the blocks then stay chained).
     """
 
-    __slots__ = ("entry", "blocks", "steps", "guards", "n_steps",
-                 "tail_end", "valid", "trace", "hits")
+    __slots__ = ("entry", "blocks", "n_steps", "tail_end", "valid", "trace")
 
     def __init__(self, blocks: List[Block]):
         self.entry = blocks[0].entry
         self.blocks = blocks
-        steps = []
-        guards: List[Optional[int]] = []
-        for index, block in enumerate(blocks):
-            steps.extend(block.steps)
-            guards.extend([None] * len(block.steps))
-            if index + 1 < len(blocks) and block.term == TERM_COND:
-                guards[-1] = blocks[index + 1].entry
-        self.steps = steps
-        self.guards = guards
-        self.n_steps = len(steps)
+        self.n_steps = sum(len(block.steps) for block in blocks)
         #: True when the final constituent ends the unit (syscall,
         #: hostcall, indirect branch, serializing, faulting trio).
         self.tail_end = blocks[-1].term == TERM_END
         self.valid = True
-        self.trace = None
-        self.hits = 0
-
-    def __len__(self) -> int:
-        return self.n_steps
+        self.trace = False
 
 
-def form_superblock(icache, head: Block, engine: EngineConfig) -> Superblock:
-    """Stitch the hot chain starting at *head* into a superblock.
+def form_superblock(env, icache, head: Block) -> Superblock:
+    """Stitch the hot chain starting at *head* and compile it.
 
     Follows each block's last-observed successor edge across direct and
     conditional terminators, stopping at an unit-ending block, an
     unchained/invalid edge, a revisited entry (loop closure), or
-    :attr:`EngineConfig.superblock_max` steps.  Registers the superblock
-    with every constituent so invalidation dooms it.
+    :data:`SUPERBLOCK_MAX` steps.  Registers the superblock with every
+    constituent so invalidation dooms it, then compiles its trace.
     """
     blocks = [head]
     seen = {head.entry}
@@ -176,7 +168,7 @@ def form_superblock(icache, head: Block, engine: EngineConfig) -> Superblock:
         if successor is None or not successor.valid:
             break
         if (successor.entry in seen
-                or total + len(successor.steps) > engine.superblock_max):
+                or total + len(successor.steps) > SUPERBLOCK_MAX):
             break
         blocks.append(successor)
         seen.add(successor.entry)
@@ -187,11 +179,14 @@ def form_superblock(icache, head: Block, engine: EngineConfig) -> Superblock:
         block.sbs.append(superblock)
     head.superblock = superblock
     icache.superblocks_formed += 1
+    superblock.trace = compile_superblock(superblock, env)
+    if superblock.trace is not False:
+        icache.traces_compiled += 1
     return superblock
 
 
 def run_superblock(env, ctx, icache, sb: Superblock, base: int) -> int:
-    """Replay *sb* (compiled trace if hot enough, else interpreted).
+    """Run *sb*'s compiled trace.
 
     *base* is the number of instructions already retired this unit; fault
     paths report ``env.unit_retired = base + <in-superblock index> + 1``
@@ -200,53 +195,18 @@ def run_superblock(env, ctx, icache, sb: Superblock, base: int) -> int:
     or a constituent invalidation, with the overshoot un-charged).
     """
     icache.superblock_hits += 1
-    trace = sb.trace
-    if trace is None and icache.engine.trace_jit:
-        hits = sb.hits + 1
-        sb.hits = hits
-        if hits >= icache.engine.jit_threshold:
-            trace = compile_superblock(sb, env)
-            sb.trace = trace
-            if trace is not False:
-                icache.traces_compiled += 1
+    icache.trace_hits += 1
     n = sb.n_steps
     env.charge(Event.INSTRUCTION, n)
-    if trace:
-        icache.trace_hits += 1
-        try:
-            i = trace(env, ctx, base)
-        except BaseException:
-            # The trace maintains env.unit_retired before every step that
-            # can raise; un-charge only the never-executed tail.
-            overshoot = n - (env.unit_retired - base)
-            if overshoot > 0:
-                env.charge(Event.INSTRUCTION, -overshoot)
-            raise
-    else:
-        steps = sb.steps
-        guards = sb.guards
-        i = 0
-        try:
-            while i < n:
-                step = steps[i]
-                ctx.rip = step[0]
-                step[1](env, ctx)
-                i += 1
-                if not sb.valid:
-                    # A constituent was dropped (own store into the span,
-                    # serializing flush): stop where single-step would
-                    # re-fetch.
-                    break
-                guard = guards[i - 1]
-                if guard is not None and ctx.rip != guard:
-                    icache.guard_fails += 1
-                    break
-        except BaseException:
-            env.unit_retired = base + i + 1
-            overshoot = n - i - 1
-            if overshoot > 0:
-                env.charge(Event.INSTRUCTION, -overshoot)
-            raise
+    try:
+        i = sb.trace(env, ctx, base)
+    except BaseException:
+        # The trace maintains env.unit_retired before every step that
+        # can raise; un-charge only the never-executed tail.
+        overshoot = n - (env.unit_retired - base)
+        if overshoot > 0:
+            env.charge(Event.INSTRUCTION, -overshoot)
+        raise
     if i < n:
         env.charge(Event.INSTRUCTION, -(n - i))
     return i

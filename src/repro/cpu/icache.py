@@ -59,16 +59,15 @@ Line = Tuple[bytes, Instruction, Executor]
 DECODED_LINES_MAX = 1 << 14
 
 #: How a block ends, for the chaining tier (:mod:`repro.cpu.engine`):
-#: a statically-known single successor (direct jump/call, fall-through
-#: cut), a conditional branch (two static successors), an indirect branch
-#: (successor computed at run time — chains follow it through the
-#: validated ``succ`` edge, but superblock formation stops), or a
-#: unit-ending terminator (syscall, hostcall, serializing, faulting trio)
-#: after which the scheduler must get control back.
+#: a statically-known successor (direct jump/call, fall-through cut, or
+#: a conditional branch, whose chain edge caches the last-observed side),
+#: an indirect branch (successor computed at run time — chains follow it
+#: through the validated ``succ`` edge, but superblock formation stops),
+#: or a unit-ending terminator (syscall, hostcall, serializing, faulting
+#: trio) after which the scheduler must get control back.
 TERM_DIRECT = 0
-TERM_COND = 1
-TERM_INDIRECT = 2
-TERM_END = 3
+TERM_INDIRECT = 1
+TERM_END = 2
 
 
 @functools.lru_cache(maxsize=DECODED_LINES_MAX)
@@ -96,14 +95,14 @@ class Block:
     instructions so a block self-invalidated by its own store stops exactly
     where single-stepping would have re-fetched.
 
-    The chaining/superblock tiers hang their bookkeeping here: ``succ`` is
-    a monomorphic inline cache of the last-observed successor block
+    The chaining and trace-JIT tiers hang their bookkeeping here: ``succ``
+    is a monomorphic inline cache of the last-observed successor block
     (validated against ``ctx.rip`` and ``succ.valid`` at follow time, so a
     stale edge degrades to a dictionary lookup, never to wrong execution);
-    ``heat`` counts replays toward superblock formation; ``superblock`` is
-    the superblock headed here (``None`` until formed); ``sbs`` lists every
-    superblock this block participates in, so dropping the block dooms
-    them all.
+    ``heat`` counts replays toward compiling the hot chain headed here;
+    ``superblock`` is that chain's superblock (``None`` until formed);
+    ``sbs`` lists every superblock this block participates in, so
+    dropping the block dooms them all.
     """
 
     __slots__ = ("entry", "end", "steps", "valid",
@@ -120,9 +119,8 @@ class Block:
         self.superblock = None
         self.sbs: list = []
         mnemonic = steps[-1][2].mnemonic
-        if mnemonic is Mnemonic.JCC_REL:
-            self.term = TERM_COND
-        elif mnemonic is Mnemonic.JMP_REL or mnemonic is Mnemonic.CALL_REL:
+        if (mnemonic is Mnemonic.JCC_REL or mnemonic is Mnemonic.JMP_REL
+                or mnemonic is Mnemonic.CALL_REL):
             self.term = TERM_DIRECT
         elif (mnemonic is Mnemonic.RET or mnemonic is Mnemonic.JMP_REG
               or mnemonic is Mnemonic.CALL_REG):
@@ -140,8 +138,8 @@ class ICache:
     """Decoded-instruction cache (and block cache) for one core.
 
     *engine* is the :class:`repro.cpu.engine.EngineConfig` selecting the
-    chaining/superblock/trace-JIT tiers; ``None`` (the default, used by
-    unit-test environments) runs the plain one-block-per-unit PR 2 path.
+    chaining and trace-JIT tiers; ``None`` (the default, used by unit-test
+    environments) runs the plain one-block-per-unit path.
     """
 
     def __init__(self, core_id: int = 0, engine=None):
@@ -251,10 +249,10 @@ class ICache:
     def _doom_superblocks(self, block: Block) -> None:
         """Invalidate every superblock *block* participates in.
 
-        The doomed superblock's head becomes eligible for re-formation
-        (after re-heating — a page under repeated patching must not thrash
-        the formation machinery), and the other constituents forget the
-        doomed superblock so the membership lists stay small.
+        The doomed superblock's head becomes eligible for re-formation and
+        re-compilation (after re-heating — a page under repeated patching
+        must not thrash the trace compiler), and the other constituents
+        forget the doomed superblock so the membership lists stay small.
         """
         for sb in block.sbs:
             if not sb.valid:

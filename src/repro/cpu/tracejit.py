@@ -2,7 +2,7 @@
 
 :func:`compile_superblock` turns a hot :class:`repro.cpu.engine.Superblock`
 into one flat Python function that performs the same architectural steps
-as interpreted replay, minus the per-instruction overhead:
+as replaying its blocks, minus the per-instruction overhead:
 
 - register and flag updates are inlined (``r[3] = (r[3] + r[5]) & M``
   instead of a closure call through ``ctx.get``/``ctx.set``);
@@ -20,7 +20,7 @@ as interpreted replay, minus the per-instruction overhead:
   recorded direction falls through into the next segment's code, the
   other direction materializes RIP and returns the retire count, so a
   guard failure *is* just an early return (the caller un-charges the
-  tail and the interpreter resumes).
+  tail and block replay resumes).
 
 Fault accounting contract with :func:`repro.cpu.engine.run_superblock`:
 before every step that can raise, the generated code sets
@@ -28,9 +28,11 @@ before every step that can raise, the generated code sets
 caller's un-charge and the scheduler's retire attribution match the
 per-block replay path bit-for-bit.
 
-Compilation is *best-effort*: any construct outside the supported subset
-(an unsupported condition code, a missing ``env.mem_space``) returns
-``False`` and the superblock simply stays interpreted.
+Compilation happens once, when :func:`repro.cpu.engine.form_superblock`
+stitches a hot chain, and is *best-effort*: any construct outside the
+supported subset (an unsupported condition code, a missing
+``env.mem_space``) returns ``False`` and the chain's blocks simply keep
+running chained.
 """
 
 from __future__ import annotations

@@ -119,9 +119,9 @@ class Kernel:
         self.quantum = DEFAULT_QUANTUM
         self._preempting = False
         #: Execution-engine tiers layered on the block cache
-        #: (repro.cpu.engine): block chaining, superblock formation, and
-        #: the trace JIT, each with its own escape hatch (REPRO_NO_CHAIN /
-        #: REPRO_NO_SUPERBLOCK / REPRO_NO_TRACE_JIT).  Semantics are
+        #: (repro.cpu.engine): block chaining, and the trace JIT that
+        #: compiles hot chains, each with its own escape hatch
+        #: (REPRO_NO_CHAIN / REPRO_NO_TRACE_JIT).  Semantics are
         #: byte-identical across every configuration; the tiers only
         #: remove interpreter overhead.
         self.engine = EngineConfig.from_env()
@@ -790,14 +790,9 @@ class Kernel:
         from repro.observability.events import EngineStats
 
         stats = self.interp_stats()
-        flags = self.engine.flags()
-        if not self.block_cache_enabled:
-            tiers = "single-step"
-        else:
-            tiers = "+".join(n for n in ("chain", "superblock", "trace_jit")
-                             if flags[n]) or "block-cache"
         self.bus.emit(EngineStats(
-            ts=self.cycles.cycles, pid=0, tid=0, tiers=tiers,
+            ts=self.cycles.cycles, pid=0, tid=0,
+            tiers=self.engine.tiers(self.block_cache_enabled),
             chain_links=stats["chain_links"],
             chain_follows=stats["chain_follows"],
             superblocks_formed=stats["superblocks_formed"],

@@ -217,11 +217,12 @@ class EngineStats(BusEvent):
 
     Emitted once per ``run_process`` completion (when a sink is attached)
     so traces record how the work was executed: how many unit dispatches
-    hit a chained edge, how often superblocks and compiled traces
-    replayed, and how the speculation failed (``guard_fails``) or was torn
-    down (``invalidation_unlinks``).  ``tiers`` is the
-    :meth:`repro.cpu.engine.EngineConfig.flags` rendering, e.g.
-    ``"chain+superblock+trace_jit"`` or ``"interp"``.
+    hit a chained edge, how often compiled traces replayed
+    (``superblock_hits`` equals ``trace_hits``: a superblock is only ever
+    dispatched as its trace), and how the speculation failed
+    (``guard_fails``) or was torn down (``invalidation_unlinks``).
+    ``tiers`` is the :meth:`repro.cpu.engine.EngineConfig.tiers` label,
+    e.g. ``"chain+superblock+trace_jit"`` or ``"single-step"``.
     """
 
     tiers: str

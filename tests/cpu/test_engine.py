@@ -1,4 +1,4 @@
-"""Tiered execution engine: chaining, superblocks, and the trace JIT.
+"""Tiered execution engine: chaining and the trace JIT.
 
 Unit tests for :mod:`repro.cpu.engine` / :mod:`repro.cpu.tracejit` at
 the mechanism level — the lockstep fuzzer
@@ -6,18 +6,20 @@ the mechanism level — the lockstep fuzzer
 conformance; this file pins down the individual moving parts: edge
 installation and re-validation, superblock formation boundaries, batch
 charge/un-charge accounting, guard-failure fallback, invalidation
-dooming, and the trace-compilation gate.
+dooming, and the declined-compile fallback to chaining.
 """
+
+from unittest import mock
 
 import pytest
 
 from repro.arch.assembler import Asm
 from repro.arch.registers import Reg
+from repro.cpu import blocks, engine as engine_mod
 from repro.cpu.blocks import run_unit
 from repro.cpu.cycles import CycleModel, Event
-from repro.cpu.engine import EngineConfig, Superblock, form_superblock
-from repro.cpu.icache import (ICache, TERM_COND, TERM_DIRECT, TERM_END,
-                              TERM_INDIRECT)
+from repro.cpu.engine import EngineConfig
+from repro.cpu.icache import ICache, TERM_END
 from repro.cpu.state import CpuContext
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
 
@@ -25,8 +27,17 @@ CODE_BASE = 0x40_0000
 DATA_BASE = 0x60_0000
 STACK_TOP = 0x80_0000
 
-#: Low thresholds so short test programs cross every tier.
-HOT = dict(superblock_threshold=2, jit_threshold=2)
+
+def hot():
+    """Lower the hot-chain threshold so short test programs compile
+    traces (a patch usable as a context manager or decorator)."""
+    return mock.patch.object(blocks, "HOT_THRESHOLD", 2)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _hot_module():
+    with hot():
+        yield
 
 
 class EngineEnv:
@@ -84,6 +95,16 @@ def build(writer, engine=None, **kwargs) -> EngineEnv:
     return EngineEnv(asm.assemble(), engine=engine, **kwargs)
 
 
+def run_to_halt(env):
+    """Run *env* unit by unit until its program faults or halts."""
+    try:
+        while True:
+            env.run(1)
+    except Exception:
+        pass
+    return env
+
+
 def counted_loop(trips=300):
     """A hot self-looping block: body, then a conditional back-edge."""
     def writer(a):
@@ -110,23 +131,32 @@ def loop_entry(trips=300) -> int:
 
 
 def test_config_tier_hierarchy():
-    assert EngineConfig(chain=False).superblock is False
     assert EngineConfig(chain=False).trace_jit is False
-    assert EngineConfig(superblock=False).trace_jit is False
     full = EngineConfig()
-    assert full.chain and full.superblock and full.trace_jit
+    assert full.chain and full.trace_jit
+    # Superblocks form only to be compiled: the flag follows the JIT.
+    assert full.flags() == {"chain": True, "superblock": True,
+                            "trace_jit": True}
+    assert EngineConfig(trace_jit=False).flags()["superblock"] is False
+    assert full.tiers(True) == "chain+superblock+trace_jit"
+    assert EngineConfig(trace_jit=False).tiers(True) == "chain"
+    assert EngineConfig(chain=False).tiers(True) == "block-cache"
+    assert full.tiers(False) == "single-step"
+
+
+def _pin_hatches(monkeypatch):
+    # Pin every hatch so the test holds when the suite itself runs under
+    # one (the CI engine-matrix job does exactly that).
+    for hatch in engine_mod.HATCHES:
+        monkeypatch.delenv(hatch, raising=False)
 
 
 def test_config_from_env(monkeypatch):
-    # Pin every hatch so the test holds when the suite itself runs under
-    # one (the CI engine-matrix job does exactly that).
-    monkeypatch.delenv("REPRO_NO_CHAIN", raising=False)
-    monkeypatch.delenv("REPRO_NO_TRACE_JIT", raising=False)
-    monkeypatch.setenv("REPRO_NO_SUPERBLOCK", "1")
+    _pin_hatches(monkeypatch)
+    monkeypatch.setenv("REPRO_NO_TRACE_JIT", "1")
     monkeypatch.setenv("REPRO_NO_BLOCK_CACHE", "1")
     config = EngineConfig.from_env()
     assert config.chain is True
-    assert config.superblock is False
     assert config.trace_jit is False
     assert config.block_cache is False
     assert config.flags() == {"chain": True, "superblock": False,
@@ -135,11 +165,25 @@ def test_config_from_env(monkeypatch):
     assert EngineConfig.from_env().block_cache is True
 
 
+def test_config_rejects_stale_hatch(monkeypatch):
+    """A hatch of a deleted tier must fail loudly, not silently select
+    the full engine."""
+    _pin_hatches(monkeypatch)
+    monkeypatch.setenv("REPRO_NO_SUPERBLOCK", "1")
+    with pytest.raises(ValueError) as excinfo:
+        EngineConfig.from_env()
+    message = str(excinfo.value)
+    assert "REPRO_NO_SUPERBLOCK" in message
+    for hatch in ("REPRO_NO_CHAIN", "REPRO_NO_TRACE_JIT",
+                  "REPRO_NO_BLOCK_CACHE"):
+        assert hatch in message
+
+
 # ---------------------------------------------------------------- chaining
 
 
 def test_chain_links_and_follows():
-    env = build(counted_loop(), engine=EngineConfig(superblock=False))
+    env = build(counted_loop(), engine=EngineConfig(trace_jit=False))
     env.run(4)
     ic = env.icache
     assert ic.chain_links >= 1
@@ -151,12 +195,7 @@ def test_chain_links_and_follows():
 
 def test_chain_disabled_is_one_block_per_unit():
     engine = EngineConfig(chain=False)
-    env = build(counted_loop(), engine=engine)
-    try:
-        while True:
-            env.run(1)
-    except Exception:
-        pass
+    env = run_to_halt(build(counted_loop(), engine=engine))
     assert env.icache.chain_follows == 0
     assert env.icache.superblocks_formed == 0
 
@@ -164,7 +203,7 @@ def test_chain_disabled_is_one_block_per_unit():
 def test_stale_edge_revalidates_not_misexecutes():
     """A dropped successor is rejected by the succ.valid check and the
     chain falls back to the dictionary lookup."""
-    engine = EngineConfig(superblock=False)
+    engine = EngineConfig(trace_jit=False)
     env = build(counted_loop(), engine=engine)
     env.run(4)
     ic = env.icache
@@ -182,11 +221,12 @@ def test_stale_edge_revalidates_not_misexecutes():
 
 
 def test_superblock_forms_after_threshold():
-    engine = EngineConfig(trace_jit=False, **HOT)
+    engine = EngineConfig()
     env = build(counted_loop(), engine=engine)
     env.run(8)
     ic = env.icache
     assert ic.superblocks_formed >= 1
+    assert ic.traces_compiled == ic.superblocks_formed
     assert ic.superblock_hits >= 1
     sb = next(b.superblock for b in ic._blocks.values()
               if b.superblock is not None)
@@ -207,7 +247,7 @@ def test_superblock_formation_stops_at_term_end():
         a.dec(Reg.RCX)
         a.jne("loop")
         a.hlt()
-    engine = EngineConfig(trace_jit=False, **HOT)
+    engine = EngineConfig()
     env = build(writer, engine=engine)
     env.run(30)
     for block in env.icache._blocks.values():
@@ -223,19 +263,13 @@ def test_superblock_batch_charge_matches_per_block():
     """Total INSTRUCTION count is identical whether the loop retires via
     superblocks or plain blocks (the zero-residual decomposition)."""
     def run_with(engine):
-        env = build(counted_loop(25), engine=engine)
-        try:
-            while True:
-                env.run(1)
-        except Exception:
-            pass
+        env = run_to_halt(build(counted_loop(25), engine=engine))
         return env.cycles.counts[Event.INSTRUCTION], env.cycles.cycles
 
     plain = run_with(None)
-    chained = run_with(EngineConfig(superblock=False))
-    sb = run_with(EngineConfig(trace_jit=False, **HOT))
-    jit = run_with(EngineConfig(**HOT))
-    assert plain == chained == sb == jit
+    chained = run_with(EngineConfig(trace_jit=False))
+    jit = run_with(EngineConfig())
+    assert plain == chained == jit
 
 
 def test_guard_failure_falls_back():
@@ -258,15 +292,11 @@ def test_guard_failure_falls_back():
         a.label("late")
         a.inc(Reg.RBX)
         a.jmp("back")
-    engine = EngineConfig(trace_jit=False, **HOT)
+    engine = EngineConfig()
     env = build(writer, engine=engine)
     ref = build(writer, engine=None)
     for e in (env, ref):
-        try:
-            while True:
-                e.run(1)
-        except Exception:
-            pass
+        run_to_halt(e)
     assert env.icache.guard_fails >= 1
     assert env.context.get(Reg.RBX) == ref.context.get(Reg.RBX) == 1
     assert len(env.syscalls) == len(ref.syscalls) == 39
@@ -274,7 +304,7 @@ def test_guard_failure_falls_back():
 
 
 def test_invalidation_dooms_superblock_and_reheats():
-    engine = EngineConfig(trace_jit=False, **HOT)
+    engine = EngineConfig()
     env = build(counted_loop(), engine=engine)
     env.run(8)
     ic = env.icache
@@ -289,7 +319,7 @@ def test_invalidation_dooms_superblock_and_reheats():
 
 
 def test_flush_all_dooms_superblocks():
-    engine = EngineConfig(trace_jit=False, **HOT)
+    engine = EngineConfig()
     env = build(counted_loop(), engine=engine)
     env.run(8)
     ic = env.icache
@@ -314,14 +344,10 @@ def test_trace_compiles_and_matches_interpreter():
         a.dec(Reg.RCX)
         a.jne("loop")
         a.hlt()
-    jit_env = build(writer, engine=EngineConfig(**HOT))
+    jit_env = build(writer, engine=EngineConfig())
     ref_env = build(writer, engine=None)
     for env in (jit_env, ref_env):
-        try:
-            while True:
-                env.run(1)
-        except Exception:
-            pass
+        run_to_halt(env)
     assert jit_env.icache.traces_compiled >= 1
     assert jit_env.icache.trace_hits >= 1
     assert tuple(jit_env.context._regs) == tuple(ref_env.context._regs)
@@ -332,22 +358,35 @@ def test_trace_compiles_and_matches_interpreter():
 
 def test_trace_requires_mem_space_contract():
     """Environments without a ``mem_space`` attribute never get traces
-    compiled — the superblock stays interpreted (trace is False)."""
-    env = build(counted_loop(60), engine=EngineConfig(**HOT))
+    compiled: the declined superblock is never dispatched, and its blocks
+    keep running chained — exactly like a chain-only engine."""
+    env = build(counted_loop(60), engine=EngineConfig())
     del env.mem_space
-    try:
-        while True:
-            env.run(1)
-    except Exception:
-        pass
-    assert env.icache.traces_compiled == 0
-    assert env.icache.superblock_hits >= 1
+    run_to_halt(env)
+    chained = run_to_halt(build(counted_loop(60),
+                                engine=EngineConfig(trace_jit=False)))
+    ic = env.icache
+    assert ic.superblocks_formed >= 1
+    assert ic.traces_compiled == 0
+    assert ic.superblock_hits == 0
+    assert ic.chain_follows > 0
+    assert tuple(env.context._regs) == tuple(chained.context._regs)
+    assert env.cycles.cycles == chained.cycles.cycles
+
+
+def test_superblock_hits_are_trace_hits():
+    """A superblock is only ever dispatched as its compiled trace."""
+    env = build(counted_loop(), engine=EngineConfig())
+    run_to_halt(env)
+    ic = env.icache
+    assert ic.trace_hits > 0
+    assert ic.superblock_hits == ic.trace_hits
 
 
 def test_trace_doomed_by_invalidation_mid_run():
     """A store into a compiled trace's span dooms it; the next dispatch
     re-forms from scratch instead of replaying stale code."""
-    engine = EngineConfig(**HOT)
+    engine = EngineConfig()
     env = build(counted_loop(500), engine=engine,
                 code_prot=Prot.READ | Prot.WRITE | Prot.EXEC)
     env.run(10)
@@ -366,8 +405,9 @@ def test_trace_doomed_by_invalidation_mid_run():
 # ------------------------------------------------------- formation details
 
 
+@mock.patch.object(engine_mod, "SUPERBLOCK_MAX", 4)
 def test_form_superblock_respects_max():
-    engine = EngineConfig(superblock_max=4, **HOT)
+    engine = EngineConfig()
     env = build(counted_loop(), engine=engine)
     env.run(8)
     for block in env.icache._blocks.values():
@@ -378,7 +418,7 @@ def test_form_superblock_respects_max():
 def test_superblock_loop_closure_stops_at_seen_entry():
     """Following the self-loop's cond edge must stop when the entry
     revisits — a superblock never contains the same block twice."""
-    engine = EngineConfig(trace_jit=False, **HOT)
+    engine = EngineConfig()
     env = build(counted_loop(), engine=engine)
     env.run(8)
     formed = 0

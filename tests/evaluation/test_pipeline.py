@@ -256,7 +256,7 @@ class TestCacheKeys:
 
     def test_every_engine_hatch_gets_its_own_key(self, monkeypatch):
         hatches = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
-                   "REPRO_NO_SUPERBLOCK", "REPRO_NO_TRACE_JIT")
+                   "REPRO_NO_TRACE_JIT")
         for hatch in hatches:
             monkeypatch.delenv(hatch, raising=False)
         keys = {cell_key("micro", "SUD", "syscall-stress", 20)}

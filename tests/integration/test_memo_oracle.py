@@ -33,7 +33,7 @@ from repro.loader import libc, linker
 from repro.memory import Prot
 from repro.workloads.coreutils import coreutil_image
 from repro.workloads.stress import stress_image
-from tests.cpu.test_engine import HOT, build
+from tests.cpu.test_engine import build, hot
 
 MECHANISMS = REGISTRY.names()
 
@@ -123,10 +123,11 @@ def compiled_superblock(env):
                 and block.superblock.trace not in (None, False))
 
 
+@hot()
 def test_same_source_shares_code_but_not_the_function():
     tracejit._trace_code.cache_clear()
-    first = build(store_loop, engine=EngineConfig(**HOT))
-    second = build(store_loop, engine=EngineConfig(**HOT))
+    first = build(store_loop, engine=EngineConfig())
+    second = build(store_loop, engine=EngineConfig())
     sb1, sb2 = compiled_superblock(first), compiled_superblock(second)
     assert sb1.trace.__source__ == sb2.trace.__source__
     assert sb1.trace.__code__ is sb2.trace.__code__
@@ -136,9 +137,10 @@ def test_same_source_shares_code_but_not_the_function():
     assert sb2.trace.__globals__["_sb"] is sb2
 
 
+@hot()
 def test_dooming_one_superblock_bails_only_its_own_trace():
-    first = build(store_loop, engine=EngineConfig(**HOT))
-    second = build(store_loop, engine=EngineConfig(**HOT))
+    first = build(store_loop, engine=EngineConfig())
+    second = build(store_loop, engine=EngineConfig())
     sb1, sb2 = compiled_superblock(first), compiled_superblock(second)
     first.icache.invalidate_range(sb1.entry, 1)
     assert not sb1.valid and sb2.valid
@@ -221,6 +223,7 @@ def test_torn_patch_keeps_p5_stale_and_torn_decodes():
     assert ICache(2).fetch(0, read).mnemonic is Mnemonic.CALL_REG
 
 
+@hot()
 def test_self_modifying_loop_redecodes_every_store():
     """Through the block and trace tiers: a loop that rewrites its own
     immediate each trip observes every new value, whether its windows
@@ -239,7 +242,7 @@ def test_self_modifying_loop_redecodes_every_store():
         a.hlt()
 
     def final_rbx():
-        env = build(writer, engine=EngineConfig(**HOT),
+        env = build(writer, engine=EngineConfig(),
                     code_prot=Prot.READ | Prot.WRITE | Prot.EXEC)
         with pytest.raises(Halt):
             env.run(10_000)

@@ -12,20 +12,22 @@ stale/torn behaviour.
 
 The same differential harness drives the tiered execution engine
 (:mod:`repro.cpu.engine`): every random program also runs under block
-chaining, interpreted superblocks, and the trace JIT (thresholds lowered
-so each tier actually engages within a short program), and dedicated
-self-modifying-code tortures store into pages participating in linked
-chains and compiled traces, asserting the invalidation protocol
-(chain unlink + superblock doom) *and* bit-identical architectural state
-across all four engine configurations.
+chaining, the trace JIT (hot-chain threshold lowered so traces compile
+within a short program), and the trace JIT with every compile declined
+(blocks stay chained), and dedicated self-modifying-code tortures store
+into pages participating in linked chains and compiled traces, asserting
+the invalidation protocol (chain unlink + superblock doom) *and*
+bit-identical architectural state across every engine configuration.
 """
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.arch.assembler import Asm
 from repro.arch.registers import Reg
+from repro.cpu import blocks
 from repro.cpu.blocks import run_unit
 from repro.cpu.core import step
 from repro.cpu.cycles import CycleModel, Event
@@ -43,29 +45,43 @@ STACK_TOP = 0x80_0000
 SCRATCH = [Reg.RAX, Reg.RBX, Reg.RCX, Reg.RDX, Reg.RSI, Reg.R8, Reg.R9,
            Reg.R10]
 
-#: The four engine configurations the acceptance gate names.  Thresholds
-#: are lowered so superblocks form and traces compile within the short
-#: fuzz programs; ``None`` is the plain PR 2 one-block-per-unit path.
+#: The block-mode engine configurations.  ``None`` is the plain
+#: one-block-per-unit path; ``declined`` is the full engine on an
+#: environment without the trace-JIT ``mem_space`` contract, so every
+#: compile is declined and hot chains keep running chained.
 ENGINES = {
     "block": None,
-    "chain": EngineConfig(superblock=False),
-    "superblock": EngineConfig(trace_jit=False,
-                               superblock_threshold=2, jit_threshold=2),
-    "tracejit": EngineConfig(superblock_threshold=2, jit_threshold=2),
+    "chain": EngineConfig(trace_jit=False),
+    "tracejit": EngineConfig(),
+    "declined": EngineConfig(),
 }
+
+
+def tier(name: str) -> dict:
+    """:func:`lockstep` keyword arguments selecting engine *name*."""
+    return {"engine": ENGINES[name], "trace_contract": name != "declined"}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _hot_chains():
+    """Lower the hot-chain threshold so traces compile within the short
+    fuzz programs."""
+    with mock.patch.object(blocks, "HOT_THRESHOLD", 2):
+        yield
 
 
 class FuzzEnv:
     """Kernel-less environment; syscalls/hostcalls just count."""
 
     def __init__(self, code: bytes, engine: EngineConfig = None,
-                 code_prot: Prot = Prot.READ | Prot.EXEC):
+                 code_prot: Prot = Prot.READ | Prot.EXEC,
+                 trace_contract: bool = True):
         self.context = CpuContext()
         self.icache = ICache(engine=engine)
         self.space = AddressSpace()
         # The trace-JIT contract (repro.cpu.engine): mem_read/mem_write
         # below are exactly space.read/write(.., pkru=ctx.pkru).
-        self.mem_space = self.space
+        self.mem_space = self.space if trace_contract else None
         self.cycles = CycleModel()
         self.unit_retired = 0
         self.space.mmap(CODE_BASE, max(len(code), 1), code_prot,
@@ -156,13 +172,16 @@ def random_program(rng: random.Random) -> bytes:
 
 def lockstep(code: bytes, max_insns: int = 4000, quantum: int = 100,
              patch=None, engine: EngineConfig = None,
-             code_prot: Prot = Prot.READ | Prot.EXEC):
+             code_prot: Prot = Prot.READ | Prot.EXEC,
+             trace_contract: bool = True):
     """Run *code* through both interpreters, comparing state at every unit
     boundary.  ``patch(space)`` (if given) fires once after ``quantum``
     retired instructions, modelling a remote-core writer (no icache
     shootdown — P5).  *engine* selects the execution tiers on the
-    block-mode side; the reference side always single-steps."""
-    block_env = FuzzEnv(code, engine=engine, code_prot=code_prot)
+    block-mode side (*trace_contract* False declines every trace
+    compile); the reference side always single-steps."""
+    block_env = FuzzEnv(code, engine=engine, code_prot=code_prot,
+                        trace_contract=trace_contract)
     step_env = FuzzEnv(code, code_prot=code_prot)
     retired = 0
     patched = False
@@ -286,11 +305,11 @@ def test_lockstep_torn_two_byte_patch():
 @pytest.mark.parametrize("engine", list(ENGINES))
 @pytest.mark.parametrize("seed", range(6))
 def test_lockstep_engine_tiers(seed, engine):
-    """Every tier (chaining, interpreted superblocks, trace JIT) stays in
+    """Every tier (chaining, trace JIT, declined compiles) stays in
     lockstep with the single-step reference on random programs."""
     rng = random.Random(3000 + seed)
     code = random_program(rng)
-    block_env, step_env = lockstep(code, engine=ENGINES[engine])
+    block_env, step_env = lockstep(code, **tier(engine))
     assert block_env.state() == step_env.state()
 
 
@@ -326,7 +345,7 @@ def test_smc_torture_lockstep(engine):
     leave architectural state identical to single-stepping under every
     engine configuration."""
     code = _smc_chain_trace_program().assemble()
-    block_env, step_env = lockstep(code, engine=ENGINES[engine],
+    block_env, step_env = lockstep(code, **tier(engine),
                                    code_prot=Prot.READ | Prot.WRITE
                                    | Prot.EXEC)
     assert block_env.state() == step_env.state()
@@ -384,7 +403,7 @@ def test_smc_store_inside_hot_loop(engine):
     asm.jne("loop")
     asm.hlt()
     code = asm.assemble()
-    block_env, step_env = lockstep(code, engine=ENGINES[engine],
+    block_env, step_env = lockstep(code, **tier(engine),
                                    code_prot=Prot.READ | Prot.WRITE
                                    | Prot.EXEC)
     assert block_env.state() == step_env.state()

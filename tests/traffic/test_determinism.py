@@ -16,7 +16,7 @@ from repro.traffic.engine import run_loadtest
 from repro.traffic.schedule import generate_schedule
 
 TIER_HATCHES = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
-                "REPRO_NO_SUPERBLOCK", "REPRO_NO_TRACE_JIT")
+                "REPRO_NO_TRACE_JIT")
 
 
 def model_config(**kwargs):
