@@ -4,7 +4,7 @@
 Standalone (not a pytest benchmark — wall-clock timing wants a quiet
 process):
 
-    PYTHONPATH=src python benchmarks/bench_interp_speed.py [--quick]
+    PYTHONPATH=src python benchmarks/bench_interp_speed.py [--smoke]
 
 Runs two workloads under every engine tier, timing host wall-clock per
 simulated instruction:
@@ -183,30 +183,20 @@ def _bench_addrspace(reads, rounds):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads, single round")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI alias for --quick")
+                        help="smaller workloads, single round")
     parser.add_argument("--assert-within", type=float, default=None,
                         metavar="PCT",
                         help="fail unless syscall-stress trace-jit "
                              "throughput is within PCT%% of the recorded "
                              "BENCH_interp.json baseline (the disabled-"
                              "bus overhead budget)")
-    parser.add_argument("--json-out", default=None, metavar="FILE",
-                        help="also write the report JSON to FILE (works in "
-                             "--quick/--smoke mode, unlike the baseline "
-                             "artifact)")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to benchmarks/output/"
-                             "BENCH_history.jsonl (see history.py)")
     args = parser.parse_args(argv)
-    quick = args.quick or args.smoke
-    rounds = 1 if quick else 3
+    rounds = 1 if args.smoke else 3
     # The stress loop needs enough trips to amortize warm-up (the
     # hot-chain threshold) the way real table-6 runs do.
-    stress_iters = 500 if quick else 20_000
-    sqlite_txns = 20 if quick else 120
+    stress_iters = 500 if args.smoke else 20_000
+    sqlite_txns = 20 if args.smoke else 120
 
     baseline_ips = None
     if args.assert_within is not None:
@@ -258,28 +248,18 @@ def main(argv=None):
 
     print("addrspace fast path ...", file=sys.stderr)
     report["addrspace_fast_path"] = _bench_addrspace(
-        reads=5_000 if quick else 50_000, rounds=rounds)
+        reads=5_000 if args.smoke else 50_000, rounds=rounds)
 
-    if not quick:
-        # Quick/smoke numbers are for gating, not for the record: only the
-        # full protocol may refresh the baseline artifact.
+    if not args.smoke:
+        # Smoke numbers are for gating, not for the record: only the full
+        # protocol may refresh the baseline artifact.
         OUTPUT.parent.mkdir(parents=True, exist_ok=True)
         OUTPUT.write_text(json.dumps(report, indent=2, sort_keys=True)
                           + "\n")
-    if args.json_out:
-        Path(args.json_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
-    if args.history:
-        from history import append_report
-
-        entries = append_report(report)
-        print(f"history: appended {len(entries)} entr(ies)",
-              file=sys.stderr)
     print(json.dumps(report, indent=2, sort_keys=True))
 
     if baseline_ips is not None:
-        if quick:
+        if args.smoke:
             # Smoke-sized cells are not comparable to the recorded
             # baseline (startup cost dominates short runs): re-measure
             # the budget cell under the baseline's own protocol.

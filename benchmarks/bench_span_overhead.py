@@ -2,8 +2,8 @@
 """Span-tracing overhead gate: loadtest throughput with and without
 ``--spans``.
 
-    PYTHONPATH=src python benchmarks/bench_span_overhead.py [--quick]
-        [--assert-within PCT] [--history] [--json-out FILE]
+    PYTHONPATH=src python benchmarks/bench_span_overhead.py [--smoke]
+        [--assert-within PCT]
 
 Runs the same full-serve load test twice in one process — spans off,
 then spans on — best of N rounds each, against a pre-warmed calibration
@@ -12,13 +12,9 @@ difference between the arms is the :class:`TraceContext` record path.
 The gate fails (exit 1) when the spans-on requests/sec falls more than
 ``--assert-within`` percent (default 2) below the spans-off baseline
 measured in the same invocation: per-request span assembly must stay in
-the noise.
-
-``--history`` appends both arms to ``benchmarks/output/
-BENCH_history.jsonl`` under protocol ``span-overhead-v1`` (cells
-``spans-off`` / ``spans-on``; ``insns_per_sec`` carries completed
-requests per second, matching the ``loadtest-v1`` convention) and runs
-the rolling-median regression gate on the ledger.
+the noise.  The report JSON (protocol ``span-overhead-v1``; cells
+``spans-off`` / ``spans-on``, whose ``insns_per_sec`` carries completed
+requests per second) goes to stdout.
 """
 
 import argparse
@@ -29,19 +25,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-HISTORY_PROTOCOL = "span-overhead-v1"
+PROTOCOL = "span-overhead-v1"
 WORKLOAD = "redis"
 SEED = 17
 
 
-def _traffic(quick: bool, spans: bool):
+def _traffic(smoke: bool, spans: bool):
     from repro.traffic.config import TrafficConfig
 
     return TrafficConfig(
-        requests=200 if quick else 800,
+        requests=200 if smoke else 800,
         servers=2,
         connections=16,
-        calibration_requests=10 if quick else 25,
+        calibration_requests=10 if smoke else 25,
         workers=2,
         ramp=(2, 6),
         serve_mode="full",
@@ -49,7 +45,7 @@ def _traffic(quick: bool, spans: bool):
     )
 
 
-def _measure(spans: bool, quick: bool, rounds: int) -> dict:
+def _measure(spans: bool, smoke: bool, rounds: int) -> dict:
     from repro.evaluation.cache import NullCache
     from repro.traffic.engine import run_loadtest
 
@@ -58,7 +54,7 @@ def _measure(spans: bool, quick: bool, rounds: int) -> dict:
     for _ in range(rounds):
         started = time.perf_counter()
         report = run_loadtest(["zpoline-default"], WORKLOAD,
-                              _traffic(quick, spans), seed=SEED,
+                              _traffic(smoke, spans), seed=SEED,
                               cache=NullCache())
         elapsed = time.perf_counter() - started
         completed = report.doc["mechanisms"]["zpoline-default"] \
@@ -73,7 +69,7 @@ def _measure(spans: bool, quick: bool, rounds: int) -> dict:
     }
 
 
-def _warm_calibration(quick: bool) -> None:
+def _warm_calibration(smoke: bool) -> None:
     """One throwaway run so both arms see a hot in-process calibration
     cache (calibration cost would otherwise land only on the first arm)."""
     from repro.evaluation.cache import NullCache
@@ -81,74 +77,47 @@ def _warm_calibration(quick: bool) -> None:
 
     import dataclasses
 
-    warm = dataclasses.replace(_traffic(quick, spans=False), requests=40)
+    warm = dataclasses.replace(_traffic(smoke, spans=False), requests=40)
     run_loadtest(["zpoline-default"], WORKLOAD, warm, seed=SEED,
                  cache=NullCache())
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller load test, single round")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI alias for --quick")
+                        help="smaller load test, single round")
     parser.add_argument("--assert-within", type=float, default=2.0,
                         metavar="PCT",
                         help="fail unless spans-on throughput is within "
                              "PCT%% of the same-process spans-off "
                              "baseline (default %(default)s)")
-    parser.add_argument("--history", action="store_true",
-                        help="append both arms to the bench history "
-                             "ledger and run the regression gate")
-    parser.add_argument("--json-out", default=None, metavar="FILE",
-                        help="also write the report JSON to FILE")
     args = parser.parse_args(argv)
-    quick = args.quick or args.smoke
-    rounds = 1 if quick else 3
+    rounds = 1 if args.smoke else 3
 
     print("warming calibration ...", file=sys.stderr)
-    _warm_calibration(quick)
+    _warm_calibration(args.smoke)
 
     cells = {}
     for label, spans in (("spans-off", False), ("spans-on", True)):
         print(f"{WORKLOAD} [{label}] ...", file=sys.stderr)
-        cells[label] = _measure(spans, quick, rounds)
+        cells[label] = _measure(spans, args.smoke, rounds)
     off = cells["spans-off"]["insns_per_sec"]
     on = cells["spans-on"]["insns_per_sec"]
     cells["overhead_pct"] = round((off - on) / off * 100.0, 2) if off else 0.0
 
     report = {
-        "protocol": HISTORY_PROTOCOL,
+        "protocol": PROTOCOL,
         "workloads": {WORKLOAD: cells},
     }
     print(json.dumps(report, indent=2, sort_keys=True))
-    if args.json_out:
-        Path(args.json_out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.json_out).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
 
-    status = 0
     floor = off * (1 - args.assert_within / 100.0)
     verdict = "OK" if on >= floor else "REGRESSED"
     print(f"span overhead: {cells['overhead_pct']}% "
           f"({on:,} req/s with spans vs {off:,} without; floor "
           f"{floor:,.1f}, -{args.assert_within}%): {verdict}",
           file=sys.stderr)
-    if on < floor:
-        status = 1
-
-    if args.history:
-        from history import append_report, gate, load_history
-
-        entries = append_report(report)
-        print(f"history: appended {len(entries)} span-overhead rows "
-              f"({HISTORY_PROTOCOL})", file=sys.stderr)
-        ok, lines = gate(load_history())
-        for line in lines:
-            print(line, file=sys.stderr)
-        if not ok:
-            status = 1
-    return status
+    return 0 if on >= floor else 1
 
 
 if __name__ == "__main__":

@@ -179,10 +179,6 @@ class Instruction:
         """True for the two instructions that trap into the kernel."""
         return self.mnemonic in (Mnemonic.SYSCALL, Mnemonic.SYSENTER)
 
-    @property
-    def is_branch(self) -> bool:
-        return self.mnemonic in BRANCH_MNEMONICS
-
     def text(self) -> str:
         """A human-readable AT&T-flavoured rendering (for traces/figures)."""
         m = self.mnemonic

@@ -31,7 +31,6 @@ from typing import Callable, Dict, List
 
 from repro.arch.isa import Instruction
 from repro.cpu.cycles import Event
-from repro.cpu.dispatch import cond_met as _cond_met  # noqa: F401 (back-compat)
 from repro.errors import DecodeError, InvalidOpcode
 
 _MASK64 = (1 << 64) - 1

@@ -197,10 +197,6 @@ class CycleModel:
         """Copy of the per-event counters."""
         return dict(self.counts)
 
-    def raw_snapshot(self) -> Dict[str, int]:
-        """Copy of the per-label raw cycle charges."""
-        return dict(self.raw_cycles)
-
     def reset(self) -> None:
         self.cycles = 0
         self.counts = {event: 0 for event in Event}

@@ -39,12 +39,6 @@ class Connection:
             raise KernelError("send on closed connection")
         self.to_server.append(bytes(data))
 
-    def client_recv(self) -> Optional[bytes]:
-        """Drain one message from the server; None when nothing is queued."""
-        if self.to_client:
-            return self.to_client.popleft()
-        return None
-
     def client_recv_all(self) -> bytes:
         chunks = []
         while self.to_client:
@@ -125,8 +119,3 @@ class NetStack:
         conn = Connection(port)
         listener.pending.append(conn)
         return conn
-
-    def close_listener(self, port: int) -> None:
-        listener = self._listeners.get(port)
-        if listener is not None:
-            listener.closed = True

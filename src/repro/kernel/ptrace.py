@@ -52,11 +52,6 @@ class SyscallStop:
         """Address of the ``syscall`` instruction itself."""
         return self.thread.context.rip - 2
 
-    def set_number(self, number: int) -> None:
-        from repro.arch.registers import Reg
-
-        self.thread.context.set(Reg.RAX, number)
-
     def set_result(self, value: int) -> None:
         self.thread.context.set_syscall_result(value)
 

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.arch.assembler import Asm
 from repro.errors import LoaderError
-from repro.memory.pages import PAGE_SIZE, round_up_pages
+from repro.memory.pages import PAGE_SIZE
 
 #: Label that separates code pages from data pages inside the blob.
 DATA_START_LABEL = "__data_start"
@@ -95,10 +95,6 @@ class SimImage:
         """Bytes of the r-x prefix (everything before ``__data_start``)."""
         self.finalize()
         return self.asm.labels[DATA_START_LABEL]
-
-    @property
-    def total_size(self) -> int:
-        return round_up_pages(len(self.blob) or PAGE_SIZE)
 
     def symbol(self, name: str) -> int:
         """Offset of *name* within the image."""

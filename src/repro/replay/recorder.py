@@ -216,23 +216,6 @@ class Recorder(CountingSink):
             return False
         return True
 
-    def checkpoint_now(self) -> Optional[MachineState]:
-        """Force an immediate checkpoint attempt (test/debug surface);
-        returns the state, or None when the machine is not at a safe
-        point."""
-        if not self._at_safe_point():
-            return None
-        previous = self._last_checkpoint_insns
-        self._last_checkpoint_insns = -self.interval
-        try:
-            before = len(self.checkpoints)
-            self.on_round_boundary(0)
-            return self.checkpoints[-1] \
-                if len(self.checkpoints) > before else None
-        finally:
-            if self._last_checkpoint_insns < 0:
-                self._last_checkpoint_insns = previous
-
     # ------------------------------------------------------------- close
 
     def close(self, exit_status: Optional[int] = None) -> Dict:

@@ -9,7 +9,7 @@ Usage::
         [--ramp 1,2,4,...] [--queue-limit N] [--slo-p99-ms N] \\
         [--serve-mode model|full] [--seed N] [--jobs N] \\
         [--spans] [--exemplars N] [--shed-exemplars N] \\
-        [--out FILE] [--no-cache] [--history]
+        [--out FILE] [--no-cache]
 
 Generates a seeded open-loop arrival schedule (default: one million
 requests), pushes it through a fleet of interposed ``--workload``
@@ -28,10 +28,6 @@ million-request schedule through the virtual-time queueing fabric;
 
 Determinism contract: a fixed ``--seed`` yields a byte-identical
 schedule and report whatever ``--jobs`` or engine tier ran it.
-
-``--history`` appends one requests/sec row per mechanism to the
-``benchmarks/history.py`` ledger (protocol ``loadtest-v1``) and exits
-nonzero if the rolling-median regression gate fails.
 """
 
 from __future__ import annotations
@@ -45,9 +41,6 @@ from repro.runapi import WORKLOADS
 from repro.traffic.config import (ARRIVALS, DEFAULT_MIX, DEFAULT_RAMP,
                                   DEFAULT_TENANTS, SERVE_MODES,
                                   TrafficConfig)
-
-#: The benchmarks/history.py protocol tag for loadtest throughput rows.
-HISTORY_PROTOCOL = "loadtest-v1"
 
 
 def _parse_weights(text: str, flag: str) -> Tuple[Tuple[str, int], ...]:
@@ -149,46 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "METRICS_slo.json)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the evaluation result cache")
-    parser.add_argument("--history", action="store_true",
-                        help="append requests/sec rows to the bench "
-                        "history ledger and run the regression gate")
     return parser
-
-
-def _history_gate(report, elapsed: float) -> int:
-    """Append one throughput row per mechanism; return the gate's exit."""
-    import importlib.util
-    from pathlib import Path
-
-    history_py = Path(__file__).resolve().parents[3] / "benchmarks" \
-        / "history.py"
-    spec = importlib.util.spec_from_file_location("bench_history",
-                                                  history_py)
-    history = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(history)
-
-    doc = report.doc
-    total = sum(s["totals"]["completed"]
-                for s in doc["mechanisms"].values()) or 1
-    cells = {}
-    for name, section in sorted(doc["mechanisms"].items()):
-        completed = section["totals"]["completed"]
-        # Wall-clock share proportional to this mechanism's completions.
-        share = elapsed * completed / total
-        cells[name] = {
-            "insns_per_sec": completed / share if share else 0.0,
-            "sim_cycles": doc["schedule"]["span_ns"],
-            "instructions": completed,
-        }
-    bench_report = {"protocol": HISTORY_PROTOCOL,
-                    "workloads": {doc["workload"]: cells}}
-    entries = history.append_report(bench_report)
-    print(f"history: appended {len(entries)} loadtest rows "
-          f"({HISTORY_PROTOCOL})")
-    ok, lines = history.gate(history.load_history())
-    for line in lines:
-        print(line)
-    return 0 if ok else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -246,8 +200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(report.stats.summary())
     path = report.write(args.out or DEFAULT_OUTPUT)
     print(f"report: {path} ({elapsed:.1f}s)")
-    if args.history:
-        return _history_gate(report, elapsed)
     return 0
 
 

@@ -134,10 +134,6 @@ class ProgramBuilder:
         self.asm.call_reg(Reg.RAX)
         return self
 
-    def call_import(self, name: str, *args: Arg) -> "ProgramBuilder":
-        """Alias of :meth:`libc` for non-libc imported symbols."""
-        return self.libc(name, *args)
-
     def direct_syscall(self, number: Union[int, Nr], *args: Arg,
                        mark: Optional[str] = None) -> "ProgramBuilder":
         """Issue a syscall with an *inlined* instruction (static-binary
