@@ -19,9 +19,14 @@ pipeline's numbers must be byte-identical with the cache on or off):
 - **Blocks end where single-step behaviour could diverge**: at control
   transfers, ``syscall``/``sysenter``, ``HOSTCALL``, serializing
   instructions, the faulting trio (``int3``/``ud2``/``hlt``), the budget
-  (scheduler-quantum) boundary, :data:`BLOCK_MAX`, and before any
-  single-byte ``nop`` (whose run-slide consumes a memory-dependent number
-  of bytes and is therefore executed via the uncached path in both modes).
+  (scheduler-quantum) boundary, and :data:`BLOCK_MAX`.
+- **A single-byte ``nop`` is a one-step block of its own.**  Its
+  run-slide (:func:`repro.cpu.dispatch.slide_nops`) consumes a
+  memory-dependent number of bytes, so the block caches only the decode
+  of the first nop — an ordinary line with ordinary invalidation — and
+  the slide re-reads live memory on every replay, exactly as
+  single-stepping does.  Its successor depends on memory, so the block
+  ends like an indirect branch (:data:`repro.cpu.icache.TERM_INDIRECT`).
 - **Cycle charges are batched but observationally identical.**  Replay
   pre-charges ``INSTRUCTION × n`` up front; any early exit un-charges the
   overshoot *before* control leaves the unit, so every point where
@@ -43,9 +48,8 @@ those blocks keep running chained.
 
 from __future__ import annotations
 
-from repro.arch.isa import Mnemonic
 from repro.cpu.cycles import Event
-from repro.cpu.dispatch import BLOCK_TERMINATORS
+from repro.cpu.dispatch import BLOCK_TERMINATORS, slide_nops
 from repro.cpu.engine import form_superblock, run_superblock
 from repro.cpu.icache import Block, TERM_END
 from repro.errors import DecodeError, InvalidOpcode
@@ -175,10 +179,9 @@ def _record(env, ctx, icache, budget: int) -> int:
                 _raw, insn, fn = icache.fetch_entry(fetch_addr, env.mem_fetch)
             except DecodeError as exc:
                 raise InvalidOpcode(fetch_addr, str(exc)) from exc
-            single_nop = insn.mnemonic is Mnemonic.NOP and insn.length == 1
-            if single_nop and steps:
-                # The nop run-slide re-reads memory each execution; end the
-                # block here and let the next unit single-step it.
+            slide = fn is slide_nops
+            if slide and steps:
+                # A nop slide starts its own block.
                 break
             next_rip = (fetch_addr + insn.length) & _MASK64
             icache.extend_record(next_rip)
@@ -186,11 +189,8 @@ def _record(env, ctx, icache, budget: int) -> int:
             env.charge(Event.INSTRUCTION)
             fn(env, ctx)
             executed += 1
-            if single_nop:
-                # Executed as its own one-instruction unit, never recorded.
-                return executed
             steps.append((next_rip, fn, insn))
-            if insn.mnemonic in BLOCK_TERMINATORS:
+            if slide or insn.mnemonic in BLOCK_TERMINATORS:
                 break
             if executed >= budget or len(steps) >= BLOCK_MAX:
                 break

@@ -26,6 +26,7 @@ Execution environment contract (duck-typed, see
 
 from __future__ import annotations
 
+import re
 import struct
 from typing import Callable, Dict
 
@@ -55,9 +56,10 @@ _UNPACK_Q = struct.Struct("<Q").unpack
 Executor = Callable[[object, object], None]
 
 #: Mnemonics that end a basic block: control transfers, kernel/host
-#: entries, serializing instructions, and the faulting trio.  The
-#: single-byte NOP also ends a block (handled separately — its run-slide
-#: optimisation re-reads memory, so its effect cannot be cached).
+#: entries, serializing instructions, and the faulting trio.  A single-byte
+#: NOP (the :func:`slide_nops` executor) is a block of its own instead:
+#: its decode is cached like any other line, but the slide re-reads live
+#: memory on every execution (:mod:`repro.cpu.blocks`).
 BLOCK_TERMINATORS = frozenset(BRANCH_MNEMONICS) | {
     Mnemonic.SYSCALL,
     Mnemonic.SYSENTER,
@@ -116,31 +118,41 @@ def _pop(env, ctx) -> int:
 # ---------------------------------------------------------------- compilers
 
 
-def _c_nop(insn: Instruction) -> Executor:
-    if insn.length == 1:
-        def run(env, ctx):
-            # Interpreter optimization: consume a run of single-byte nops
-            # (the 4,090-byte trampoline sled at address 0) in one step,
-            # with one fetch (its EXEC check) and a C-level lstrip per page;
-            # a short run or a fetch fault ends it.  The run retires as one
-            # instruction: sled traversal cost is the TRAMPOLINE_SLED event
-            # the interposer handlers charge (zpoline's jump-optimized
-            # trampoline costs near-constant time in the landing offset).
-            while True:
-                rip = ctx.rip
-                try:
-                    chunk = env.mem_fetch(rip, PAGE_SIZE - rip % PAGE_SIZE)
-                except (SegmentationFault, ProtectionKeyFault):
-                    return
-                run_len = len(chunk) - len(chunk.lstrip(b"\x90"))
-                ctx.rip = (rip + run_len) & _MASK64
-                if run_len < len(chunk):
-                    return
-        return run
+#: Length of the single-byte nop run at the start of a byte string.
+_NOP_RUN = re.compile(rb"\x90*").match
 
-    def run_wide(env, ctx):
-        pass  # multi-byte nop / endbr64: no side effects
-    return run_wide
+
+def slide_nops(env, ctx) -> None:
+    """Executor of every single-byte nop.
+
+    Interpreter optimization: consume the run of single-byte nops (the
+    4,090-byte trampoline sled at address 0) in one step, with one fetch
+    (its EXEC check) and one compiled-regex match per page; a short run or
+    a fetch fault ends it.  The run retires as one instruction: sled
+    traversal cost is the TRAMPOLINE_SLED event the interposer handlers
+    charge (zpoline's jump-optimized trampoline costs near-constant time
+    in the landing offset).  The run is re-read from live memory on every
+    execution, so a cached block holding this executor still stops at a
+    byte stored into the sled after it was recorded.
+    """
+    while True:
+        rip = ctx.rip
+        try:
+            chunk = env.mem_fetch(rip, PAGE_SIZE - rip % PAGE_SIZE)
+        except (SegmentationFault, ProtectionKeyFault):
+            return
+        run_len = _NOP_RUN(chunk).end()
+        ctx.rip = (rip + run_len) & _MASK64
+        if run_len < len(chunk):
+            return
+
+
+def _run_wide_nop(env, ctx) -> None:
+    pass  # multi-byte nop / endbr64: no side effects
+
+
+def _c_nop(insn: Instruction) -> Executor:
+    return slide_nops if insn.length == 1 else _run_wide_nop
 
 
 def _c_mov_ri(insn: Instruction) -> Executor:

@@ -15,9 +15,9 @@ This module adds the two tiers that remove that overhead for hot code:
 2. **Hot chain → compiled trace** — when a block's replay count reaches
    :data:`repro.cpu.blocks.HOT_THRESHOLD`, the hot chain starting there is
    stitched (across direct edges and last-observed conditional edges,
-   ending at an indirect jump / syscall / serializing block, at most
-   :data:`SUPERBLOCK_MAX` steps) into one :class:`Superblock` and compiled
-   at once by :mod:`repro.cpu.tracejit` into one ``exec``'d Python
+   ending at an indirect jump / nop slide / syscall / serializing block,
+   at most :data:`SUPERBLOCK_MAX` steps) into one :class:`Superblock` and
+   compiled at once by :mod:`repro.cpu.tracejit` into one ``exec``'d Python
    function with register/flag operations inlined and an inline-cached
    single-page memory fast path seeded from
    :meth:`repro.memory.address_space.AddressSpace.page_entry`.  A trace
@@ -37,10 +37,13 @@ Invariants (the lockstep fuzzer asserts them across every configuration):
 
 - **Scheduler semantics**: a unit still ends at every point the block
   cache ended one *where the scheduler could act* — syscalls, hostcalls,
-  serializing instructions, indirect branches, faults, and budget
-  exhaustion.  Chaining only merges boundaries that were no-ops (the
-  fault-injection engine clips the whole-unit budget, so insn-count
-  triggers still land exactly on a unit boundary).
+  serializing instructions, faults, and budget exhaustion — and at an
+  uncached successor, which the next unit records.  Chaining only merges
+  boundaries that were no-ops: a block-to-block edge, including the
+  run-time edge out of an indirect branch or a nop slide, which a chain
+  follows through the validated ``succ`` edge (the fault-injection
+  engine clips the whole-unit budget, so insn-count triggers still land
+  exactly on a unit boundary).
 - **Cycle accounting**: every tier batch-charges INSTRUCTION up front and
   un-charges the unexecuted tail before any observation point, exactly
   like block replay; total sim cycles are identical across tiers.
@@ -144,7 +147,7 @@ class Superblock:
         self.blocks = blocks
         self.n_steps = sum(len(block.steps) for block in blocks)
         #: True when the final constituent ends the unit (syscall,
-        #: hostcall, indirect branch, serializing, faulting trio).
+        #: hostcall, serializing, faulting trio).
         self.tail_end = blocks[-1].term == TERM_END
         self.valid = True
         self.trace = False

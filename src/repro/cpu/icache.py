@@ -43,7 +43,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.decoder import decode
 from repro.arch.isa import Instruction, Mnemonic
-from repro.cpu.dispatch import BLOCK_TERMINATORS, Executor, compile_insn
+from repro.cpu.dispatch import (
+    BLOCK_TERMINATORS, Executor, compile_insn, slide_nops)
 from repro.errors import ProtectionKeyFault, SegmentationFault
 from repro.memory.pages import page_index
 
@@ -61,8 +62,9 @@ DECODED_LINES_MAX = 1 << 14
 #: How a block ends, for the chaining tier (:mod:`repro.cpu.engine`):
 #: a statically-known successor (direct jump/call, fall-through cut, or
 #: a conditional branch, whose chain edge caches the last-observed side),
-#: an indirect branch (successor computed at run time — chains follow it
-#: through the validated ``succ`` edge, but superblock formation stops),
+#: an indirect branch or a nop slide (successor computed at run time —
+#: chains follow it through the validated ``succ`` edge, but superblock
+#: formation stops),
 #: or a unit-ending terminator (syscall, hostcall, serializing, faulting
 #: trio) after which the scheduler must get control back.
 TERM_DIRECT = 0
@@ -118,12 +120,15 @@ class Block:
         self.succ: Optional["Block"] = None
         self.superblock = None
         self.sbs: list = []
-        mnemonic = steps[-1][2].mnemonic
+        _next_rip, fn, insn = steps[-1]
+        mnemonic = insn.mnemonic
         if (mnemonic is Mnemonic.JCC_REL or mnemonic is Mnemonic.JMP_REL
                 or mnemonic is Mnemonic.CALL_REL):
             self.term = TERM_DIRECT
         elif (mnemonic is Mnemonic.RET or mnemonic is Mnemonic.JMP_REG
-              or mnemonic is Mnemonic.CALL_REG):
+              or mnemonic is Mnemonic.CALL_REG or fn is slide_nops):
+            # A nop slide's landing depends on memory, like an indirect
+            # branch's target on a register.
             self.term = TERM_INDIRECT
         elif mnemonic in BLOCK_TERMINATORS:
             self.term = TERM_END

@@ -30,9 +30,9 @@ per-block replay path bit-for-bit.
 
 Compilation happens once, when :func:`repro.cpu.engine.form_superblock`
 stitches a hot chain, and is *best-effort*: any construct outside the
-supported subset (an unsupported condition code, a missing
-``env.mem_space``) returns ``False`` and the chain's blocks simply keep
-running chained.
+supported subset (an unsupported condition code, a nop slide before the
+last step, a missing ``env.mem_space``) returns ``False`` and the chain's
+blocks simply keep running chained.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import struct
 from typing import List
 
 from repro.arch.isa import Cond, Mnemonic
+from repro.cpu.dispatch import slide_nops
 from repro.errors import Breakpoint, Halt, InvalidOpcode
 
 _MASK64 = (1 << 64) - 1
@@ -182,7 +183,7 @@ def compile_superblock(sb, env):
         return False
     namespace = {"_pack": _PACK_Q, "_unpack": _UNPACK_Q,
                  "_Breakpoint": Breakpoint, "_InvalidOpcode": InvalidOpcode,
-                 "_Halt": Halt, "_sb": sb}
+                 "_Halt": Halt, "_slide": slide_nops, "_sb": sb}
     # The code object is shared; the function is not — exec'ing into a
     # fresh namespace binds ``_sb`` to this superblock alone.
     exec(_trace_code(source, f"<trace:{sb.entry:#x}>"), namespace)
@@ -208,11 +209,20 @@ def _generate(sb) -> str:
         last_block = seg_index + 1 == len(segments)
         next_entry = None if last_block else segments[seg_index + 1].entry
         steps = block.steps
-        for step_index, (next_rip, _fn, insn) in enumerate(steps):
+        for step_index, (next_rip, fn, insn) in enumerate(steps):
             terminal = step_index + 1 == len(steps)
-            _emit_step(out, insn, next_rip, k, n,
-                       terminal=terminal, last_block=last_block,
-                       next_entry=next_entry)
+            if fn is slide_nops:
+                # The slide's landing is read from live memory, so it can
+                # only end a trace (superblock formation stops after it).
+                if not (terminal and last_block):
+                    raise _Unsupported("nop slide inside a superblock")
+                out.emit(f"ctx.rip = {next_rip:#x}")
+                out.emit("_slide(env, ctx)")
+                out.emit(f"return {n}")
+            else:
+                _emit_step(out, insn, next_rip, k, n,
+                           terminal=terminal, last_block=last_block,
+                           next_entry=next_entry)
             k += 1
     return out.source()
 
@@ -225,8 +235,8 @@ def _emit_step(out: _Emitter, insn, next_rip: int, k: int, n: int, *,
     rm = int(insn.rm) if insn.rm is not None else None
 
     if m is Mnemonic.NOP or m is Mnemonic.ENDBR64:
-        # Multi-byte nop/endbr64 only — the single-byte nop's run-slide is
-        # never recorded into a block (repro.cpu.blocks).
+        # Multi-byte nop/endbr64 only — a single-byte nop's run-slide is
+        # emitted by _generate as a call that ends the trace.
         pass
     elif m is Mnemonic.MOV_RI:
         out.emit(f"r[{reg}] = {insn.imm & _MASK64:#x}")

@@ -332,6 +332,13 @@ class AddressSpace:
     def read_kernel(self, addr: int, length: int) -> bytes:
         """Kernel-privilege read (loader, ptrace PEEK, /proc): only requires
         the pages to be mapped."""
+        # Single-page fast path: the trampoline handlers' 8-byte return
+        # address reads.  An unmapped or page-crossing range falls back.
+        off = addr & (PAGE_SIZE - 1)
+        if off + length <= PAGE_SIZE:
+            page = self._pages.get(addr // PAGE_SIZE)
+            if page is not None:
+                return bytes(page[off:off + length])
         for idx in page_span(addr, length):
             if idx not in self._pages:
                 raise SegmentationFault(addr, "read", reason="unmapped")
@@ -365,7 +372,18 @@ class AddressSpace:
 
     def write_kernel(self, addr: int, data: bytes) -> None:
         """Kernel-privilege write (loader, ptrace POKE, process_vm_writev)."""
-        for idx in page_span(addr, len(data)):
+        # Single-page fast path: the 1-byte selector writes of the K23 and
+        # zpoline trampoline entries.  A frozen page takes _copy_in's
+        # unshare-and-bump-generation path.
+        length = len(data)
+        off = addr & (PAGE_SIZE - 1)
+        if off + length <= PAGE_SIZE:
+            idx = addr // PAGE_SIZE
+            page = self._pages.get(idx)
+            if page is not None and idx not in self._frozen:
+                page[off:off + length] = data
+                return
+        for idx in page_span(addr, length):
             if idx not in self._pages:
                 raise SegmentationFault(addr, "write", reason="unmapped")
         self._copy_in(addr, data)

@@ -146,13 +146,26 @@ def test_block_max_bounds_recording():
     assert len(block.steps) == BLOCK_MAX
 
 
-def test_single_byte_nop_is_never_cached():
+def test_nop_sled_is_cached_but_lands_live():
     env = build(lambda a: (a.nop(50), a.mov_ri(Reg.RAX, 9), a.ret()))
     n = run_unit(env, 100)
     assert n == 1                       # the whole sled, one instruction
     assert env.context.rip == CODE_BASE + 50
-    assert env.icache.block_installs == 0
     assert env.cycles.counts[Event.INSTRUCTION] == 1
+    assert env.icache.block_installs == 1
+    block = env.icache.block_at(CODE_BASE)
+    assert len(block.steps) == 1
+    # A kernel store mid-sled invalidates nothing: the block caches only
+    # the first nop's decode, and its slide re-reads memory.
+    env.space.write_kernel(CODE_BASE + 20, b"\xcc")
+    env.context.rip = CODE_BASE
+    hits = env.icache.block_hits
+    n = run_unit(env, 100)
+    assert n == 1
+    assert env.icache.block_hits == hits + 1
+    assert env.icache.block_installs == 1
+    assert env.context.rip == CODE_BASE + 20
+    assert env.cycles.counts[Event.INSTRUCTION] == 2
 
 
 def test_block_stops_before_nop_sled():

@@ -3,7 +3,9 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.errors import SegmentationFault
 from repro.memory import AddressBitmap, AddressSpace, PAGE_SIZE, Prot, RobinHoodSet
+from repro.memory.pages import page_span
 
 ADDRESSES = st.integers(min_value=0, max_value=(1 << 40) - 1)
 
@@ -101,3 +103,104 @@ class TestAddressSpaceRoundtrip:
         child.write(base, mutation)
         assert space.read(base, 8) == initial
         assert child.read(base, 8) == mutation
+
+
+KERNEL_BASE = 0x10_0000
+#: Five pages at KERNEL_BASE with a gap at page 2, so ranges can start,
+#: end or cross into unmapped memory; page 3 is read-only (kernel
+#: accesses ignore protection).
+KERNEL_PAGES = (0, 1, 3, 4)
+
+
+def _kernel_space():
+    space = AddressSpace()
+    for page in KERNEL_PAGES:
+        addr = KERNEL_BASE + page * PAGE_SIZE
+        space.mmap(addr, PAGE_SIZE, Prot.READ | Prot.WRITE, fixed=True)
+        space.write(addr, bytes((page * 7 + i) & 0xFF for i in range(64)))
+    space.mprotect(KERNEL_BASE + 3 * PAGE_SIZE, PAGE_SIZE, Prot.READ)
+    return space
+
+
+def _reference_read_kernel(space, addr, length):
+    """The page-by-page path: every page mapped, then ``_copy_out``."""
+    for idx in page_span(addr, length):
+        if idx not in space._pages:
+            raise SegmentationFault(addr, "read", reason="unmapped")
+    return space._copy_out(addr, length)
+
+
+def _reference_write_kernel(space, addr, data):
+    """The page-by-page path: every page mapped, then ``_copy_in``."""
+    for idx in page_span(addr, len(data)):
+        if idx not in space._pages:
+            raise SegmentationFault(addr, "write", reason="unmapped")
+    space._copy_in(addr, data)
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except SegmentationFault as exc:
+        return (type(exc), str(exc), exc.address, exc.access, exc.reason)
+
+
+_KERNEL_ADDRS = st.builds(
+    lambda page, off: KERNEL_BASE + page * PAGE_SIZE + off,
+    st.integers(min_value=-1, max_value=5),
+    st.one_of(st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+              st.integers(min_value=PAGE_SIZE - 16, max_value=PAGE_SIZE - 1)))
+_KERNEL_LENGTHS = st.one_of(st.integers(min_value=0, max_value=24),
+                            st.integers(min_value=0, max_value=2 * PAGE_SIZE))
+_KERNEL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("read"), _KERNEL_ADDRS, _KERNEL_LENGTHS),
+    st.tuples(st.just("user_read"), _KERNEL_ADDRS,
+              st.integers(min_value=1, max_value=8)),
+    st.tuples(st.just("write"), _KERNEL_ADDRS,
+              st.one_of(st.binary(max_size=16),
+                        st.binary(min_size=PAGE_SIZE - 8,
+                                  max_size=PAGE_SIZE + 8))),
+    st.tuples(st.just("snapshot"), st.none(), st.none())), max_size=30)
+
+
+class TestKernelAccessFastPath:
+    """``read_kernel``/``write_kernel`` single-page fast paths against the
+    page-by-page ``_copy_out``/``_copy_in`` path they short-cut."""
+
+    @given(_KERNEL_OPS)
+    @settings(max_examples=150, deadline=None)
+    def test_against_copy_paths(self, ops):
+        fast, ref = _kernel_space(), _kernel_space()
+        snapshots = []
+        for op, addr, arg in ops:
+            if op == "snapshot":
+                fast_snap, ref_snap = fast.snapshot(), ref.snapshot()
+                snapshots.append((fast_snap, {
+                    idx: bytes(page) for idx, page in ref_snap.pages.items()}))
+                continue
+            if op == "read":
+                got = _outcome(lambda: fast.read_kernel(addr, arg))
+                want = _outcome(lambda: _reference_read_kernel(ref, addr, arg))
+            elif op == "user_read":
+                # Memoizes page entries: a later kernel write must be seen.
+                got = _outcome(lambda: fast.read(addr, arg))
+                want = _outcome(lambda: ref.read(addr, arg))
+            else:
+                frozen = set(fast._frozen)
+                gens = dict(fast._page_gen)
+                got = _outcome(lambda: fast.write_kernel(addr, arg))
+                want = _outcome(
+                    lambda: _reference_write_kernel(ref, addr, arg))
+                for idx in page_span(addr, len(arg)):
+                    if got[0] == "ok" and idx in frozen:
+                        # Unshared from the snapshot, and memoized
+                        # translations of the shared page invalidated.
+                        assert idx not in fast._frozen
+                        assert fast._page_gen[idx] > gens[idx]
+            assert got == want
+        assert fast._pages == ref._pages
+        assert fast._page_gen == ref._page_gen
+        assert fast._frozen == ref._frozen
+        for snap, pages in snapshots:
+            assert {idx: bytes(page)
+                    for idx, page in snap.pages.items()} == pages
