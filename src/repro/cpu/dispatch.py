@@ -121,14 +121,34 @@ def _pop(env, ctx) -> int:
 #: Length of the single-byte nop run at the start of a byte string.
 _NOP_RUN = re.compile(rb"\x90*").match
 
+#: One page of single-byte nops: the constant a slide compares against.
+_NOP_PAGE = b"\x90" * PAGE_SIZE
+
+#: Bytes at the end of a fetched chunk that a slide leaves to the regex.
+#: The trampoline sled stops six bytes short of its page end (its
+#: ``HOSTCALL; RET`` tail), so a landing there is one constant compare of
+#: the head plus a match over at most this many bytes.
+_SLIDE_TAIL = 16
+
+
+def _nop_run_length(chunk: bytes) -> int:
+    """Length of the single-byte nop run at the start of *chunk* (at most
+    one page): a constant compare of all but its last ``_SLIDE_TAIL``
+    bytes, then the regex over the rest when that head is all nops, or
+    over the whole chunk when it is not."""
+    head = len(chunk) - _SLIDE_TAIL
+    if head > 0 and _NOP_PAGE.endswith(chunk[:head]):
+        return _NOP_RUN(chunk, head).end()
+    return _NOP_RUN(chunk).end()
+
 
 def slide_nops(env, ctx) -> None:
     """Executor of every single-byte nop.
 
     Interpreter optimization: consume the run of single-byte nops (the
     4,090-byte trampoline sled at address 0) in one step, with one fetch
-    (its EXEC check) and one compiled-regex match per page; a short run or
-    a fetch fault ends it.  The run retires as one instruction: sled
+    (its EXEC check) and one :func:`_nop_run_length` per page; a short run
+    or a fetch fault ends it.  The run retires as one instruction: sled
     traversal cost is the TRAMPOLINE_SLED event the interposer handlers
     charge (zpoline's jump-optimized trampoline costs near-constant time
     in the landing offset).  The run is re-read from live memory on every
@@ -141,7 +161,7 @@ def slide_nops(env, ctx) -> None:
             chunk = env.mem_fetch(rip, PAGE_SIZE - rip % PAGE_SIZE)
         except (SegmentationFault, ProtectionKeyFault):
             return
-        run_len = _NOP_RUN(chunk).end()
+        run_len = _nop_run_length(chunk)
         ctx.rip = (rip + run_len) & _MASK64
         if run_len < len(chunk):
             return

@@ -17,7 +17,9 @@ previously serial, recompute-everything harness into a pipeline:
    budget.  Pool-less environments (restricted sandboxes) and mid-run
    pool breakage degrade to in-process serial execution; a hard worker
    crash fails only the crashing shard's cells, and every other shard is
-   salvaged or re-run serially;
+   salvaged or re-run serially.  Before the pool forks, the parent runs
+   each distinct K23 offline phase the pending cells import, once, and
+   the workers inherit its memo;
 3. **memoize** — each cell is looked up in / written to the
    content-addressed :class:`~repro.evaluation.cache.ResultCache`, keyed on
    the mechanism, the workload, the cycle-model constants the mechanism
@@ -227,13 +229,39 @@ def full_matrix_specs(mechanisms: Optional[Sequence[str]] = None,
 # --------------------------------------------------------------- execution
 
 
+def _macro_config(spec: ScenarioSpec):
+    from repro.evaluation.runner import MACRO_BY_KEY
+
+    config = MACRO_BY_KEY.get(spec.workload)
+    if config is None:
+        raise ValueError(
+            f"unknown macro workload {spec.workload!r}; "
+            f"rows: {', '.join(MACRO_BY_KEY)}")
+    return config
+
+
+def _shadow_config(spec: ScenarioSpec):
+    from repro.shadow import ShadowConfig
+
+    params = dict(spec.params)
+    return ShadowConfig(
+        primary=spec.mechanism,
+        shadow=str(params["shadow"]),
+        workload=spec.workload,
+        seed=spec.seed,
+        budget=int(params.get("budget", 0)),
+        requests=int(params.get("requests", 24)))
+
+
+def _loadtest_traffic(spec: ScenarioSpec) -> dict:
+    import json
+
+    return json.loads(str(dict(spec.params)["traffic"]))
+
+
 def execute_cell(spec: ScenarioSpec) -> dict:
     """Run one cell in this process; returns its JSON-safe measurement."""
-    from repro.evaluation.runner import (
-        MACRO_BY_KEY,
-        measure_macro,
-        measure_micro_cycles,
-    )
+    from repro.evaluation.runner import measure_macro, measure_micro_cycles
 
     if spec.kind == "micro":
         params = dict(spec.params)
@@ -244,34 +272,77 @@ def execute_cell(spec: ScenarioSpec) -> dict:
             seed=spec.seed)
         return {"cycles_per_call": value}
     if spec.kind == "macro":
-        config = MACRO_BY_KEY.get(spec.workload)
-        if config is None:
-            raise ValueError(
-                f"unknown macro workload {spec.workload!r}; "
-                f"rows: {', '.join(MACRO_BY_KEY)}")
-        return measure_macro(config, spec.mechanism, seed=spec.seed)
+        return measure_macro(_macro_config(spec), spec.mechanism,
+                             seed=spec.seed)
     if spec.kind == "shadow":
-        from repro.shadow import ShadowConfig, run_shadow
+        from repro.shadow import run_shadow
 
-        params = dict(spec.params)
-        report = run_shadow(ShadowConfig(
-            primary=spec.mechanism,
-            shadow=str(params["shadow"]),
-            workload=spec.workload,
-            seed=spec.seed,
-            budget=int(params.get("budget", 0)),
-            requests=int(params.get("requests", 24))))
-        return report.to_dict()
+        return run_shadow(_shadow_config(spec)).to_dict()
     if spec.kind == "loadtest":
-        import json
-
         from repro.traffic.engine import run_shard
 
         params = dict(spec.params)
         return run_shard(spec.mechanism, spec.workload,
-                         json.loads(str(params["traffic"])), spec.seed,
+                         _loadtest_traffic(spec), spec.seed,
                          int(params["shard"]), int(params["shards"]))
     raise ValueError(f"unknown cell kind {spec.kind!r}")
+
+
+def cell_offline_key(spec: ScenarioSpec) -> Optional[Tuple[str, Tuple]]:
+    """The :func:`repro.runapi.offline_key` of the K23 offline logs the
+    kernels of *spec* import, or ``None`` when no mechanism it boots
+    needs an offline phase.  Each kind derives its workload build the way
+    :func:`execute_cell` builds its ``RunConfig``."""
+    from repro.interposers.registry import REGISTRY
+    from repro.runapi import offline_key
+
+    mechanisms: Tuple[str, ...] = (spec.mechanism,)
+    if spec.kind == "micro":
+        # The stress ``iterations`` is its run length: not in the key.
+        workload, params = "stress", ()
+    elif spec.kind == "macro":
+        config = _macro_config(spec)
+        workload, params = config.workload, config.params
+    elif spec.kind == "shadow":
+        config = _shadow_config(spec)
+        mechanisms = (config.primary, config.shadow)
+        workload, params = config.workload, config.params
+    elif spec.kind == "loadtest":
+        from repro.traffic.config import TrafficConfig
+        from repro.traffic.fleet import traffic_workload_params
+
+        workload = spec.workload
+        params = traffic_workload_params(
+            TrafficConfig.from_dict(_loadtest_traffic(spec)))
+    else:
+        raise ValueError(f"unknown cell kind {spec.kind!r}")
+    if not any(REGISTRY.needs_offline(name) for name in mechanisms):
+        return None
+    return offline_key(workload, params)
+
+
+def _prewarm_offline_logs(specs: Sequence[ScenarioSpec]) -> None:
+    """Run, in this process, each distinct K23 offline phase *specs*
+    import, so that forked workers inherit the memo (and the program
+    images the offline kernels built) instead of each recomputing it.
+
+    A cell whose key cannot be derived, or whose offline phase raises,
+    is left to fail in its own run, where its error names it."""
+    from repro.runapi import offline_logs
+
+    keys = {}
+    for spec in specs:
+        try:
+            key = cell_offline_key(spec)
+        except Exception:
+            continue
+        if key is not None:
+            keys[key] = None
+    for workload, params in keys:
+        try:
+            offline_logs(workload, params)
+        except Exception:
+            pass
 
 
 def _pool_worker(spec: ScenarioSpec) -> Tuple[ScenarioSpec, Optional[dict],
@@ -283,7 +354,15 @@ def _pool_worker(spec: ScenarioSpec) -> Tuple[ScenarioSpec, Optional[dict],
         value = execute_cell(spec)
         return spec, value, None, time.monotonic() - started
     except BaseException:  # noqa: BLE001 — captured verbatim for the report
-        return spec, None, traceback.format_exc(), time.monotonic() - started
+        return (spec, None, _cell_error(spec, traceback.format_exc()),
+                time.monotonic() - started)
+
+
+def _cell_error(spec: ScenarioSpec, detail: str) -> str:
+    """*detail* (a traceback, a timeout, a crash) headed by the failed
+    cell's kind, mechanism, workload and seed."""
+    return (f"{spec.kind} cell, mechanism {spec.mechanism}, workload "
+            f"{spec.workload}, seed {spec.seed}:\n{detail}")
 
 
 def _shard_worker(shard: List[ScenarioSpec]
@@ -318,8 +397,8 @@ def _run_serial(specs: Sequence[ScenarioSpec],
         try:
             value = execute_cell(spec)
         except Exception:
-            results[spec] = CellResult(spec, error=traceback.format_exc(),
-                                       source="serial",
+            error = _cell_error(spec, traceback.format_exc())
+            results[spec] = CellResult(spec, error=error, source="serial",
                                        duration=time.monotonic() - started)
             stats.failures += 1
         else:
@@ -356,6 +435,8 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
     except ValueError:  # pragma: no cover - non-POSIX hosts
         context = multiprocessing.get_context()
     shards = shard_specs(list(specs), jobs)
+    if context.get_start_method() == "fork":
+        _prewarm_offline_logs(specs)
     try:
         executor = futures_mod.ProcessPoolExecutor(
             max_workers=len(shards), mp_context=context)
@@ -377,8 +458,9 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
                 future.cancel()
                 for spec in shard:
                     results[spec] = CellResult(
-                        spec, error=f"shard timed out after {budget:.0f}s "
-                        f"({len(shard)} cells)",
+                        spec, error=_cell_error(
+                            spec, f"shard timed out after {budget:.0f}s "
+                            f"({len(shard)} cells)"),
                         source="parallel", duration=timeout)
                     stats.failures += 1
                     stats.parallel_cells += 1
@@ -389,8 +471,9 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
                 # re-run the rest serially.
                 crash = "pool worker crashed:\n" + traceback.format_exc()
                 for spec in shard:
-                    results[spec] = CellResult(spec, error=crash,
-                                               source="parallel")
+                    results[spec] = CellResult(
+                        spec, error=_cell_error(spec, crash),
+                        source="parallel")
                     stats.failures += 1
                     stats.parallel_cells += 1
                 for other, future_ in pending:

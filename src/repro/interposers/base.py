@@ -131,6 +131,8 @@ class Interposer:
     def run_hook(self, thread, nr: int, args: List[int], via: str):
         """Invoke the user hook with a forward closure; returns result or
         BLOCKED."""
+        if self.hook is EMPTY_HOOK:
+            return self.forward(thread, nr, args, via)
 
         def do_forward():
             return self.forward(thread, nr, args, via)
@@ -251,10 +253,14 @@ def allocate_selector_page(kernel, process) -> int:
     return base
 
 
+#: The one-byte store of each selector value, built once.
+_SELECTOR_BYTES = tuple(bytes([value]) for value in range(256))
+
+
 def write_selector(kernel, process, selector_addr: int, value: int) -> None:
     """Toggle the selector byte (charged: one user-space store)."""
     kernel.cycles.charge(Event.SUD_SELECTOR_WRITE)
-    process.address_space.write_kernel(selector_addr, bytes([value]))
+    process.address_space.write_kernel(selector_addr, _SELECTOR_BYTES[value])
 
 
 def reblock_child_selector(kernel, child_pid: int, selector_addr: int,

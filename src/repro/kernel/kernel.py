@@ -34,6 +34,7 @@ from repro.errors import (
     ProcessExited,
     ProcessKilled,
     SegmentationFault,
+    VFSError,
 )
 from repro.kernel.net import NetStack
 from repro.kernel.process import Process, Thread
@@ -390,8 +391,6 @@ class Kernel:
         if impl is None:
             record.result = -Errno.ENOSYS
             return record.result
-        from repro.errors import VFSError
-
         try:
             result = impl(self, thread, args)
         except VFSError as exc:

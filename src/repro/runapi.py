@@ -360,17 +360,23 @@ class RunResult:
 # ----------------------------------------------------------- offline phase
 
 
-def offline_logs(workload: str, params=()) -> Mapping[str, str]:
-    """Exported K23 offline logs for one workload build.
+def offline_key(workload: str, params=()) -> Tuple[str, Tuple]:
+    """The memo key of :func:`offline_logs` for one workload build.
 
     The offline phase logs each site as a (region, offset) pair, so its
     logs depend on neither the kernel seed nor the ASLR layout, nor on
     how long a batch workload runs: the key is *workload* plus *params*
-    without the spec's ``run_length`` param.  The offline run itself
-    uses the installer's default for that param."""
+    without the spec's ``run_length`` param."""
     spec = WORKLOADS[workload]
-    return _offline_recipe(workload, tuple(sorted(
-        (key, value) for key, value in params if key != spec.run_length)))
+    return workload, tuple(sorted(
+        (key, value) for key, value in params if key != spec.run_length))
+
+
+def offline_logs(workload: str, params=()) -> Mapping[str, str]:
+    """Exported K23 offline logs for one workload build, memoised per
+    :func:`offline_key`.  The offline run itself uses the installer's
+    default for the ``run_length`` param."""
+    return _offline_recipe(*offline_key(workload, params))
 
 
 @functools.lru_cache(maxsize=None)

@@ -150,6 +150,96 @@ class TestMemoization:
         assert cache.get("abc") is MISS
 
 
+# ------------------------------------------------------- offline prewarm
+
+
+K23_SMOKE = ("native", "K23-ultra", "K23-default")
+
+
+@pytest.fixture
+def offline_calls(monkeypatch, tmp_path):
+    """Record the pid of every ``OfflinePhase.run`` call, forked workers
+    included (the patch is inherited across fork), on an empty memo.
+    With ``fail_on`` set, an offline run of a program whose path holds
+    that text raises instead."""
+    from repro import runapi
+    from repro.core import OfflinePhase
+
+    log = tmp_path / "offline-calls"
+    log.touch()
+    real = OfflinePhase.run
+    state = {"fail_on": None}
+
+    def recorded(self, path, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        if state["fail_on"] and state["fail_on"] in path:
+            raise RuntimeError(f"offline phase of {path} failed")
+        return real(self, path, *args, **kwargs)
+
+    monkeypatch.setattr(OfflinePhase, "run", recorded)
+    runapi._offline_recipe.cache_clear()
+
+    def pids():
+        return [int(line) for line in log.read_text().split()]
+
+    pids.state = state
+    return pids
+
+
+class TestOfflinePrewarm:
+    def test_parent_runs_each_offline_phase_once(self, offline_calls,
+                                                 tmp_path):
+        specs = pipe.full_matrix_specs(K23_SMOKE, smoke=True)
+        keys = {pipe.cell_offline_key(spec) for spec in specs} - {None}
+        assert keys == {("stress", ()), ("redis", (("io_threads", 1),))}
+        cache = ResultCache(tmp_path / "cache")
+        run = pipe.run_cells(specs, jobs=2, cache=cache)
+        assert run.stats.mode == "parallel"
+        assert all(result.ok for result in run.results.values())
+        assert offline_calls() == [os.getpid()] * len(keys)
+
+        from repro import runapi
+
+        runapi._offline_recipe.cache_clear()
+        rerun = pipe.run_cells(specs, jobs=2, cache=cache)
+        assert rerun.stats.hits == len(specs)
+        assert offline_calls() == [os.getpid()] * len(keys)
+
+    def test_failed_offline_phase_fails_only_its_cells(self, offline_calls):
+        offline_calls.state["fail_on"] = "redis"
+        specs = pipe.full_matrix_specs(K23_SMOKE, smoke=True)
+        run = pipe.run_cells(specs, jobs=2, cache=None)
+        failed = {spec for spec, result in run.results.items()
+                  if not result.ok}
+        assert failed == {spec for spec in specs if spec.kind == "macro"
+                          and spec.mechanism != "native"}
+        for spec in failed:
+            error = run.results[spec].error
+            assert f"mechanism {spec.mechanism}," in error
+            assert f"seed {spec.seed}:" in error
+            assert "offline phase of" in error
+        # The parent tried each key once; each failing cell retried its own.
+        assert offline_calls().count(os.getpid()) == 2
+        assert len(offline_calls()) == 2 + len(failed)
+
+    def test_cell_offline_key_follows_each_kind(self):
+        from repro.traffic.engine import loadtest_specs
+
+        assert pipe.cell_offline_key(
+            pipe.micro_specs(["native"])[0]) is None
+        assert pipe.cell_offline_key(
+            pipe.macro_specs(["sqlite"], ["K23-ultra"])[0]) == ("sqlite", ())
+        assert pipe.cell_offline_key(
+            pipe.shadow_specs("K23-ultra", ["native"], "nginx")[0]
+        ) == pipe.cell_offline_key(
+            pipe.shadow_specs("native", ["K23-ultra"], "nginx")[0]
+        ) == ("nginx", ())
+        assert pipe.cell_offline_key(
+            loadtest_specs(["K23-ultra"], "nginx", {"workers": 3}, 7, 2)[0]
+        ) == ("nginx", (("multiconn", 1), ("workers", 3)))
+
+
 class TestCacheKeys:
     def test_constant_change_invalidates_exactly_affected_cells(
             self, monkeypatch):
