@@ -18,7 +18,7 @@ previously serial, recompute-everything harness into a pipeline:
    pool breakage degrade to in-process serial execution; a hard worker
    crash fails only the crashing shard's cells, and every other shard is
    salvaged or re-run serially.  Before the pool forks, the parent runs
-   each distinct K23 offline phase the pending cells import, once, and
+   once each K23 offline phase that more than one shard imports, and
    the workers inherit its memo;
 3. **memoize** — each cell is looked up in / written to the
    content-addressed :class:`~repro.evaluation.cache.ResultCache`, keyed on
@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.evaluation.cache import MISS, NullCache, ResultCache, cell_key
 
@@ -159,7 +159,8 @@ class CellFailure(RuntimeError):
 
     def __init__(self, result: CellResult):
         super().__init__(
-            f"evaluation cell {result.spec.label} failed:\n{result.error}")
+            f"evaluation cell {result.spec.label} (seed {result.spec.seed}) "
+            f"failed:\n{result.error}")
         self.result = result
 
 
@@ -288,61 +289,74 @@ def execute_cell(spec: ScenarioSpec) -> dict:
     raise ValueError(f"unknown cell kind {spec.kind!r}")
 
 
-def cell_offline_key(spec: ScenarioSpec) -> Optional[Tuple[str, Tuple]]:
-    """The :func:`repro.runapi.offline_key` of the K23 offline logs the
-    kernels of *spec* import, or ``None`` when no mechanism it boots
-    needs an offline phase.  Each kind derives its workload build the way
-    :func:`execute_cell` builds its ``RunConfig``."""
+def _cell_run_configs(spec: ScenarioSpec) -> List:
+    """The ``RunConfig`` of every kernel *spec* boots, built by the same
+    helpers its measurement uses (runs that differ only in run length
+    collapse to one)."""
+    if spec.kind == "micro":
+        from repro.evaluation.runner import micro_run_config
+
+        return [micro_run_config(spec.mechanism,
+                                 dict(spec.params)["iterations_low"],
+                                 spec.seed)]
+    if spec.kind == "macro":
+        from repro.evaluation.runner import macro_run_config
+
+        return [macro_run_config(_macro_config(spec), spec.mechanism,
+                                 spec.seed)]
+    if spec.kind == "shadow":
+        from repro.shadow.harness import side_configs
+
+        return list(side_configs(_shadow_config(spec)))
+    if spec.kind == "loadtest":
+        from repro.traffic.config import TrafficConfig
+        from repro.traffic.fleet import server_run_config
+
+        return [server_run_config(
+            spec.mechanism, spec.workload,
+            TrafficConfig.from_dict(_loadtest_traffic(spec)), spec.seed)]
+    raise ValueError(f"unknown cell kind {spec.kind!r}")
+
+
+def cell_offline_keys(spec: ScenarioSpec) -> Set[Tuple[str, Tuple]]:
+    """The :func:`repro.runapi.offline_key` of each K23 offline log the
+    kernels of *spec* import: one per booted run whose mechanism needs an
+    offline phase, exactly as :func:`repro.runapi.boot` decides."""
     from repro.interposers.registry import REGISTRY
     from repro.runapi import offline_key
 
-    mechanisms: Tuple[str, ...] = (spec.mechanism,)
-    if spec.kind == "micro":
-        # The stress ``iterations`` is its run length: not in the key.
-        workload, params = "stress", ()
-    elif spec.kind == "macro":
-        config = _macro_config(spec)
-        workload, params = config.workload, config.params
-    elif spec.kind == "shadow":
-        config = _shadow_config(spec)
-        mechanisms = (config.primary, config.shadow)
-        workload, params = config.workload, config.params
-    elif spec.kind == "loadtest":
-        from repro.traffic.config import TrafficConfig
-        from repro.traffic.fleet import traffic_workload_params
-
-        workload = spec.workload
-        params = traffic_workload_params(
-            TrafficConfig.from_dict(_loadtest_traffic(spec)))
-    else:
-        raise ValueError(f"unknown cell kind {spec.kind!r}")
-    if not any(REGISTRY.needs_offline(name) for name in mechanisms):
-        return None
-    return offline_key(workload, params)
+    return {offline_key(config.workload, config.params)
+            for config in _cell_run_configs(spec)
+            if REGISTRY.needs_offline(config.mechanism)}
 
 
-def _prewarm_offline_logs(specs: Sequence[ScenarioSpec]) -> None:
-    """Run, in this process, each distinct K23 offline phase *specs*
-    import, so that forked workers inherit the memo (and the program
-    images the offline kernels built) instead of each recomputing it.
+def _prewarm_offline_logs(shards: Sequence[Sequence[ScenarioSpec]]
+                          ) -> None:
+    """Run, in this process, each K23 offline phase that more than one of
+    *shards* imports, so that the forked workers inherit the memo (and
+    the program images the offline kernels built) instead of each
+    recomputing it.  A phase only one shard needs stays in that shard's
+    worker, where it runs in parallel with the others.
 
-    A cell whose key cannot be derived, or whose offline phase raises,
+    A cell whose keys cannot be derived, or whose offline phase raises,
     is left to fail in its own run, where its error names it."""
     from repro.runapi import offline_logs
 
-    keys = {}
-    for spec in specs:
-        try:
-            key = cell_offline_key(spec)
-        except Exception:
-            continue
-        if key is not None:
-            keys[key] = None
-    for workload, params in keys:
-        try:
-            offline_logs(workload, params)
-        except Exception:
-            pass
+    shards_of: Dict[Tuple[str, Tuple], Set[int]] = {}
+    for index, shard in enumerate(shards):
+        for spec in shard:
+            try:
+                keys = cell_offline_keys(spec)
+            except Exception:
+                continue
+            for key in keys:
+                shards_of.setdefault(key, set()).add(index)
+    for (workload, params), owners in shards_of.items():
+        if len(owners) > 1:
+            try:
+                offline_logs(workload, params)
+            except Exception:
+                pass
 
 
 def _pool_worker(spec: ScenarioSpec) -> Tuple[ScenarioSpec, Optional[dict],
@@ -354,15 +368,7 @@ def _pool_worker(spec: ScenarioSpec) -> Tuple[ScenarioSpec, Optional[dict],
         value = execute_cell(spec)
         return spec, value, None, time.monotonic() - started
     except BaseException:  # noqa: BLE001 — captured verbatim for the report
-        return (spec, None, _cell_error(spec, traceback.format_exc()),
-                time.monotonic() - started)
-
-
-def _cell_error(spec: ScenarioSpec, detail: str) -> str:
-    """*detail* (a traceback, a timeout, a crash) headed by the failed
-    cell's kind, mechanism, workload and seed."""
-    return (f"{spec.kind} cell, mechanism {spec.mechanism}, workload "
-            f"{spec.workload}, seed {spec.seed}:\n{detail}")
+        return spec, None, traceback.format_exc(), time.monotonic() - started
 
 
 def _shard_worker(shard: List[ScenarioSpec]
@@ -397,8 +403,8 @@ def _run_serial(specs: Sequence[ScenarioSpec],
         try:
             value = execute_cell(spec)
         except Exception:
-            error = _cell_error(spec, traceback.format_exc())
-            results[spec] = CellResult(spec, error=error, source="serial",
+            results[spec] = CellResult(spec, error=traceback.format_exc(),
+                                       source="serial",
                                        duration=time.monotonic() - started)
             stats.failures += 1
         else:
@@ -436,7 +442,7 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
         context = multiprocessing.get_context()
     shards = shard_specs(list(specs), jobs)
     if context.get_start_method() == "fork":
-        _prewarm_offline_logs(specs)
+        _prewarm_offline_logs(shards)
     try:
         executor = futures_mod.ProcessPoolExecutor(
             max_workers=len(shards), mp_context=context)
@@ -458,9 +464,8 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
                 future.cancel()
                 for spec in shard:
                     results[spec] = CellResult(
-                        spec, error=_cell_error(
-                            spec, f"shard timed out after {budget:.0f}s "
-                            f"({len(shard)} cells)"),
+                        spec, error=f"shard timed out after {budget:.0f}s "
+                        f"({len(shard)} cells)",
                         source="parallel", duration=timeout)
                     stats.failures += 1
                     stats.parallel_cells += 1
@@ -471,9 +476,8 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
                 # re-run the rest serially.
                 crash = "pool worker crashed:\n" + traceback.format_exc()
                 for spec in shard:
-                    results[spec] = CellResult(
-                        spec, error=_cell_error(spec, crash),
-                        source="parallel")
+                    results[spec] = CellResult(spec, error=crash,
+                                               source="parallel")
                     stats.failures += 1
                     stats.parallel_cells += 1
                 for other, future_ in pending:

@@ -49,10 +49,15 @@ def _batch_cycles(config: RunConfig) -> int:
     return result.cycles
 
 
+def micro_run_config(name: str, iterations: int, seed: int) -> RunConfig:
+    """The stress run one Table 5 measurement boots."""
+    return RunConfig(name, "stress", seed=seed, aslr=True,
+                     max_steps=50_000_000,
+                     params=(("iterations", iterations),))
+
+
 def _micro_total_cycles(name: str, iterations: int, seed: int) -> int:
-    return _batch_cycles(RunConfig(
-        name, "stress", seed=seed, aslr=True, max_steps=50_000_000,
-        params=(("iterations", iterations),)))
+    return _batch_cycles(micro_run_config(name, iterations, seed))
 
 
 def measure_micro_cycles(name: str, iterations_low: int = 300,
@@ -195,11 +200,22 @@ MACRO_CONFIGS: List[MacroConfig] = [
 MACRO_BY_KEY = {config.key: config for config in MACRO_CONFIGS}
 
 
+def macro_run_config(config: MacroConfig, name: str, seed: int,
+                     transactions: Optional[int] = None) -> RunConfig:
+    """The run one Table 6 measurement boots: the row's server, or for a
+    runtime row a batch of *transactions* (None: the workload's default)."""
+    if config.kind == "runtime":
+        length = () if transactions is None \
+            else (("transactions", transactions),)
+        return RunConfig(name, config.workload, seed=seed, aslr=True,
+                         max_steps=20_000_000, params=config.params + length)
+    return RunConfig(name, config.workload, seed=seed, aslr=True,
+                     params=config.params, connections=config.connections)
+
+
 def _measure_throughput_cpr(config: MacroConfig, name: str,
                             seed: int) -> float:
-    prepared = boot(RunConfig(name, config.workload, seed=seed, aslr=True,
-                              params=config.params,
-                              connections=config.connections))
+    prepared = boot(macro_run_config(config, name, seed))
     prepared.boot()  # master forks; workers reach accept
     source = prepared.traffic_source()
     source.warmup(2)
@@ -213,9 +229,7 @@ def _measure_throughput_cpr(config: MacroConfig, name: str,
 
 def _measure_runtime_cycles(config: MacroConfig, name: str,
                             transactions: int, seed: int) -> int:
-    return _batch_cycles(RunConfig(
-        name, config.workload, seed=seed, aslr=True, max_steps=20_000_000,
-        params=config.params + (("transactions", transactions),)))
+    return _batch_cycles(macro_run_config(config, name, seed, transactions))
 
 
 def measure_macro(config: MacroConfig, name: str, seed: int = 30) -> Dict:

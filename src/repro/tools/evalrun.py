@@ -79,8 +79,8 @@ def _echo(run: pipe.PipelineRun, label: str, verbose: bool) -> None:
             print(f"  [{state:>8}] {result.spec.label} "
                   f"({result.duration:.2f}s)", file=sys.stderr)
     for failure in run.failures():
-        print(f"FAILED {failure.spec.label}:\n{failure.error}",
-              file=sys.stderr)
+        print(f"FAILED {failure.spec.label} (seed {failure.spec.seed}):\n"
+              f"{failure.error}", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import statistics
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cpu.cycles import CLOCK_HZ
 from repro.observability.analyzers.latency import LogHistogram
@@ -35,6 +35,9 @@ from repro.traffic.config import TrafficConfig
 from repro.workloads.clients import TrafficSource
 from repro.traffic.loadbalancer import DEPTH_SAMPLES, server_result_doc
 from repro.traffic.schedule import NS, ArrivalSchedule
+
+if TYPE_CHECKING:
+    from repro.runapi import RunConfig
 
 #: Request-payload padding per kind.  Redis runs smaller pads: its
 #: 256-byte receive buffer must take base request + pad in one read so
@@ -75,6 +78,15 @@ def traffic_workload_params(traffic: TrafficConfig
     return (("multiconn", 1), ("workers", traffic.workers))
 
 
+def server_run_config(mechanism: str, workload: str, traffic: TrafficConfig,
+                      seed: int) -> RunConfig:
+    """The run one fleet server kernel (or its calibration) boots."""
+    from repro.runapi import RunConfig
+
+    return RunConfig(mechanism=mechanism, workload=workload, seed=seed,
+                     params=traffic_workload_params(traffic))
+
+
 def cycles_of_ns(t_ns: int) -> int:
     return t_ns * CLOCK_HZ // NS
 
@@ -107,10 +119,9 @@ def calibrate_service_table(mechanism: str, workload: str,
     if cached is not None:
         return cached
 
-    from repro.runapi import RunConfig, boot
+    from repro.runapi import boot
 
-    config = RunConfig(mechanism=mechanism, workload=workload, seed=seed,
-                       params=traffic_workload_params(traffic))
+    config = server_run_config(mechanism, workload, traffic, seed)
     prepared = boot(config)
     prepared.boot()
     kernel, spec = prepared.kernel, prepared.spec
@@ -420,11 +431,9 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
     capture; its flight-recorder ring is dumped automatically when
     stall-shed detection fires.
     """
-    from repro.runapi import RunConfig, boot
+    from repro.runapi import boot
 
-    config = RunConfig(mechanism=mechanism, workload=workload,
-                       seed=seed + server,
-                       params=traffic_workload_params(traffic))
+    config = server_run_config(mechanism, workload, traffic, seed + server)
     prepared = boot(config)
     prepared.boot()
     kernel, spec = prepared.kernel, prepared.spec

@@ -17,13 +17,18 @@ import pytest
 
 from repro.evaluation.metrics import collect_mechanism_metrics
 
+TIER_HATCHES = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
+                "REPRO_NO_TRACE_JIT")
+
 
 def _metrics(monkeypatch, no_trace_jit: bool) -> str:
+    # Clear every hatch first: with the block cache or chaining off the
+    # trace JIT never runs, and both documents would come out alike.
     with monkeypatch.context() as patch:
+        for hatch in TIER_HATCHES:
+            patch.delenv(hatch, raising=False)
         if no_trace_jit:
             patch.setenv("REPRO_NO_TRACE_JIT", "1")
-        else:
-            patch.delenv("REPRO_NO_TRACE_JIT", raising=False)
         doc = collect_mechanism_metrics(("native", "K23-ultra"),
                                         iterations=48)
     return json.dumps(doc, indent=2, sort_keys=True)

@@ -187,11 +187,15 @@ def offline_calls(monkeypatch, tmp_path):
     return pids
 
 
+def offline_keys(specs):
+    return set().union(*map(pipe.cell_offline_keys, specs))
+
+
 class TestOfflinePrewarm:
     def test_parent_runs_each_offline_phase_once(self, offline_calls,
                                                  tmp_path):
         specs = pipe.full_matrix_specs(K23_SMOKE, smoke=True)
-        keys = {pipe.cell_offline_key(spec) for spec in specs} - {None}
+        keys = offline_keys(specs)
         assert keys == {("stress", ()), ("redis", (("io_threads", 1),))}
         cache = ResultCache(tmp_path / "cache")
         run = pipe.run_cells(specs, jobs=2, cache=cache)
@@ -206,6 +210,37 @@ class TestOfflinePrewarm:
         assert rerun.stats.hits == len(specs)
         assert offline_calls() == [os.getpid()] * len(keys)
 
+    def test_shadow_and_loadtest_cells_share_the_parent_phase(
+            self, offline_calls):
+        from repro.traffic.config import TrafficConfig
+        from repro.traffic.engine import loadtest_specs
+
+        traffic = TrafficConfig(requests=200, rate=2000, servers=2,
+                                connections=8, calibration_requests=12,
+                                ramp=(1, 2))
+        specs = (pipe.shadow_specs("K23-ultra", ["native", "zpoline-ultra"],
+                                   "nginx", requests=4)
+                 + loadtest_specs(["K23-ultra"], "nginx",
+                                  traffic.canonical(), 7, 2))
+        assert offline_keys(specs[:2]) == {("nginx", ())}
+        assert offline_keys(specs[2:]) == {
+            ("nginx", (("multiconn", 1), ("workers", 2)))}
+        # Round-robin over two shards puts each key on both.
+        run = pipe.run_cells(specs, jobs=2, cache=None)
+        assert run.stats.mode == "parallel"
+        assert all(result.ok for result in run.results.values())
+        assert offline_calls() == [os.getpid()] * 2
+
+    def test_single_shard_phase_stays_in_its_worker(self, offline_calls):
+        specs = (pipe.micro_specs(["K23-ultra"], iterations_low=20,
+                                  iterations_high=60)
+                 + pipe.macro_specs(["sqlite"], ["native"]))
+        run = pipe.run_cells(specs, jobs=2, cache=None)
+        assert run.stats.mode == "parallel"
+        assert all(result.ok for result in run.results.values())
+        calls = offline_calls()
+        assert len(calls) == 1 and calls[0] != os.getpid()
+
     def test_failed_offline_phase_fails_only_its_cells(self, offline_calls):
         offline_calls.state["fail_on"] = "redis"
         specs = pipe.full_matrix_specs(K23_SMOKE, smoke=True)
@@ -215,29 +250,30 @@ class TestOfflinePrewarm:
         assert failed == {spec for spec in specs if spec.kind == "macro"
                           and spec.mechanism != "native"}
         for spec in failed:
-            error = run.results[spec].error
-            assert f"mechanism {spec.mechanism}," in error
-            assert f"seed {spec.seed}:" in error
-            assert "offline phase of" in error
+            with pytest.raises(pipe.CellFailure) as excinfo:
+                run.value(spec)
+            message = str(excinfo.value)
+            assert f"cell {spec.label} (seed {spec.seed}) failed" in message
+            assert "offline phase of" in message
         # The parent tried each key once; each failing cell retried its own.
         assert offline_calls().count(os.getpid()) == 2
         assert len(offline_calls()) == 2 + len(failed)
 
-    def test_cell_offline_key_follows_each_kind(self):
+    def test_cell_offline_keys_follow_each_kind(self):
         from repro.traffic.engine import loadtest_specs
 
-        assert pipe.cell_offline_key(
-            pipe.micro_specs(["native"])[0]) is None
-        assert pipe.cell_offline_key(
-            pipe.macro_specs(["sqlite"], ["K23-ultra"])[0]) == ("sqlite", ())
-        assert pipe.cell_offline_key(
+        assert pipe.cell_offline_keys(
+            pipe.micro_specs(["native"])[0]) == set()
+        assert pipe.cell_offline_keys(
+            pipe.macro_specs(["sqlite"], ["K23-ultra"])[0]) == {("sqlite", ())}
+        assert pipe.cell_offline_keys(
             pipe.shadow_specs("K23-ultra", ["native"], "nginx")[0]
-        ) == pipe.cell_offline_key(
+        ) == pipe.cell_offline_keys(
             pipe.shadow_specs("native", ["K23-ultra"], "nginx")[0]
-        ) == ("nginx", ())
-        assert pipe.cell_offline_key(
+        ) == {("nginx", ())}
+        assert pipe.cell_offline_keys(
             loadtest_specs(["K23-ultra"], "nginx", {"workers": 3}, 7, 2)[0]
-        ) == ("nginx", (("multiconn", 1), ("workers", 3)))
+        ) == {("nginx", (("multiconn", 1), ("workers", 3)))}
 
 
 class TestCacheKeys:
