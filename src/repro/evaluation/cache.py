@@ -116,13 +116,17 @@ def package_digest(root: Path = PACKAGE_ROOT) -> str:
 # ------------------------------------------------------------------ cell keys
 
 
-def cell_key(kind: str, mechanism: str, workload: str, seed: int,
-             params: Iterable[Tuple[str, object]] = ()) -> str:
-    """The content-addressed key for one evaluation cell.
+def mechanism_constants(mechanism: str) -> Dict[str, object]:
+    """The run-time model values a *mechanism*'s measured cycles depend
+    on, read now: ``CLOCK_HZ``, the costs of the registry's relevant
+    events, the engine flags and — for SUD-armed mechanisms — the
+    signal-contention factor.  :func:`cell_key` records them, and any
+    in-process memo of a measurement must be keyed on them too (the
+    traffic calibration memo is), or a patched cost reads back a stale
+    value.
 
-    Raises :class:`repro.interposers.registry.UnknownMechanismError` for a
-    mechanism the registry has never seen (such a cell cannot be cached —
-    or executed).
+    Raises :class:`repro.interposers.registry.UnknownMechanismError` for
+    a mechanism the registry has never seen.
     """
     from repro.cpu.cycles import CLOCK_HZ, DEFAULT_COSTS, Event
     from repro.cpu.cycles import SUD_CONTENTION_FACTOR
@@ -143,6 +147,21 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
                                block_cache=engine.block_cache)
     if spec.arms_sud:
         constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
+    return constants
+
+
+def cell_key(kind: str, mechanism: str, workload: str, seed: int,
+             params: Iterable[Tuple[str, object]] = ()) -> str:
+    """The content-addressed key for one evaluation cell.
+
+    Raises :class:`repro.interposers.registry.UnknownMechanismError` for a
+    mechanism the registry has never seen (such a cell cannot be cached —
+    or executed).
+    """
+    from repro.interposers.registry import REGISTRY
+
+    spec = REGISTRY.get(mechanism)
+    constants = mechanism_constants(mechanism)
     sorted_params = sorted((key, value) for key, value in params)
     # Shadow cells run a second mechanism: fold its cost constants into
     # the key so patching the shadow-side mechanism's costs invalidates
@@ -150,12 +169,11 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     shadow_name = next((value for key, value in sorted_params
                         if key == "shadow"), None)
     if shadow_name is not None:
-        shadow_spec = REGISTRY.get(str(shadow_name))
-        constants["shadow_costs"] = {
-            name: DEFAULT_COSTS[Event[name]]
-            for name in shadow_spec.relevant_events}
-        if shadow_spec.arms_sud:
-            constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
+        shadow = mechanism_constants(str(shadow_name))
+        constants["shadow_costs"] = shadow["costs"]
+        if "sud_contention_factor" in shadow:
+            constants["sud_contention_factor"] = \
+                shadow["sud_contention_factor"]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

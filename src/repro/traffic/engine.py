@@ -2,11 +2,12 @@
 
 A load test over M mechanisms and S fleet servers is ``M × shards``
 pipeline cells (kind ``"loadtest"``), sharded **by server**: server
-``s`` belongs to shard ``s % nshards``.  Each cell regenerates the full
-arrival schedule (cheap, seeded, identical everywhere) and runs only
-its servers — in model mode through the calibrated queueing fabric, in
-full mode on real kernels via the admission seam.  The merge is
-shard-count-blind by construction:
+``s`` belongs to shard ``s % nshards``.  The parent builds the full
+arrival schedule once, before the pool forks, and every cell reads that
+one seeded schedule from the memo (a spawn-start worker rebuilds the
+identical bytes) and runs only its servers — in model mode through the
+calibrated queueing fabric, in full mode on real kernels via the
+admission seam.  The merge is shard-count-blind by construction:
 
 - per-(stage, tenant, kind) tallies are commutative integer sums;
 - latency histograms merge exactly (``count``/``sum`` + sparse bucket
@@ -265,9 +266,11 @@ def run_loadtest(mechanisms: Sequence[str], workload: str,
     canonical = traffic.canonical()
     nshards = max(1, min(jobs, traffic.servers))
     specs = loadtest_specs(mechanisms, workload, canonical, seed, nshards)
+    # Built before the pool forks: the workers' run_shard calls hit the
+    # inherited memo instead of each drawing the schedule again.
+    schedule = generate_schedule(traffic, seed)
     run = run_cells(specs, jobs=jobs, cache=cache,
                     timeout=timeout or DEFAULT_CELL_TIMEOUT)
-    schedule = generate_schedule(traffic, seed)
 
     sections = {}
     for mechanism in mechanisms:

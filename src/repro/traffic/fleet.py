@@ -25,6 +25,7 @@ that queue wait is measured latency, exactly as in the model fabric.
 
 from __future__ import annotations
 
+import json
 import statistics
 from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -98,7 +99,8 @@ def ns_of_cycles(cycles: int) -> int:
 # ------------------------------------------------------------- calibration
 
 
-#: (mechanism, workload, seed, workers, kinds...) → service table doc.
+#: (mechanism, workload, seed, workers, calibration requests, kinds,
+#: model constants) → service table doc.
 _CALIBRATION_CACHE: Dict[Tuple, Dict] = {}
 
 
@@ -109,12 +111,17 @@ def calibrate_service_table(mechanism: str, workload: str,
     Returns a JSON-safe doc: ``{"kinds": {kind: {"cycles": c, "ns": n,
     "samples": m}}}``.  Keyed off the *base* seed (never the shard), so
     every shard of a sharded run computes — or re-uses — the identical
-    table.
+    table.  The memo also keys on the model constants the pipeline's
+    cell key records for *mechanism*, so a cost patched in-process
+    re-calibrates instead of reading back the unpatched table.
     """
+    from repro.evaluation.cache import mechanism_constants
+
     kinds = tuple(sorted({key.rsplit(":", 1)[-1]
                           for key, _ in traffic.mix}))
     key = (mechanism, workload, seed, traffic.workers,
-           traffic.calibration_requests, kinds)
+           traffic.calibration_requests, kinds,
+           json.dumps(mechanism_constants(mechanism), sort_keys=True))
     cached = _CALIBRATION_CACHE.get(key)
     if cached is not None:
         return cached

@@ -4,9 +4,17 @@ One ``random.Random(seed)`` stream drives every draw, in one fixed
 order per request (gap, tenant, kind, connection), so the schedule is a
 pure function of ``(config, seed)``: no wall clock, no float
 accumulation across shards (each arrival time is the running integer
-nanosecond sum), no dict iteration.  Shards *re-generate* the same full
-schedule and filter it — cheaper and strictly safer than splitting the
-RNG — which is what makes ``--jobs 1/2/4`` byte-identical.
+nanosecond sum), no dict iteration.  Every shard reads the same full
+schedule and runs only its own servers' requests — strictly safer than
+splitting the RNG — which is what makes ``--jobs 1/2/4`` byte-identical.
+The parent builds the schedule once, before the pool forks, so forked
+workers inherit it from the memo instead of re-drawing it.
+
+The hot loop inlines the two ``random.Random`` methods it would call a
+million times: each pick is ``randrange(n)``'s own rejection loop
+(``getrandbits(n.bit_length())`` redrawn while ``>= n``) and each
+Poisson gap is ``expovariate``'s body, so the stream and every byte
+match the method calls (pinned against them by the tests).
 
 Columns live in ``array('q')`` (8 bytes/field): a million-request
 schedule is four 8 MB arrays, not a million Python objects.
@@ -117,8 +125,9 @@ class ArrivalSchedule:
 
 
 def _gap_drawer(arrival: str, rng: random.Random, rate: int):
-    """Return ``(draw, scale)`` for one stage's *rate*: each gap is
-    ``int(scale * draw())`` nanoseconds.
+    """Return ``(draw, scale)`` for one stage's *rate* of a lognormal or
+    Pareto process: each gap is ``int(scale * draw())`` nanoseconds.
+    (Poisson gaps are drawn inline by :func:`generate_schedule`.)
 
     The float draw is converted to integer nanoseconds immediately
     (round-half-even via int(x + 0.5) is avoided — plain truncation of
@@ -126,8 +135,6 @@ def _gap_drawer(arrival: str, rng: random.Random, rate: int):
     between requests.  ``scale`` is 1.0 unless the process needs one;
     multiplying by 1.0 is exact.
     """
-    if arrival == "poisson":
-        return functools.partial(rng.expovariate, rate / NS), 1.0
     if arrival == "lognormal":
         # sigma=1 burstiness; mu set so the mean is exactly 1/rate:
         # mean of lognormal(mu, sigma) = exp(mu + sigma^2/2).
@@ -153,20 +160,25 @@ def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
     if config.rate <= 0:
         raise ValueError("generate_schedule needs a resolved rate")
     rng = random.Random(seed)
-    randrange = rng.randrange
+    getrandbits, uniform, log = rng.getrandbits, rng.random, math.log
     tenant_names, tenant_bounds, tenant_total = _cumulative(config.tenants)
+    tenant_bits = tenant_total.bit_length()
     kind_tables = [_cumulative(config.mix_for(name))
                    for name in tenant_names]
     kind_names = tuple(sorted({kind for keys, _, _ in kind_tables
                                for kind in keys}))
     kind_index = {kind: i for i, kind in enumerate(kind_names)}
-    # Per tenant: (bounds, total, tenant-local -> global kind index).
-    kind_tables = [(bounds, total, [kind_index[key] for key in keys])
+    # Per tenant: (bounds, total, total's bit length, tenant-local ->
+    # global kind index).
+    kind_tables = [(bounds, total, total.bit_length(),
+                    [kind_index[key] for key in keys])
                    for keys, bounds, total in kind_tables]
 
     n = config.requests
     stages = len(config.ramp)
     connections, servers = config.connections, config.servers
+    conn_bits = connections.bit_length()
+    poisson = config.arrival == "poisson"
     t_col, tenant_col = array("q"), array("q")
     kind_col, conn_col = array("q"), array("q")
     by_server = tuple(array("q") for _ in range(servers))
@@ -181,14 +193,31 @@ def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
         # mismatch"); this rule is kept so the draw stream is unchanged.
         first = -(-stage * n // stages)
         end = -(-(stage + 1) * n // stages)
-        draw, scale = _gap_drawer(config.arrival, rng,
-                                  config.rate * multiplier)
+        rate = config.rate * multiplier
+        if poisson:
+            lambd = rate / NS
+        else:
+            draw, scale = _gap_drawer(config.arrival, rng, rate)
         for index in range(first, end):
-            now += int(scale * draw())
-            tenant = bisect_right(tenant_bounds, randrange(tenant_total))
-            bounds, total, kinds = kind_tables[tenant]
-            kind = kinds[bisect_right(bounds, randrange(total))]
-            conn = randrange(connections)
+            if poisson:
+                # expovariate(lambd), inlined.
+                now += int(-log(1.0 - uniform()) / lambd)
+            else:
+                now += int(scale * draw())
+            # Each pick is randrange(total), inlined: a single-entry
+            # table still burns its draw.
+            point = getrandbits(tenant_bits)
+            while point >= tenant_total:
+                point = getrandbits(tenant_bits)
+            tenant = bisect_right(tenant_bounds, point)
+            bounds, total, bits, kinds = kind_tables[tenant]
+            point = getrandbits(bits)
+            while point >= total:
+                point = getrandbits(bits)
+            kind = kinds[bisect_right(bounds, point)]
+            conn = getrandbits(conn_bits)
+            while conn >= connections:
+                conn = getrandbits(conn_bits)
             t_append(now)
             tenant_append(tenant)
             kind_append(kind)

@@ -126,3 +126,81 @@ def test_shared_schedule_unchanged_by_a_run(make):
     assert generate_schedule(traffic, 23) is schedule
     assert schedule.digest() == before
     assert generate_schedule.cache_info().misses == 1
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch, tmp_path):
+    """Record the pid of every arrival-schedule build (a memo miss of
+    ``generate_schedule``), forked workers included — the patch is
+    inherited across fork — starting from an empty memo.  Each call
+    returns the pids logged since the last one."""
+    import repro.traffic.schedule as schedule_mod
+
+    log = tmp_path / "schedule-builds"
+    log.touch()
+    real = schedule_mod.ArrivalSchedule
+
+    def recorded(**fields):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real(**fields)
+
+    monkeypatch.setattr(schedule_mod, "ArrivalSchedule", recorded)
+    generate_schedule.cache_clear()
+
+    def drain():
+        pids = [int(line) for line in log.read_text().split()]
+        log.write_text("")
+        return pids
+
+    yield drain
+    generate_schedule.cache_clear()
+
+
+def test_one_schedule_build_per_run(schedule_builds, tmp_path):
+    """The parent builds the schedule before the pool forks, so a
+    ``--jobs 2`` run draws it once in all — no worker redraws it, and
+    neither does the merge — and a fully cached rerun draws it once."""
+    from repro.evaluation.cache import ResultCache
+
+    traffic = model_config(rate=40_000)
+    serial = report_json(traffic, jobs=1)
+    assert schedule_builds() == [os.getpid()]
+
+    generate_schedule.cache_clear()
+    fleet._CALIBRATION_CACHE.clear()
+    cache = ResultCache(tmp_path / "cache")
+    report = run_loadtest(["native"], "redis", traffic, seed=23, jobs=2,
+                          cache=cache)
+    assert report.stats.mode == "parallel"
+    assert report.to_json() == serial
+    assert schedule_builds() == [os.getpid()]
+
+    generate_schedule.cache_clear()
+    rerun = run_loadtest(["native"], "redis", traffic, seed=23, jobs=2,
+                         cache=cache)
+    assert rerun.stats.hits == rerun.stats.cells == 2
+    assert rerun.to_json() == serial
+    assert schedule_builds() == [os.getpid()]
+
+
+def test_calibration_memo_keys_on_cost_model(monkeypatch):
+    """A cost patched in-process re-keys the pipeline cells that charge
+    it; the calibration memo must miss for the same mechanisms, or the
+    re-run cell would read back the unpatched service table."""
+    from repro.cpu.cycles import DEFAULT_COSTS, Event
+    from repro.traffic.fleet import calibrate_service_table
+
+    traffic = model_config()
+    native = calibrate_service_table("native", "redis", traffic, 23)
+    ultra = calibrate_service_table("K23-ultra", "redis", traffic, 23)
+    assert calibrate_service_table("K23-ultra", "redis", traffic,
+                                   23) is ultra
+    monkeypatch.setitem(DEFAULT_COSTS, Event.HASHSET_CHECK,
+                        DEFAULT_COSTS[Event.HASHSET_CHECK] * 50)
+    patched = calibrate_service_table("K23-ultra", "redis", traffic, 23)
+    assert patched is not ultra
+    for kind, row in patched["kinds"].items():
+        assert row["cycles"] > ultra["kinds"][kind]["cycles"], kind
+    assert calibrate_service_table("native", "redis", traffic,
+                                   23) is native

@@ -166,8 +166,19 @@ TWO_TENANTS = dict(tenants=(("anchor", 5), ("batch", 2)),
     dict(requests=1001, ramp=(1, 2, 4, 8, 16, 32)),  # n % stages != 0
     dict(requests=4, ramp=(1, 2, 3, 5, 8, 13)),      # empty stages
     dict(requests=1, servers=3, **TWO_TENANTS),
+    # Pick bounds at a power of two or 1: the inlined rejection loop
+    # draws n.bit_length() bits, exactly as randrange(n) does.
+    dict(tenants=(("anchor", 5), ("batch", 3)),
+         mix=(("small", 4), ("medium", 2), ("large", 2))),
+    dict(tenants=(("anchor", 9), ("batch", 4), ("probe", 3))),
+    dict(tenants=(("solo", 1),), mix=(("small", 1),)),
+    dict(connections=1, servers=1),
+    dict(connections=2, servers=2),
+    dict(connections=2048),
 ], ids=["default", "two-tenants", "uneven-stages", "n-below-stages",
-        "single-request"])
+        "single-request", "weights-sum-8", "weights-sum-16",
+        "single-tenant-weight-1", "one-connection", "two-connections",
+        "2048-connections"])
 def test_generator_matches_reference(arrival, overrides):
     config = small(arrival=arrival, **overrides)
     schedule = generate_schedule(config, 29)
