@@ -295,24 +295,37 @@ class ICache:
 
         Called automatically for same-core stores, and by correct rewriters
         (zpoline, K23) for every core after patching.
+
+        A line is at most ``LINE_SPAN`` bytes, so only lines starting in
+        ``[start - LINE_SPAN + 1, end)`` can overlap the range.  A short
+        rewrite probes those start addresses; a range with fewer cached
+        lines on its pages than that scans the pages' lines instead.
         """
         end = start + length
         if self._rec_active and start < self._rec_hi and self._rec_lo < end:
             self._rec_doomed = True
-        for page in range(page_index(start), page_index(end - 1) + 1):
-            addrs = self._line_pages.get(page)
-            if addrs:
-                doomed = [addr for addr in addrs
-                          if addr < end and start < addr + len(self._lines[addr][0])]
-                for addr in doomed:
-                    raw = self._lines.pop(addr)[0]
-                    for p in range(page_index(addr),
-                                   page_index(addr + len(raw) - 1) + 1):
-                        lines = self._line_pages.get(p)
-                        if lines is not None:
-                            lines.discard(addr)
-                            if not lines:
-                                del self._line_pages[p]
+        lines, line_pages = self._lines, self._line_pages
+        pages = range(page_index(start), page_index(end - 1) + 1)
+        first = start - LINE_SPAN + 1
+        if end - first < sum(len(line_pages.get(page, ()))
+                             for page in pages):
+            doomed = [addr for addr in range(first, end)
+                      if addr in lines
+                      and start < addr + len(lines[addr][0])]
+        else:
+            doomed = {addr for page in pages
+                      for addr in line_pages.get(page, ())
+                      if addr < end and start < addr + len(lines[addr][0])}
+        for addr in doomed:
+            raw = lines.pop(addr)[0]
+            for page in range(page_index(addr),
+                              page_index(addr + len(raw) - 1) + 1):
+                on_page = line_pages.get(page)
+                if on_page is not None:
+                    on_page.discard(addr)
+                    if not on_page:
+                        del line_pages[page]
+        for page in pages:
             entries = self._blocks_by_page.get(page)
             if entries:
                 for entry in [e for e in entries

@@ -18,8 +18,8 @@ previously serial, recompute-everything harness into a pipeline:
    pool breakage degrade to in-process serial execution; a hard worker
    crash fails only the crashing shard's cells, and every other shard is
    salvaged or re-run serially.  Before the pool forks, the parent runs
-   once each K23 offline phase that more than one shard imports, and
-   the workers inherit its memo;
+   once each K23 offline phase and each load-test calibration that more
+   than one shard needs, and the workers inherit its memo;
 3. **memoize** — each cell is looked up in / written to the
    content-addressed :class:`~repro.evaluation.cache.ResultCache`, keyed on
    the mechanism, the workload, the cycle-model constants the mechanism
@@ -35,10 +35,12 @@ all run on this substrate.
 
 from __future__ import annotations
 
+import functools
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.evaluation.cache import MISS, NullCache, ResultCache, cell_key
 
@@ -330,31 +332,53 @@ def cell_offline_keys(spec: ScenarioSpec) -> Set[Tuple[str, Tuple]]:
             if REGISTRY.needs_offline(config.mechanism)}
 
 
-def _prewarm_offline_logs(shards: Sequence[Sequence[ScenarioSpec]]
-                          ) -> None:
-    """Run, in this process, each K23 offline phase that more than one of
-    *shards* imports, so that the forked workers inherit the memo (and
-    the program images the offline kernels built) instead of each
-    recomputing it.  A phase only one shard needs stays in that shard's
-    worker, where it runs in parallel with the others.
-
-    A cell whose keys cannot be derived, or whose offline phase raises,
-    is left to fail in its own run, where its error names it."""
+def _cell_shared_steps(spec: ScenarioSpec
+                       ) -> Dict[Tuple, Callable[[], object]]:
+    """The memoised set-up steps the kernels of *spec* run, by memo key:
+    each K23 offline phase it imports and, for a load-test shard, the
+    mechanism's service-table calibration."""
     from repro.runapi import offline_logs
 
-    shards_of: Dict[Tuple[str, Tuple], Set[int]] = {}
+    steps: Dict[Tuple, Callable[[], object]] = {
+        ("offline",) + key: functools.partial(offline_logs, *key)
+        for key in cell_offline_keys(spec)}
+    if spec.kind == "loadtest":
+        from repro.traffic.config import TrafficConfig
+        from repro.traffic.fleet import (calibrate_service_table,
+                                         calibration_key)
+
+        args = (spec.mechanism, spec.workload,
+                TrafficConfig.from_dict(_loadtest_traffic(spec)), spec.seed)
+        steps[("calibration",) + calibration_key(*args)] = \
+            functools.partial(calibrate_service_table, *args)
+    return steps
+
+
+def _prewarm_shared(shards: Sequence[Sequence[ScenarioSpec]]) -> None:
+    """Run, in this process, each memoised set-up step (a K23 offline
+    phase or a load test's calibration) that more than one of *shards*
+    needs, so that the forked workers inherit the memo (and the program
+    images its kernels built) instead of each recomputing it.  A step
+    only one shard needs stays in that shard's worker, where it runs in
+    parallel with the others.
+
+    A cell whose steps cannot be derived, or whose step raises, is left
+    to fail in its own run, where its error names it."""
+    owners: Dict[Tuple, Set[int]] = {}
+    steps: Dict[Tuple, Callable[[], object]] = {}
     for index, shard in enumerate(shards):
         for spec in shard:
             try:
-                keys = cell_offline_keys(spec)
+                cell_steps = _cell_shared_steps(spec)
             except Exception:
                 continue
-            for key in keys:
-                shards_of.setdefault(key, set()).add(index)
-    for (workload, params), owners in shards_of.items():
-        if len(owners) > 1:
+            for key, step in cell_steps.items():
+                owners.setdefault(key, set()).add(index)
+                steps.setdefault(key, step)
+    for key, step in steps.items():
+        if len(owners[key]) > 1:
             try:
-                offline_logs(workload, params)
+                step()
             except Exception:
                 pass
 
@@ -442,7 +466,7 @@ def _run_parallel(specs: Sequence[ScenarioSpec],
         context = multiprocessing.get_context()
     shards = shard_specs(list(specs), jobs)
     if context.get_start_method() == "fork":
-        _prewarm_offline_logs(shards)
+        _prewarm_shared(shards)
     try:
         executor = futures_mod.ProcessPoolExecutor(
             max_workers=len(shards), mp_context=context)

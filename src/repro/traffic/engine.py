@@ -267,8 +267,11 @@ def run_loadtest(mechanisms: Sequence[str], workload: str,
     nshards = max(1, min(jobs, traffic.servers))
     specs = loadtest_specs(mechanisms, workload, canonical, seed, nshards)
     # Built before the pool forks: the workers' run_shard calls hit the
-    # inherited memo instead of each drawing the schedule again.
+    # inherited memo instead of each drawing the schedule again, and the
+    # model fabric's key column comes with it.
     schedule = generate_schedule(traffic, seed)
+    if traffic.serve_mode == "model":
+        schedule.keys  # computed here, kept with the memoised schedule
     run = run_cells(specs, jobs=jobs, cache=cache,
                     timeout=timeout or DEFAULT_CELL_TIMEOUT)
 

@@ -99,9 +99,22 @@ def ns_of_cycles(cycles: int) -> int:
 # ------------------------------------------------------------- calibration
 
 
-#: (mechanism, workload, seed, workers, calibration requests, kinds,
-#: model constants) → service table doc.
+#: calibration_key → service table doc.
 _CALIBRATION_CACHE: Dict[Tuple, Dict] = {}
+
+
+def calibration_key(mechanism: str, workload: str, traffic: TrafficConfig,
+                    seed: int) -> Tuple:
+    """The memo key of :func:`calibrate_service_table`: the run, the
+    calibration drive (workers, request count, sorted kinds) and the
+    model constants *mechanism* depends on."""
+    from repro.evaluation.cache import mechanism_constants
+
+    kinds = tuple(sorted({key.rsplit(":", 1)[-1]
+                          for key, _ in traffic.mix}))
+    return (mechanism, workload, seed, traffic.workers,
+            traffic.calibration_requests, kinds,
+            json.dumps(mechanism_constants(mechanism), sort_keys=True))
 
 
 def calibrate_service_table(mechanism: str, workload: str,
@@ -115,13 +128,8 @@ def calibrate_service_table(mechanism: str, workload: str,
     cell key records for *mechanism*, so a cost patched in-process
     re-calibrates instead of reading back the unpatched table.
     """
-    from repro.evaluation.cache import mechanism_constants
-
-    kinds = tuple(sorted({key.rsplit(":", 1)[-1]
-                          for key, _ in traffic.mix}))
-    key = (mechanism, workload, seed, traffic.workers,
-           traffic.calibration_requests, kinds,
-           json.dumps(mechanism_constants(mechanism), sort_keys=True))
+    key = calibration_key(mechanism, workload, traffic, seed)
+    kinds = key[5]  # the sorted request kinds
     cached = _CALIBRATION_CACHE.get(key)
     if cached is not None:
         return cached

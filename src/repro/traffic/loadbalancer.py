@@ -22,18 +22,35 @@ Service times come from the calibration pass
 (:func:`repro.traffic.fleet.calibrate_service_table`): per-request-kind
 cycles measured on a *real* interposed kernel, converted once to
 nanoseconds.  The fabric never invents cost — it only schedules it.
+
+Per request the loop touches one small integer key, ``kid = (stage · T
++ tenant) · K + kind`` for ``T`` tenants and ``K`` kinds: service
+times, offered/shed tallies and histogram state are lists indexed by
+it, and the ``(stage, tenant, kind)`` tables exist only in
+:meth:`ServerSim.result`.  The schedule computes the key column once
+(:attr:`repro.traffic.schedule.ArrivalSchedule.keys`, ``stage`` by
+``stage_of``'s rule) and each server's arrivals stream in as
+``(t_ns, kid, conn, index)`` tuples zipped lazily from the columns.
+No per-server tuple list is built: at 2·10^5 requests one would be
+faster still but would double the run's peak RSS.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import math
+from collections import defaultdict, deque
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.observability.analyzers.latency import LogHistogram, bucket_index
+from repro.observability.analyzers.latency import (SUB_BUCKET_BITS,
+                                                    LogHistogram)
 
 #: Queue-depth samples per server across the schedule span.
 DEPTH_SAMPLES = 200
+
+#: The arrival that ends a draining run: it sorts after every completion.
+_DRAIN = (math.inf, 0, 0, -1)
 
 
 class ServerSim:
@@ -44,6 +61,14 @@ class ServerSim:
     from :meth:`result`.
     ``emit(kind, payload)`` (optional) mirrors queue-depth samples onto
     an event bus when the engine runs inside a kernel-attached context.
+
+    Each request carries one dense key, ``kid = (stage * tenants +
+    tenant) * kinds + kind`` (the layout of
+    :attr:`repro.traffic.schedule.ArrivalSchedule.keys`), where
+    ``tenants`` and ``kinds`` are the extents of *service_ns*'s
+    ``(tenant, kind)`` keys.  Service times, tallies and histogram state
+    are lists indexed by it; the ``(stage, tenant, kind)``-keyed tables
+    are built only when read.
     """
 
     def __init__(self, server: int, workers: int, queue_limit: int,
@@ -54,7 +79,6 @@ class ServerSim:
         self.server = server
         self.workers = workers
         self.queue_limit = queue_limit
-        self.service_ns = service_ns
         self.stages = stages
         self.sample_every_ns = max(1, sample_every_ns)
         self.emit = emit
@@ -65,18 +89,35 @@ class ServerSim:
         #           queue_wait_ns]; only populated when tracing.
         self._span_meta: Dict[int, List[int]] = {}
 
+        self.tenants = 1 + max(tenant for tenant, _ in service_ns)
+        self.kinds = 1 + max(kind for _, kind in service_ns)
+        #: kid -> (stage, tenant, kind)
+        self.key_of = [(stage, tenant, kind) for stage in range(stages)
+                       for tenant in range(self.tenants)
+                       for kind in range(self.kinds)]
+        keys = len(self.key_of)
+        self._service = [service_ns[(tenant, kind)]
+                         for _, tenant, kind in self.key_of]
+        self._stage = [key[0] for key in self.key_of]
+
         self.free_workers = workers
         self.waiting: deque = deque()
-        self.engaged: set = set()
-        self.conn_pending: Dict[int, deque] = {}
+        # conn -> None, or the deque of its requests waiting client-side,
+        # for every connection with a request in service or queued.
+        self.busy: Dict[int, Optional[deque]] = {}
         self.in_service: List[Tuple[int, int, Tuple]] = []  # heap
         self._seq = 0
 
-        # (stage, tenant, kind) -> tallies / latency histograms (ns);
-        # the completed tally is each histogram's count.
-        self.offered: Dict[Tuple[int, int, int], int] = {}
-        self.shed: Dict[Tuple[int, int, int], int] = {}
-        self.latency: Dict[Tuple[int, int, int], LogHistogram] = {}
+        # Per kid: offered and shed tallies, and the latency histogram
+        # (ns) as bucket table, sum, max and min; the completed tally is
+        # the bucket total.
+        self._offered = [0] * keys
+        self._shed = [0] * keys
+        self._buckets: List[Dict[int, int]] = [defaultdict(int)
+                                               for _ in range(keys)]
+        self._total = [0] * keys
+        self._max = [0] * keys
+        self._min = [math.inf] * keys
         self.stage_max_depth = [0] * stages
         self.depth_series: List[Tuple[int, int, int]] = []
         self._next_sample_ns = 0
@@ -89,18 +130,22 @@ class ServerSim:
         *index* is the global schedule index — the span/exemplar
         identity; -1 (direct fabric use without a schedule) disables
         span capture for the request."""
-        self.run(((t_ns, stage, tenant, kind, conn, index),))
+        if not (0 <= stage < self.stages and 0 <= tenant < self.tenants
+                and 0 <= kind < self.kinds):
+            raise KeyError((stage, tenant, kind))
+        kid = (stage * self.tenants + tenant) * self.kinds + kind
+        self.run(((t_ns, kid, conn, index),))
 
     def drain(self) -> None:
         """Run every queued/in-service request to completion."""
         self.run((), drain=True)
 
-    def run(self, arrivals: Iterable[Tuple[int, int, int, int, int, int]],
+    def run(self, arrivals: Iterable[Tuple[int, int, int, int]],
             drain: bool = False) -> None:
-        """The event loop: merge *arrivals* — ``(t_ns, stage, tenant,
-        kind, conn, index)`` in non-decreasing ``t_ns`` — with the
-        completion heap, then, if *drain*, run every queued/in-service
-        request to completion.
+        """The event loop: merge *arrivals* — ``(t_ns, kid, conn,
+        index)`` in non-decreasing ``t_ns`` — with the completion heap,
+        then, if *drain*, run every queued/in-service request to
+        completion.
 
         Completions due at or before an arrival go first (a worker
         freed at t serves an arrival at t).  After a completion the
@@ -109,142 +154,179 @@ class ServerSim:
         sampled before each event changes state.  The state lives in
         locals for the run and is stored back at the end.
         """
-        server, workers, emit = self.server, self.workers, self.emit
-        queue_limit, service_ns = self.queue_limit, self.service_ns
-        sample_every = self.sample_every_ns
+        workers = self.workers
+        queue_limit, service = self.queue_limit, self._service
+        stage_of, key_of = self._stage, self.key_of
         trace, span_meta = self.trace, self._span_meta
         tracing = trace is not None
-        waiting, engaged = self.waiting, self.engaged
-        conn_pending, heap = self.conn_pending, self.in_service
-        offered = self.offered
-        shed, latency = self.shed, self.latency
-        stage_max_depth, depth_series = self.stage_max_depth, \
-            self.depth_series
+        waiting, busy, heap = self.waiting, self.busy, self.in_service
+        offered, shed = self._offered, self._shed
+        buckets_of, totals = self._buckets, self._total
+        maxima, minima = self._max, self._min
+        stage_max_depth = self.stage_max_depth
         free, seq = self.free_workers, self._seq
         next_sample = self._next_sample_ns
         push, pop = heapq.heappush, heapq.heappop
         popleft, enqueue = waiting.popleft, waiting.append
+        sub_bits = SUB_BUCKET_BITS
+        sub, shift0 = 1 << sub_bits, sub_bits + 1
 
-        arrivals = iter(arrivals)
-        arrival = next(arrivals, None)
-        while True:
-            if heap and (heap[0][0] <= arrival[0] if arrival is not None
-                         else drain):
-                completing, now = True, heap[0][0]
-            elif arrival is not None:
-                completing, now = False, arrival[0]
-            else:
-                break
-            while next_sample <= now:
-                sample = (next_sample, len(waiting), workers - free)
-                depth_series.append(sample)
-                if emit is not None:
-                    emit("queue_depth", {
-                        "server": server, "t_ns": sample[0],
-                        "depth": sample[1], "in_flight": sample[2]})
-                next_sample += sample_every
-
-            if completing:
-                request = pop(heap)[2]
-                t_ns, stage, tenant, kind, conn, index = request
+        for arrival in chain(arrivals, (_DRAIN,)) if drain else arrivals:
+            t_ns = arrival[0]
+            while heap and heap[0][0] <= t_ns:
+                now, _, request = pop(heap)
+                if next_sample <= now:
+                    next_sample = self._sample(next_sample, now,
+                                               len(waiting), workers - free)
+                start, kid, conn, index = request
                 free += 1
-                # LogHistogram.record, inline (latencies are never < 0).
-                key = (stage, tenant, kind)
-                hist = latency.get(key)
-                if hist is None:
-                    hist = latency[key] = LogHistogram()
-                value = now - t_ns
-                bucket = bucket_index(value)
-                buckets = hist.buckets
-                buckets[bucket] = buckets.get(bucket, 0) + 1
-                hist.count += 1
-                hist.total += value
-                if value > hist.max:
-                    hist.max = value
-                if hist.min is None or value < hist.min:
-                    hist.min = value
+                # LogHistogram.record with bucket_index inline
+                # (latencies are never < 0).
+                value = now - start
+                if value < sub:
+                    bucket = value
+                else:
+                    shift = value.bit_length() - shift0
+                    bucket = (shift << sub_bits) + (value >> shift)
+                buckets = buckets_of[kid]
+                buckets[bucket] += 1
+                totals[kid] += value
+                if value > maxima[kid]:
+                    maxima[kid] = value
+                if value < minima[kid]:
+                    minima[kid] = value
                 if tracing and index >= 0:
                     meta = span_meta.pop(index)
+                    stage, tenant, kind = key_of[kid]
                     trace.record(
                         index=index, conn=conn, stage=stage, tenant=tenant,
-                        kind=kind, arrival_ns=t_ns, latency_ns=now - t_ns,
+                        kind=kind, arrival_ns=start, latency_ns=value,
                         conn_wait_ns=meta[0], queue_ns=meta[2])
                 if waiting:
                     # Start the next waiting request (free > 0 here).
                     request = popleft()
-                    index = request[5]
-                    if tracing and index >= 0:
-                        meta = span_meta[index]
+                    if tracing and request[3] >= 0:
+                        meta = span_meta[request[3]]
                         meta[2] = now - meta[1]
                     free -= 1
                     seq += 1
-                    push(heap, (now + service_ns[(request[2], request[3])],
-                                seq, request))
-                engaged.discard(conn)
-                pending = conn_pending.get(conn)
+                    push(heap, (now + service[request[1]], seq, request))
+                pending = busy[conn]
                 if not pending:
+                    del busy[conn]
                     continue
-                # Admit the connection's next pending request.  This
-                # completion left a free worker or a free queue slot,
-                # so it is never shed.
+                # Admit the connection's next pending request; the
+                # connection stays busy.  This completion left a free
+                # worker or a free queue slot, so it is never shed.
                 request = pending.popleft()
-                if not pending:
-                    del conn_pending[conn]
-                t_ns, stage, tenant, kind, conn, index = request
-            else:
-                request = arrival
-                arrival = next(arrivals, None)
-                t_ns, stage, tenant, kind, conn, index = request
-                key = (stage, tenant, kind)
-                offered[key] = offered.get(key, 0) + 1
+                index = request[3]
                 if tracing and index >= 0:
-                    span_meta[index] = [0, -1, 0]
-                if conn in engaged:
-                    conn_pending.setdefault(conn, deque()).append(request)
-                    continue
+                    meta = span_meta[index]
+                    # The time between arrival and admission is spent
+                    # waiting for this connection's previous request
+                    # (keep-alive serialization).
+                    meta[0] = now - request[0]
+                if free > 0:
+                    free -= 1
+                    seq += 1
+                    push(heap, (now + service[request[1]], seq, request))
+                else:
+                    enqueue(request)
+                    if tracing and index >= 0:
+                        meta[1] = now
+                    depth = len(waiting)
+                    stage = stage_of[request[1]]
+                    if depth > stage_max_depth[stage]:
+                        stage_max_depth[stage] = depth
+            if arrival is _DRAIN:
+                break
 
-            # Admit *request* at *now*.
-            meta = None
+            if next_sample <= t_ns:
+                next_sample = self._sample(next_sample, t_ns, len(waiting),
+                                           workers - free)
+            _, kid, conn, index = arrival
+            offered[kid] += 1
             if tracing and index >= 0:
-                meta = span_meta[index]
-                # The time between arrival and admission is spent
-                # waiting for this connection's previous request
-                # (keep-alive serialization); 0 when it was free.
-                meta[0] = now - t_ns
-            if free > 0:
-                engaged.add(conn)
+                span_meta[index] = [0, -1, 0]
+            if conn in busy:
+                pending = busy[conn]
+                if pending is None:
+                    busy[conn] = deque((arrival,))
+                else:
+                    pending.append(arrival)
+            elif free > 0:
+                busy[conn] = None
                 free -= 1
                 seq += 1
-                push(heap, (now + service_ns[(tenant, kind)], seq, request))
+                push(heap, (t_ns + service[kid], seq, arrival))
             elif len(waiting) < queue_limit:
-                engaged.add(conn)
-                enqueue(request)
-                if meta is not None:
-                    meta[1] = now
+                busy[conn] = None
+                enqueue(arrival)
+                if tracing and index >= 0:
+                    span_meta[index][1] = t_ns
                 depth = len(waiting)
+                stage = stage_of[kid]
                 if depth > stage_max_depth[stage]:
                     stage_max_depth[stage] = depth
             else:
-                key = (stage, tenant, kind)
-                shed[key] = shed.get(key, 0) + 1
-                if meta is not None:
+                shed[kid] += 1
+                if tracing and index >= 0:
                     del span_meta[index]
+                    stage, tenant, kind = key_of[kid]
                     trace.record(
                         index=index, conn=conn, stage=stage, tenant=tenant,
-                        kind=kind, arrival_ns=t_ns, latency_ns=now - t_ns,
-                        conn_wait_ns=meta[0], shed=True)
+                        kind=kind, arrival_ns=t_ns, latency_ns=0,
+                        conn_wait_ns=0, shed=True)
 
         self.free_workers, self._seq = free, seq
         self._next_sample_ns = next_sample
 
+    def _sample(self, next_sample: int, now: int, depth: int,
+                in_flight: int) -> int:
+        """Record the queue-depth samples due at or before *now*, from
+        *next_sample* on; return the next sample's time."""
+        while next_sample <= now:
+            self.depth_series.append((next_sample, depth, in_flight))
+            if self.emit is not None:
+                self.emit("queue_depth", {
+                    "server": self.server, "t_ns": next_sample,
+                    "depth": depth, "in_flight": in_flight})
+            next_sample += self.sample_every_ns
+        return next_sample
+
     # ------------------------------------------------------------- output
+
+    @property
+    def offered(self) -> Dict[Tuple[int, int, int], int]:
+        return self._keyed(self._offered)
+
+    @property
+    def shed(self) -> Dict[Tuple[int, int, int], int]:
+        return self._keyed(self._shed)
+
+    @property
+    def latency(self) -> Dict[Tuple[int, int, int], LogHistogram]:
+        tables = {}
+        for kid, buckets in enumerate(self._buckets):
+            if buckets:
+                hist = tables[self.key_of[kid]] = LogHistogram()
+                hist.buckets = dict(buckets)
+                hist.count = sum(buckets.values())
+                hist.total = self._total[kid]
+                hist.max = self._max[kid]
+                hist.min = self._min[kid]
+        return tables
+
+    def _keyed(self, tally: List[int]) -> Dict[Tuple[int, int, int], int]:
+        return {self.key_of[kid]: n for kid, n in enumerate(tally) if n}
 
     def result(self) -> Dict:
         """JSON-safe shard result for this server; merged by the engine
         with plain integer sums + histogram merges."""
-        completed = {key: hist.count for key, hist in self.latency.items()}
+        latency = self.latency
+        completed = {key: hist.count for key, hist in latency.items()}
         return server_result_doc(self.server, self.offered, completed,
-                                 self.shed, self.latency,
+                                 self.shed, latency,
                                  self.stage_max_depth, self.depth_series)
 
 
@@ -282,5 +364,9 @@ def simulate_server(server: int, schedule, service_ns, workers: int,
                     service_ns=service_ns, stages=len(schedule.config.ramp),
                     sample_every_ns=span // DEPTH_SAMPLES or 1, emit=emit,
                     trace=trace)
-    sim.run(schedule.arrivals(server), drain=True)
+    if (sim.tenants, sim.kinds) != (len(schedule.tenant_names),
+                                    len(schedule.kind_names)):
+        raise ValueError("service_ns does not cover the schedule's "
+                         "(tenant, kind) pairs")
+    sim.run(schedule.keyed_arrivals(server), drain=True)
     return sim.result()

@@ -17,7 +17,12 @@ Poisson gap is ``expovariate``'s body, so the stream and every byte
 match the method calls (pinned against them by the tests).
 
 Columns live in ``array('q')`` (8 bytes/field): a million-request
-schedule is four 8 MB arrays, not a million Python objects.
+schedule is four 8 MB arrays, not a million Python objects.  The model
+fabric's key column (:attr:`ArrivalSchedule.keys`, one
+``(stage · T + tenant) · K + kind`` per request, two bytes each while
+the keys fit) is derived on first use and kept with the memoised
+schedule; the parent computes it before the pool forks.  Per-server
+streams are zipped from the columns lazily, never materialised.
 
 The rate ramp is request-count-staged: stage ``i = r * len(ramp) // n``
 for request ``r`` of ``n``, so every stage holds the same number of
@@ -33,6 +38,8 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import add, getitem, mul
 from typing import Dict, Iterator, Tuple
 
 from repro.traffic.config import TrafficConfig
@@ -88,11 +95,32 @@ class ArrivalSchedule:
     def stage_of(self, index: int) -> int:
         # Inverse of stage_bounds: stage s covers [s*n//stages,
         # (s+1)*n//stages), so s is the largest value with
-        # s*n//stages <= index.  The generator draws request r at the
-        # rate of stage r*stages//n instead; the two rules disagree on
-        # a few requests (ROADMAP.md, "stage-boundary mismatch").
+        # s*n//stages <= index.
         stages, n = len(self.config.ramp), len(self.t_ns)
         return ((index + 1) * stages - 1) // n
+
+    @functools.cached_property
+    def keys(self) -> array:
+        """Each request's dense tally key, ``kid = (stage * T + tenant)
+        * K + kind`` for ``T`` tenants and ``K`` kinds, with ``stage``
+        :meth:`stage_of`'s (see :func:`request_keys`).  Built on first
+        use and kept with the schedule, so the forked pool workers
+        inherit it from the memoised schedule."""
+        return request_keys(self)
+
+    def keyed_arrivals(self, server: int) -> Iterator[Tuple[int, int,
+                                                           int, int]]:
+        """``(t_ns, kid, conn, index)`` for each request of *server*, in
+        schedule order: the model fabric's input stream.  It is zipped
+        lazily from the columns by C-level iterators; nothing per server
+        is materialised (a tuple list per server would add its size
+        again to the peak RSS).  ``operator.getitem`` is the cheaper
+        call: a column's bound ``__getitem__`` packs an argument tuple
+        per request."""
+        index = self.by_server[server]
+        return zip(*(map(getitem, repeat(column), index)
+                     for column in (self.t_ns, self.keys, self.conn)),
+                   index)
 
     def digest(self) -> str:
         """SHA-256 over the raw column bytes: the byte-identity witness
@@ -122,6 +150,29 @@ class ArrivalSchedule:
         for index in self.by_server[server]:
             yield (t_col[index], ((index + 1) * stages - 1) // n,
                    tenant[index], kind[index], conn[index], index)
+
+
+def request_keys(schedule: ArrivalSchedule) -> array:
+    """The key column of :attr:`ArrivalSchedule.keys`: one small integer
+    per request, ``(stage * T + tenant) * K + kind``, so the fabric's
+    tallies, service times and histograms are lists indexed by it.
+
+    ``stage`` is the tally's rule (:meth:`ArrivalSchedule.stage_of`,
+    i.e. :meth:`~ArrivalSchedule.stage_bounds`).  The generator draws
+    request r at the rate of stage r*stages//n instead; the two rules
+    disagree on a few requests (ROADMAP.md, "stage-boundary mismatch").
+    """
+    tenants, kinds = len(schedule.tenant_names), len(schedule.kind_names)
+    width = tenants * kinds
+    count = width * len(schedule.config.ramp)
+    # Two bytes a request while the keys fit (about 0.4 MB at 2·10^5).
+    keys = array("H" if count <= 1 << 16 else "q")
+    # tenant * K + kind, offset by each stage's first key.
+    local = map(add, map(mul, schedule.tenant, repeat(kinds)), schedule.kind)
+    for stage, (first, end) in enumerate(schedule.stage_bounds()):
+        keys.extend(map(add, repeat(stage * width, end - first),
+                        islice(local, end - first)))
+    return keys
 
 
 def _gap_drawer(arrival: str, rng: random.Random, rate: int):
@@ -188,9 +239,10 @@ def generate_schedule(config: TrafficConfig, seed: int) -> ArrivalSchedule:
     now = 0
     for stage, multiplier in enumerate(config.ramp):
         # Request r is drawn at the rate of stage r*stages//n, so stage
-        # s starts at ceil(s*n/stages).  stage_of/stage_bounds tally by
-        # floor(s*n/stages) instead (ROADMAP.md, "stage-boundary
-        # mismatch"); this rule is kept so the draw stream is unchanged.
+        # s starts at ceil(s*n/stages).  The tally (stage_of, and the
+        # fabric's request_keys) counts from floor(s*n/stages) instead
+        # (ROADMAP.md, "stage-boundary mismatch"); this rule is kept so
+        # the draw stream is unchanged.
         first = -(-stage * n // stages)
         end = -(-(stage + 1) * n // stages)
         rate = config.rate * multiplier

@@ -128,6 +128,24 @@ def test_shared_schedule_unchanged_by_a_run(make):
     assert generate_schedule.cache_info().misses == 1
 
 
+def pid_log(path):
+    """``(record, drain)`` over a log of pids at *path*: ``record()``
+    appends this process's pid (forked workers included), ``drain()``
+    returns the pids logged since its last call."""
+    path.touch()
+
+    def record():
+        with open(path, "a") as out:
+            out.write(f"{os.getpid()}\n")
+
+    def drain():
+        pids = [int(line) for line in path.read_text().split()]
+        path.write_text("")
+        return pids
+
+    return record, drain
+
+
 @pytest.fixture
 def schedule_builds(monkeypatch, tmp_path):
     """Record the pid of every arrival-schedule build (a memo miss of
@@ -136,23 +154,15 @@ def schedule_builds(monkeypatch, tmp_path):
     returns the pids logged since the last one."""
     import repro.traffic.schedule as schedule_mod
 
-    log = tmp_path / "schedule-builds"
-    log.touch()
+    record, drain = pid_log(tmp_path / "schedule-builds")
     real = schedule_mod.ArrivalSchedule
 
     def recorded(**fields):
-        with open(log, "a") as out:
-            out.write(f"{os.getpid()}\n")
+        record()
         return real(**fields)
 
     monkeypatch.setattr(schedule_mod, "ArrivalSchedule", recorded)
     generate_schedule.cache_clear()
-
-    def drain():
-        pids = [int(line) for line in log.read_text().split()]
-        log.write_text("")
-        return pids
-
     yield drain
     generate_schedule.cache_clear()
 
@@ -182,6 +192,63 @@ def test_one_schedule_build_per_run(schedule_builds, tmp_path):
     assert rerun.stats.hits == rerun.stats.cells == 2
     assert rerun.to_json() == serial
     assert schedule_builds() == [os.getpid()]
+
+
+def test_one_key_column_per_run(monkeypatch, tmp_path):
+    """The parent computes the model fabric's key column with the
+    schedule, before the pool forks: the workers inherit it with the
+    memoised schedule, so a ``--jobs 2`` run builds it once in all."""
+    import repro.traffic.schedule as schedule_mod
+
+    record, drain = pid_log(tmp_path / "key-builds")
+    real = schedule_mod.request_keys
+
+    def recorded(schedule):
+        record()
+        return real(schedule)
+
+    monkeypatch.setattr(schedule_mod, "request_keys", recorded)
+    traffic = model_config(rate=40_000)
+    generate_schedule.cache_clear()
+    serial = report_json(traffic, jobs=1)
+    assert drain() == [os.getpid()]
+
+    generate_schedule.cache_clear()
+    fleet._CALIBRATION_CACHE.clear()
+    report = run_loadtest(["native"], "redis", traffic, seed=23, jobs=2)
+    assert report.stats.mode == "parallel"
+    assert report.to_json() == serial
+    assert drain() == [os.getpid()]
+    generate_schedule.cache_clear()
+
+
+def test_parent_calibrates_mechanisms_shared_by_shards(monkeypatch,
+                                                       tmp_path):
+    """Every shard of a mechanism needs its calibration.  The parent runs
+    each one before the pool forks, so a ``--jobs 2`` run boots one
+    calibration kernel per mechanism, in the parent, and reports the
+    bytes of a ``--jobs 1`` run."""
+    from repro import runapi
+
+    record, drain = pid_log(tmp_path / "boots")
+    real = runapi.boot
+
+    def recorded(*args, **kwargs):
+        record()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runapi, "boot", recorded)
+    traffic = TrafficConfig(requests=10_000, rate=40_000)
+    mechanisms = ("SUD", "K23-ultra")
+    serial = report_json(traffic, jobs=1, mechanisms=mechanisms)
+    assert drain() == [os.getpid()] * 2
+
+    fleet._CALIBRATION_CACHE.clear()
+    report = run_loadtest(list(mechanisms), "redis", traffic, seed=23,
+                          jobs=2)
+    assert report.stats.mode == "parallel"
+    assert report.to_json() == serial
+    assert drain() == [os.getpid()] * 2
 
 
 def test_calibration_memo_keys_on_cost_model(monkeypatch):

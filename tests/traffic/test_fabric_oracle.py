@@ -258,6 +258,7 @@ CASES = [
      4_000, 1, 1),
     ("lognormal-bursts", {"arrival": "lognormal", "servers": 3,
                           "connections": 60}, 3_000, 2, 6),
+    ("queue-limit-3-sheds", {"servers": 1}, 5_000, 2, 3),
 ]
 
 
@@ -281,6 +282,67 @@ def test_event_loop_matches_reference(name, overrides, base_ns, workers,
     # request admitted on a connection release is never shed; the new
     # loop relies on this.
     assert all(ref.release_sheds == 0 for ref in refs)
+
+
+def test_two_tenants_three_kinds_each_keep_their_tallies():
+    """Two tenants that both draw all three kinds: each of the six
+    (tenant, kind) pairs reaches the fabric under its own key and comes
+    back out under its own tuple."""
+    schedule = generate_schedule(
+        config(mix=(("small", 3), ("medium", 2), ("large", 1))), 11)
+    assert len(schedule.tenant_names) == 2
+    assert len(schedule.kind_names) == 3
+    refs = run_both(schedule, varied_table(schedule, 2_000), 2, 8,
+                    spans=True)
+    pairs = {(tenant, kind) for ref in refs
+             for _stage, tenant, kind in ref.offered}
+    assert pairs == {(t, k) for t in range(2) for k in range(3)}
+
+
+#: With 6 stages at n = 2·10^5, the generator draws these requests at
+#: one stage's rate while ``stage_of`` counts them in the next.
+BOUNDARY = (33_333, 66_666, 133_333, 166_666)
+
+
+def test_stage_boundary_requests_tally_in_stage_of_stage():
+    n, stages = 200_000, 6
+    schedule = generate_schedule(
+        config(requests=n, servers=4, connections=64,
+               ramp=(1, 2, 4, 8, 16, 32)), 11)
+    width = len(schedule.tenant_names) * len(schedule.kind_names)
+    table = varied_table(schedule, 900)
+    for index in BOUNDARY:
+        stage = schedule.stage_of(index)
+        assert index * stages // n != stage  # the generator's rule
+        assert schedule.keys[index] // width == stage
+        # One request on its own: its tallies carry stage_of's stage.
+        sim = ServerSim(server=0, workers=2, queue_limit=8,
+                        service_ns=table, stages=stages,
+                        sample_every_ns=1000)
+        sim.run(((schedule.t_ns[index], schedule.keys[index],
+                  schedule.conn[index], index),), drain=True)
+        key = (stage, schedule.tenant[index], schedule.kind[index])
+        assert sim.offered == {key: 1}
+        assert list(sim.latency) == [key]
+    servers = schedule.config.servers
+    for server in sorted({schedule.conn[index] % servers
+                          for index in BOUNDARY}):
+        doc = simulate_server(server, schedule, table, 2, 8)
+        ref = reference_simulate(server, schedule, table, 2, 8)
+        assert doc == ref.result()
+
+
+def test_direct_offer_rejects_keys_outside_the_tables():
+    sim = ServerSim(server=0, workers=1, queue_limit=1,
+                    service_ns={(t, k): 100 for t in range(2)
+                                for k in range(3)},
+                    stages=2, sample_every_ns=100)
+    for key in ((2, 0, 0), (0, 2, 0), (0, 0, 3), (-1, 0, 0)):
+        with pytest.raises(KeyError):
+            sim.offer(0, *key, conn=1)
+    sim.offer(0, 1, 1, 2, conn=1)
+    sim.drain()
+    assert sim.result()["completed"] == {"1:1:2": 1}
 
 
 def test_direct_offer_api_matches_reference():
