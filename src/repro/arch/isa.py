@@ -75,6 +75,13 @@ SYSCALL_PATTERNS = (SYSCALL_BYTES, SYSENTER_BYTES)
 class Mnemonic(enum.Enum):
     """Every instruction the SimX86 decoder understands."""
 
+    # Members are process-wide singletons (pickling resolves by name), so
+    # identity hashing is correct — and the C slot avoids a Python-level
+    # __hash__ frame on the ``in BLOCK_TERMINATORS`` test block recording
+    # runs once per first-executed instruction.  Nothing iterates a set of
+    # mnemonics, so no output depends on the hash values.
+    __hash__ = object.__hash__
+
     NOP = "nop"
     RET = "ret"
     INT3 = "int3"

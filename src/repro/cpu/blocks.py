@@ -170,29 +170,39 @@ def _record(env, ctx, icache, budget: int) -> int:
     entry = ctx.rip
     icache.begin_record(entry)
     steps = []
+    append = steps.append
+    fetch_entry = icache.fetch_entry
+    mem_fetch = env.mem_fetch
+    charge = env.charge
+    instruction = Event.INSTRUCTION
+    # Every traced instruction is appended to steps, so executed is also
+    # the block length: one bound covers the budget and BLOCK_MAX.
+    limit = budget if budget < BLOCK_MAX else BLOCK_MAX
     executed = 0
     try:
         while True:
             env.unit_retired = executed + 1
             fetch_addr = ctx.rip
             try:
-                _raw, insn, fn = icache.fetch_entry(fetch_addr, env.mem_fetch)
+                _raw, insn, fn = fetch_entry(fetch_addr, mem_fetch)
             except DecodeError as exc:
                 raise InvalidOpcode(fetch_addr, str(exc)) from exc
             slide = fn is slide_nops
-            if slide and steps:
+            if slide and executed:
                 # A nop slide starts its own block.
                 break
             next_rip = (fetch_addr + insn.length) & _MASK64
-            icache.extend_record(next_rip)
+            # The recording span covers this instruction before it runs,
+            # so its own store into the span dooms the recording.
+            icache._rec_hi = next_rip
             ctx.rip = next_rip
-            env.charge(Event.INSTRUCTION)
+            charge(instruction)
             fn(env, ctx)
             executed += 1
-            steps.append((next_rip, fn, insn))
+            append((next_rip, fn, insn))
             if slide or insn.mnemonic in BLOCK_TERMINATORS:
                 break
-            if executed >= budget or len(steps) >= BLOCK_MAX:
+            if executed >= limit:
                 break
     except BaseException:
         icache.end_record()

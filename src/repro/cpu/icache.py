@@ -33,7 +33,9 @@ executing stale decodes leaves the block cache executing the *same* stale
 decodes; a store that invalidates lines kills the blocks too.
 
 Lines and blocks are indexed by page so per-store invalidation inspects only
-candidates on the written pages instead of scanning every cached entry.
+candidates on the written pages instead of scanning every cached entry.  An
+entry that straddles a page end is indexed on every page it covers, so a
+store to any of them finds it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.arch.isa import Instruction, Mnemonic
 from repro.cpu.dispatch import (
     BLOCK_TERMINATORS, Executor, compile_insn, slide_nops)
 from repro.errors import ProtectionKeyFault, SegmentationFault
-from repro.memory.pages import page_index
+from repro.memory.pages import PAGE_SHIFT
 
 #: Maximum bytes one line caches (longest SimX86 instruction is 10 bytes).
 LINE_SPAN = 16
@@ -70,6 +72,38 @@ DECODED_LINES_MAX = 1 << 14
 TERM_DIRECT = 0
 TERM_INDIRECT = 1
 TERM_END = 2
+
+
+def _index_span(index: Dict[int, Set[int]], key: int, start: int,
+                end: int) -> None:
+    """Add *key* to the page index of every page ``[start, end)`` covers.
+
+    Shifts and one dict probe per page: this runs for every line a core
+    fetches first and every block it records.
+    """
+    page = start >> PAGE_SHIFT
+    last = (end - 1) >> PAGE_SHIFT
+    while page <= last:
+        entries = index.get(page)
+        if entries is None:
+            index[page] = {key}
+        else:
+            entries.add(key)
+        page += 1
+
+
+def _unindex_span(index: Dict[int, Set[int]], key: int, start: int,
+                  end: int) -> None:
+    """Remove *key* from the pages :func:`_index_span` put it on."""
+    page = start >> PAGE_SHIFT
+    last = (end - 1) >> PAGE_SHIFT
+    while page <= last:
+        entries = index.get(page)
+        if entries is not None:
+            entries.discard(key)
+            if not entries:
+                del index[page]
+        page += 1
 
 
 @functools.lru_cache(maxsize=DECODED_LINES_MAX)
@@ -208,9 +242,8 @@ class ICache:
             raise fault
         line = decode_line(raw)
         self._lines[address] = line
-        for page in range(page_index(address),
-                          page_index(address + len(line[0]) - 1) + 1):
-            self._line_pages.setdefault(page, set()).add(address)
+        _index_span(self._line_pages, address, address,
+                    address + len(line[0]))
         return line
 
     # -- block interface -------------------------------------------------------
@@ -222,13 +255,12 @@ class ICache:
         return block
 
     def install_block(self, block: Block) -> None:
-        old = self._blocks.get(block.entry)
+        entry = block.entry
+        old = self._blocks.get(entry)
         if old is not None:
             self._drop_block(old)
-        self._blocks[block.entry] = block
-        for page in range(page_index(block.entry),
-                          page_index(block.end - 1) + 1):
-            self._blocks_by_page.setdefault(page, set()).add(block.entry)
+        self._blocks[entry] = block
+        _index_span(self._blocks_by_page, entry, entry, block.end)
         self.block_installs += 1
 
     def _drop_block(self, block: Block) -> None:
@@ -241,15 +273,10 @@ class ICache:
         block.succ = None
         if block.sbs:
             self._doom_superblocks(block)
-        if self._blocks.get(block.entry) is block:
-            del self._blocks[block.entry]
-        for page in range(page_index(block.entry),
-                          page_index(block.end - 1) + 1):
-            entries = self._blocks_by_page.get(page)
-            if entries is not None:
-                entries.discard(block.entry)
-                if not entries:
-                    del self._blocks_by_page[page]
+        entry = block.entry
+        if self._blocks.get(entry) is block:
+            del self._blocks[entry]
+        _unindex_span(self._blocks_by_page, entry, entry, block.end)
 
     def _doom_superblocks(self, block: Block) -> None:
         """Invalidate every superblock *block* participates in.
@@ -273,15 +300,14 @@ class ICache:
 
     # Recording span: repro.cpu.blocks brackets first-execution tracing with
     # begin/end so invalidations racing the trace doom the block-in-progress.
+    # The recorder advances ``_rec_hi`` itself, before each traced
+    # instruction executes (a plain store: it runs once per instruction).
 
     def begin_record(self, start: int) -> None:
         self._rec_active = True
         self._rec_lo = start
         self._rec_hi = start
         self._rec_doomed = False
-
-    def extend_record(self, hi: int) -> None:
-        self._rec_hi = hi
 
     def end_record(self) -> bool:
         """Stop recording; returns True if the span survived untouched."""
@@ -305,7 +331,7 @@ class ICache:
         if self._rec_active and start < self._rec_hi and self._rec_lo < end:
             self._rec_doomed = True
         lines, line_pages = self._lines, self._line_pages
-        pages = range(page_index(start), page_index(end - 1) + 1)
+        pages = range(start >> PAGE_SHIFT, ((end - 1) >> PAGE_SHIFT) + 1)
         first = start - LINE_SPAN + 1
         if end - first < sum(len(line_pages.get(page, ()))
                              for page in pages):
@@ -318,13 +344,7 @@ class ICache:
                       if addr < end and start < addr + len(lines[addr][0])}
         for addr in doomed:
             raw = lines.pop(addr)[0]
-            for page in range(page_index(addr),
-                              page_index(addr + len(raw) - 1) + 1):
-                on_page = line_pages.get(page)
-                if on_page is not None:
-                    on_page.discard(addr)
-                    if not on_page:
-                        del line_pages[page]
+            _unindex_span(line_pages, addr, addr, addr + len(raw))
         for page in pages:
             entries = self._blocks_by_page.get(page)
             if entries:

@@ -92,8 +92,8 @@ class FaultInjector:
                 pid, tid = thread.process.pid, thread.tid
             elif process is not None:
                 pid = process.pid
-            bus.emit(FaultInjected(ts=self.kernel.cycles.cycles, pid=pid,
-                                   tid=tid, description=text))
+            bus.emit(FaultInjected, ts=self.kernel.cycles.cycles, pid=pid,
+                     tid=tid, description=text)
 
     def detach(self) -> None:
         if self.kernel.fault_injector is self:

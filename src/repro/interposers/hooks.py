@@ -65,11 +65,11 @@ class TracingHook:
             if bus is not None and bus.enabled:
                 from repro.observability.events import HookObserved
 
-                bus.emit(HookObserved(
-                    ts=thread.process.kernel.cycles.cycles,
+                bus.emit(
+                    HookObserved, ts=thread.process.kernel.cycles.cycles,
                     pid=thread.process.pid, tid=thread.tid, nr=nr,
                     hook="tracing",
-                    result=result if isinstance(result, int) else None))
+                    result=result if isinstance(result, int) else None)
         return result
 
     def formatted(self) -> List[str]:
@@ -96,11 +96,11 @@ class CountingHook:
             if bus is not None and bus.enabled:
                 from repro.observability.events import HookObserved
 
-                bus.emit(HookObserved(
-                    ts=thread.process.kernel.cycles.cycles,
+                bus.emit(
+                    HookObserved, ts=thread.process.kernel.cycles.cycles,
                     pid=thread.process.pid, tid=thread.tid, nr=nr,
                     hook="counting",
-                    result=result if isinstance(result, int) else None))
+                    result=result if isinstance(result, int) else None)
         return result
 
     def summary(self) -> str:

@@ -123,10 +123,10 @@ class LazypolineInterposer(Interposer):
         if kernel.bus.enabled:
             from repro.observability.events import RewriteApplied
 
-            kernel.bus.emit(RewriteApplied(ts=kernel.cycles.cycles,
-                                           pid=process.pid, tid=thread.tid,
-                                           site=site, protocol="lazy-unsafe",
-                                           atomic=False, coherent=False))
+            kernel.bus.emit(RewriteApplied, ts=kernel.cycles.cycles,
+                            pid=process.pid, tid=thread.tid, site=site,
+                            protocol="lazy-unsafe", atomic=False,
+                            coherent=False)
 
     # -- SIGSYS discovery handler ---------------------------------------------------
 

@@ -44,10 +44,14 @@ from repro.interposers.base import (
 from repro.kernel.syscall_impl import BLOCKED
 from repro.memory.bitmap import AddressBitmap
 from repro.memory.pages import PAGE_SIZE, Prot, page_base, round_up_pages
+from repro.observability.events import RewriteApplied
 
 LIB_PATH = "/opt/interposers/libzpoline.so"
 
 CALL_RAX = b"\xff\xd0"
+
+#: The patch window's permissions while the two bytes are stored.
+PROT_RWX = Prot.READ | Prot.WRITE | Prot.EXEC
 
 
 def rewrite_site_safely(kernel, process, address: int) -> None:
@@ -61,7 +65,7 @@ def rewrite_site_safely(kernel, process, address: int) -> None:
     start = page_base(address)
     span = round_up_pages((address + 2) - start)
     kernel.cycles.charge(Event.MPROTECT)
-    space.mprotect(start, span, Prot.READ | Prot.WRITE | Prot.EXEC)
+    space.mprotect(start, span, PROT_RWX)
     space.write_kernel(address, CALL_RAX)  # single atomic 2-byte store
     kernel.cycles.charge(Event.MPROTECT)
     space.mprotect(start, PAGE_SIZE, saved_prot)
@@ -72,12 +76,9 @@ def rewrite_site_safely(kernel, process, address: int) -> None:
         thread.icache.invalidate_range(address, 2)
     kernel.cycles.charge(Event.REWRITE_SITE)
     if kernel.bus.enabled:
-        from repro.observability.events import RewriteApplied
-
-        kernel.bus.emit(RewriteApplied(ts=kernel.cycles.cycles,
-                                       pid=process.pid, tid=0, site=address,
-                                       protocol="static-safe", atomic=True,
-                                       coherent=True))
+        kernel.bus.emit(RewriteApplied, ts=kernel.cycles.cycles,
+                        pid=process.pid, tid=0, site=address,
+                        protocol="static-safe", atomic=True, coherent=True)
 
 
 class ZpolineInterposer(Interposer):

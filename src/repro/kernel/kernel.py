@@ -203,10 +203,9 @@ class Kernel:
                        status: Optional[int] = None, detail: str = "") -> None:
         """Publish a :class:`ProcessLifecycle` event (spawn/exec/exit)."""
         if self.bus.enabled:
-            self.bus.emit(ProcessLifecycle(ts=self.cycles.cycles,
-                                           pid=process.pid, tid=0, kind=kind,
-                                           path=process.path, status=status,
-                                           detail=detail))
+            self.bus.emit(ProcessLifecycle, ts=self.cycles.cycles,
+                          pid=process.pid, tid=0, kind=kind, path=process.path,
+                          status=status, detail=detail)
 
     # ------------------------------------------------------------- dispatch
 
@@ -233,9 +232,8 @@ class Kernel:
         if sud.enabled and sud.should_dispatch(site,
                                                self._read_selector(process)):
             if bus.enabled:
-                bus.emit(SyscallEnter(ts=self.cycles.cycles, pid=process.pid,
-                                      tid=thread.tid, nr=nr, site=site,
-                                      phase="sud"))
+                bus.emit(SyscallEnter, ts=self.cycles.cycles, pid=process.pid,
+                         tid=thread.tid, nr=nr, site=site, phase="sud")
             # A restarted blocking call (accept/recvfrom that parked inside
             # the handler's forwarded syscall) re-enters this path purely as
             # a simulation artifact; on hardware the thread blocks in-kernel
@@ -261,9 +259,8 @@ class Kernel:
                                 info={"nr": nr, "site": site},
                                 charge=not restart_credit, sync=True)
             if bus.enabled:
-                bus.emit(SyscallExit(ts=self.cycles.cycles, pid=process.pid,
-                                     tid=thread.tid, nr=nr, phase="sud",
-                                     result=None))
+                bus.emit(SyscallExit, ts=self.cycles.cycles, pid=process.pid,
+                         tid=thread.tid, nr=nr, phase="sud", result=None)
             return
 
         # 2. ptrace entry stop.
@@ -287,33 +284,29 @@ class Kernel:
                 if not restart_credit:
                     self.cycles.charge(Event.KERNEL_SYSCALL)
                 if bus.enabled:
-                    bus.emit(SyscallEnter(ts=self.cycles.cycles,
-                                          pid=process.pid, tid=thread.tid,
-                                          nr=nr, site=site,
-                                          phase="seccomp-trap"))
+                    bus.emit(SyscallEnter, ts=self.cycles.cycles,
+                             pid=process.pid, tid=thread.tid, nr=nr, site=site,
+                             phase="seccomp-trap")
                 self.deliver_signal(thread, SIGSYS, fault_rip=site,
                                     info={"nr": nr, "site": site,
                                           "seccomp": True},
                                     charge=not restart_credit, sync=True)
                 if bus.enabled:
-                    bus.emit(SyscallExit(ts=self.cycles.cycles,
-                                         pid=process.pid, tid=thread.tid,
-                                         nr=nr, phase="seccomp-trap",
-                                         result=None))
+                    bus.emit(SyscallExit, ts=self.cycles.cycles,
+                             pid=process.pid, tid=thread.tid, nr=nr,
+                             phase="seccomp-trap", result=None)
                 return
             if verdict.action == Action.ERRNO:
                 ctx.set_syscall_result(-verdict.errno)
                 ctx.set(Reg.RCX, ctx.rip)
                 ctx.set(Reg.R11, 0x202)
                 if bus.enabled:
-                    bus.emit(SyscallEnter(ts=self.cycles.cycles,
-                                          pid=process.pid, tid=thread.tid,
-                                          nr=nr, site=site,
-                                          phase="seccomp-errno"))
-                    bus.emit(SyscallExit(ts=self.cycles.cycles,
-                                         pid=process.pid, tid=thread.tid,
-                                         nr=nr, phase="seccomp-errno",
-                                         result=-verdict.errno))
+                    bus.emit(SyscallEnter, ts=self.cycles.cycles,
+                             pid=process.pid, tid=thread.tid, nr=nr, site=site,
+                             phase="seccomp-errno")
+                    bus.emit(SyscallExit, ts=self.cycles.cycles,
+                             pid=process.pid, tid=thread.tid, nr=nr,
+                             phase="seccomp-errno", result=-verdict.errno)
                 if traced and not tracer.detached:
                     tracer.notify_exit(thread)
                 return
@@ -323,9 +316,8 @@ class Kernel:
         if proceed:
             origin = "ptrace" if traced else "app"
             if bus.enabled:
-                bus.emit(SyscallEnter(ts=self.cycles.cycles, pid=process.pid,
-                                      tid=thread.tid, nr=nr, site=site,
-                                      phase=origin))
+                bus.emit(SyscallEnter, ts=self.cycles.cycles, pid=process.pid,
+                         tid=thread.tid, nr=nr, site=site, phase=origin)
             result = self.do_syscall(thread, nr, ctx.syscall_args(),
                                      origin=origin, site=site)
             if result is BLOCKED_SENTINEL:
@@ -336,9 +328,9 @@ class Kernel:
                 self.syscall_log.pop()
                 ctx.rip = site
                 if bus.enabled:
-                    bus.emit(SyscallExit(ts=self.cycles.cycles,
-                                         pid=process.pid, tid=thread.tid,
-                                         nr=nr, phase=origin, result=None))
+                    bus.emit(SyscallExit, ts=self.cycles.cycles,
+                             pid=process.pid, tid=thread.tid, nr=nr,
+                             phase=origin, result=None)
                 return
             self.cycles.charge(Event.KERNEL_SYSCALL)
             if process.sud_armed_ever:
@@ -346,10 +338,9 @@ class Kernel:
             if result is not None and not thread._just_execed:
                 ctx.set_syscall_result(result)
             if bus.enabled:
-                bus.emit(SyscallExit(ts=self.cycles.cycles, pid=process.pid,
-                                     tid=thread.tid, nr=nr, phase=origin,
-                                     result=result if isinstance(result, int)
-                                     else None))
+                bus.emit(SyscallExit, ts=self.cycles.cycles, pid=process.pid,
+                         tid=thread.tid, nr=nr, phase=origin,
+                         result=result if isinstance(result, int) else None)
 
         if not thread._just_execed:
             # x86-64 syscall ABI: kernel clobbers RCX (return RIP) and R11
@@ -413,27 +404,26 @@ class Kernel:
         """
         bus = self.bus
         if bus.enabled:
-            bus.emit(SyscallEnter(ts=self.cycles.cycles,
-                                  pid=thread.process.pid, tid=thread.tid,
-                                  nr=nr, site=site, phase=origin))
+            bus.emit(SyscallEnter, ts=self.cycles.cycles,
+                     pid=thread.process.pid, tid=thread.tid, nr=nr, site=site,
+                     phase=origin)
         result = self.do_syscall(thread, nr, args, origin=origin, site=site)
         if result is BLOCKED_SENTINEL:
             self.syscall_log.pop()
             if bus.enabled:
-                bus.emit(SyscallExit(ts=self.cycles.cycles,
-                                     pid=thread.process.pid, tid=thread.tid,
-                                     nr=nr, phase=origin, result=None))
+                bus.emit(SyscallExit, ts=self.cycles.cycles,
+                         pid=thread.process.pid, tid=thread.tid, nr=nr,
+                         phase=origin, result=None)
             return result
         self.cycles.charge(Event.KERNEL_SYSCALL)
         if thread.process.sud_armed_ever:
             self.cycles.charge(Event.SUD_ARMED_SLOWPATH)
         result = -Errno.ENOSYS if result is None else result
         if bus.enabled:
-            bus.emit(SyscallExit(ts=self.cycles.cycles,
-                                 pid=thread.process.pid, tid=thread.tid,
-                                 nr=nr, phase=origin,
-                                 result=result if isinstance(result, int)
-                                 else None))
+            bus.emit(SyscallExit, ts=self.cycles.cycles,
+                     pid=thread.process.pid, tid=thread.tid, nr=nr,
+                     phase=origin,
+                     result=result if isinstance(result, int) else None)
         if origin != "interposer-internal" and self.fault_injector is not None:
             # The forwarded application call completes here (the raw trap
             # returned early from the SUD/rewrite dispatch path).
@@ -478,15 +468,14 @@ class Kernel:
             detail = SIGNAL_NAMES.get(signal, str(signal))
             if sync:
                 if bus.enabled:
-                    bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                         tid=thread.tid, signal=signal,
-                                         kind="forced", sync=True))
+                    bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                             tid=thread.tid, signal=signal, kind="forced",
+                             sync=True)
                 default_action(signal, detail + " (blocked, forced)")
                 return
             if bus.enabled:
-                bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                     tid=thread.tid, signal=signal,
-                                     kind="queue"))
+                bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                         tid=thread.tid, signal=signal, kind="queue")
             thread.pending_signals.append((signal, fault_rip, info or {}))
             return
         action = thread.process.dispositions.get_action(signal)
@@ -495,18 +484,18 @@ class Kernel:
             if info:
                 detail += f" ({info})"
             if bus.enabled:
-                bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                     tid=thread.tid, signal=signal,
-                                     kind="default", sync=sync))
+                bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                         tid=thread.tid, signal=signal, kind="default",
+                         sync=sync)
             default_action(signal, detail)
             return
         if callable(action):
             if charge:
                 self.cycles.charge(Event.SIGNAL_DELIVERY)
             if bus.enabled:
-                bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                     tid=thread.tid, signal=signal,
-                                     kind="deliver", sync=sync))
+                bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                         tid=thread.tid, signal=signal, kind="deliver",
+                         sync=sync)
             thread._just_execed = False
             sigctx = SignalContext(signal, thread, thread.context.save(),
                                    fault_rip, info or {})
@@ -520,9 +509,9 @@ class Kernel:
             if charge:
                 self.cycles.charge(Event.SIGRETURN)
             if bus.enabled:
-                bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                     tid=thread.tid, signal=signal,
-                                     kind="return", sync=sync))
+                bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                         tid=thread.tid, signal=signal, kind="return",
+                         sync=sync)
             if not thread._just_execed:
                 # rt_sigreturn semantics; skipped when the handler execve'd
                 # (the frame belongs to the torn-down image).
@@ -534,18 +523,16 @@ class Kernel:
             # enclosing host handler's flush_pending_signals once its
             # context restore has run — see the docstring.
             if bus.enabled:
-                bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                     tid=thread.tid, signal=signal,
-                                     kind="defer"))
+                bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                         tid=thread.tid, signal=signal, kind="defer")
             thread.pending_signals.append((signal, fault_rip, info or {}))
             return
         # Simulated-address handler: push a frame, mask the signal until
         # rt_sigreturn, redirect RIP.
         self.cycles.charge(Event.SIGNAL_DELIVERY)
         if bus.enabled:
-            bus.emit(SignalEvent(ts=self.cycles.cycles, pid=pid,
-                                 tid=thread.tid, signal=signal,
-                                 kind="deliver", sync=sync))
+            bus.emit(SignalEvent, ts=self.cycles.cycles, pid=pid,
+                     tid=thread.tid, signal=signal, kind="deliver", sync=sync)
         thread.blocked_signals.add(signal)
         thread.signal_frames.append((signal, thread.context.save()))
         thread.context.set(Reg.RDI, signal)
@@ -581,9 +568,8 @@ class Kernel:
         for thread in process.threads:
             thread.icache.invalidate_range(start, length)
         if self.bus.enabled:
-            self.bus.emit(IcacheShootdown(ts=self.cycles.cycles,
-                                          pid=process.pid, tid=0,
-                                          start=start, length=length))
+            self.bus.emit(IcacheShootdown, ts=self.cycles.cycles,
+                          pid=process.pid, tid=0, start=start, length=length)
         if self.fault_injector is not None:
             self.fault_injector.on_icache_flush(process, start, length)
 
@@ -789,8 +775,8 @@ class Kernel:
         from repro.observability.events import EngineStats
 
         stats = self.interp_stats()
-        self.bus.emit(EngineStats(
-            ts=self.cycles.cycles, pid=0, tid=0,
+        self.bus.emit(
+            EngineStats, ts=self.cycles.cycles, pid=0, tid=0,
             tiers=self.engine.tiers(self.block_cache_enabled),
             chain_links=stats["chain_links"],
             chain_follows=stats["chain_follows"],
@@ -799,16 +785,15 @@ class Kernel:
             traces_compiled=stats["traces_compiled"],
             trace_hits=stats["trace_hits"],
             guard_fails=stats["guard_fails"],
-            invalidation_unlinks=stats["invalidation_unlinks"]))
+            invalidation_unlinks=stats["invalidation_unlinks"])
 
     def _quantum_boundary(self, thread: Thread) -> None:
         """Fault-injection hook at the end of a thread's scheduler turn."""
         if not thread.runnable:
             return
         if self.bus.enabled:
-            self.bus.emit(QuantumEnd(ts=self.cycles.cycles,
-                                     pid=thread.process.pid,
-                                     tid=thread.tid))
+            self.bus.emit(QuantumEnd, ts=self.cycles.cycles,
+                          pid=thread.process.pid, tid=thread.tid)
         fi = self.fault_injector
         if fi is None:
             return

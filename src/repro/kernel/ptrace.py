@@ -20,6 +20,7 @@ import struct
 from typing import Callable, List, Optional
 
 from repro.cpu.cycles import Event
+from repro.observability.events import PtraceStop
 
 
 class SyscallStop:
@@ -116,12 +117,9 @@ class Tracer:
     def _emit_stop(self, thread, entry: bool) -> None:
         bus = self.kernel.bus
         if bus.enabled:
-            from repro.observability.events import PtraceStop
-
-            bus.emit(PtraceStop(ts=self.kernel.cycles.cycles,
-                                pid=thread.process.pid, tid=thread.tid,
-                                nr=thread.context.syscall_number,
-                                entry=entry))
+            bus.emit(PtraceStop, ts=self.kernel.cycles.cycles,
+                     pid=thread.process.pid, tid=thread.tid,
+                     nr=thread.context.syscall_number, entry=entry)
 
     def notify_entry(self, thread) -> bool:
         """Called by the kernel at syscall entry.  Returns False to skip the

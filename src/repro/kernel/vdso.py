@@ -37,9 +37,9 @@ def build_vdso(kernel):
         if kernel.bus.enabled:
             from repro.observability.events import VdsoCall
 
-            kernel.bus.emit(VdsoCall(ts=kernel.cycles.cycles,
-                                     pid=thread.process.pid, tid=thread.tid,
-                                     symbol=symbol, site=thread.context.rip))
+            kernel.bus.emit(VdsoCall, ts=kernel.cycles.cycles,
+                            pid=thread.process.pid, tid=thread.tid,
+                            symbol=symbol, site=thread.context.rip)
 
     def vdso_clock_gettime(thread):
         """Host body: write the current time into *(rsi) and return 0."""

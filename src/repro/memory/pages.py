@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 
+#: ``address >> PAGE_SHIFT`` is :func:`page_index` without the call.
+PAGE_SHIFT = 12
 #: Page size in bytes (x86-64 base pages).
-PAGE_SIZE = 4096
+PAGE_SIZE = 1 << PAGE_SHIFT
 
 #: Size of the modelled user virtual address space (47 bits, as on Linux
 #: x86-64 with 4-level paging).  Used by the zpoline bitmap to compute its

@@ -8,6 +8,13 @@ Every event is a frozen dataclass with three shared fields:
   (0 when the event is machine-global, e.g. a cycle charge made outside
   any thread context).
 
+Emit sites never build these objects themselves: they hand
+:meth:`~repro.observability.bus.Bus.emit` the class and its fields, and
+the bus builds the object only while a sink that reads objects is
+attached (a counting-only bus just counts).  Cycle charges bypass
+``emit``; the cycle model builds ``CycleCharge`` / ``RawCycles`` only
+for sinks that take every charge.
+
 Events are *observations*, never control flow: a sink cannot return a
 verdict, mutate registers, or fail a syscall.  Channels that need a
 return value (the fault-injection engine's ``transient_errno`` /

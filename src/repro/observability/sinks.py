@@ -2,26 +2,32 @@
 
 - :class:`NullSink` — accepts and drops everything; exists so the cost
   of an *attached-but-indifferent* consumer can be measured (the
-  disabled-bus fast path never even reaches a sink).  It takes no
-  charges, so it measures the cost of non-charge events only.
+  disabled-bus fast path never even reaches a sink).  It takes every
+  event as an object, so the bus still builds each one, and no charges,
+  so it measures the cost of non-charge events only.
 - :class:`CounterSink` — counters + histograms: per-event-type tallies,
   per-:class:`~repro.observability.events.CycleCharge` cycle
   attribution, per-label raw-cycle attribution, and a per-syscall-number
   histogram.  This is what ``evaluation/breakdown.py`` and the
   conformance matrix consume, and what the ``METRICS_*.json`` artifacts
-  snapshot.
+  snapshot.  It reads no event objects: events and charges reach it as
+  counts and running totals.
 - :class:`RingBufferSink` — bounded in-memory tracer (flight recorder):
   keeps the last N events, O(1) per emit.
 - :class:`StreamingJSONLSink` — one JSON object per line to a stream,
   for piping a live run into external tooling.
 
-Each sink declares ``each_charge``: True (the default, and what a plain
-object with only ``accept`` gets) receives every ``CycleCharge`` /
-``RawCycles`` event through ``accept``; False receives charges as
-running totals through ``accept_charges``, or none at all if the sink
-keeps the ignoring default (see :mod:`repro.observability.bus`).  A
-:class:`CountingSink` records the buses feeding it so it can flush
-their pending totals before its numbers are read.
+Each sink declares ``each_event``: True (the default, and what a plain
+object with only ``accept`` gets) receives every event as an object
+through ``accept``; False receives per-class counts and the two
+histograms through ``accept_counts``, or nothing if the sink keeps the
+ignoring default.  ``each_charge`` makes the same choice for cycle
+charges: True receives every ``CycleCharge`` / ``RawCycles`` event
+through ``accept``; False receives charges as running totals through
+``accept_charges``, or none at all (see
+:mod:`repro.observability.bus`).  A :class:`CountingSink` records the
+buses feeding it so it can flush their pending counts and totals before
+its numbers are read.
 """
 
 from __future__ import annotations
@@ -39,12 +45,25 @@ from repro.observability.events import (BusEvent, CycleCharge, HookObserved,
 class Sink:
     """Sink protocol: ``accept`` one event, never raise, never return."""
 
+    #: True: every event arrives as an object through ``accept``.
+    #: False: events arrive as counts through ``accept_counts``.
+    each_event: bool = True
     #: True: every charge arrives as one event through ``accept``.
     #: False: charges arrive as running totals through ``accept_charges``.
     each_charge: bool = True
 
     def accept(self, event: BusEvent) -> None:  # pragma: no cover - protocol
         raise NotImplementedError
+
+    def accept_counts(self, events: Dict[str, int],
+                      syscalls: Dict[tuple, int],
+                      hooks: Dict[str, int]) -> None:
+        """Event counts since the last flush: *events* maps an event
+        class name to occurrences, *syscalls* a ``(phase, nr)`` pair to
+        ``SyscallEnter`` occurrences, *hooks* a hook name to
+        ``HookObserved`` occurrences.  The dicts are shared by every
+        count sink of the bus: read them, never keep or change them.  A
+        sink that keeps this ignoring default is sent no events at all."""
 
     def accept_charges(self, charges: Dict[str, list],
                        raw: Dict[str, list]) -> None:
@@ -55,11 +74,12 @@ class Sink:
 
 
 class CountingSink(Sink):
-    """A sink that counts charges as running totals.
+    """A sink that counts charges (and, if it opts out of event objects,
+    events) as running totals.
 
     The bus calls :meth:`on_attach` / :meth:`on_detach`; readers of the
     counts call :meth:`flush_charges` first, which hands every feeding
-    bus's pending totals to its totals sinks.
+    bus's pending counts and totals to its counting sinks.
     """
 
     each_charge = False
@@ -79,7 +99,7 @@ class CountingSink(Sink):
 
 
 class NullSink(Sink):
-    """Accepts everything, stores nothing."""
+    """Accepts every event object, stores nothing; takes no charges."""
 
     each_charge = False
 
@@ -89,6 +109,11 @@ class NullSink(Sink):
 
 class CounterSink(CountingSink):
     """Counters and histograms over the event stream.
+
+    Reads no event objects (``each_event`` False): the bus hands it
+    per-class counts and the two histograms.  A subclass that sets
+    ``each_event = True`` counts the same things through :meth:`accept`
+    instead.
 
     Attributes:
         events: event-type name → occurrences seen.
@@ -100,6 +125,8 @@ class CounterSink(CountingSink):
         hooks: hook-name histogram of ``HookObserved``.
     """
 
+    each_event = False
+
     def __init__(self) -> None:
         super().__init__()
         self._events: Dict[str, int] = collections.Counter()
@@ -107,8 +134,8 @@ class CounterSink(CountingSink):
         self._charge_cycles: Dict[str, int] = collections.Counter()
         self._raw_counts: Dict[str, int] = collections.Counter()
         self._raw_cycles: Dict[str, int] = collections.Counter()
-        self.syscalls: Dict[tuple, int] = collections.Counter()
-        self.hooks: Dict[str, int] = collections.Counter()
+        self._syscalls: Dict[tuple, int] = collections.Counter()
+        self._hooks: Dict[str, int] = collections.Counter()
 
     def accept(self, event: BusEvent) -> None:
         self._events[type(event).__name__] += 1
@@ -119,9 +146,16 @@ class CounterSink(CountingSink):
             self._raw_counts[event.label] += 1
             self._raw_cycles[event.label] += event.cycles
         elif isinstance(event, SyscallEnter):
-            self.syscalls[(event.phase, event.nr)] += 1
+            self._syscalls[(event.phase, event.nr)] += 1
         elif isinstance(event, HookObserved):
-            self.hooks[event.hook] += 1
+            self._hooks[event.hook] += 1
+
+    def accept_counts(self, events: Dict[str, int],
+                      syscalls: Dict[tuple, int],
+                      hooks: Dict[str, int]) -> None:
+        self._events.update(events)
+        self._syscalls.update(syscalls)
+        self._hooks.update(hooks)
 
     def accept_charges(self, charges: Dict[str, list],
                        raw: Dict[str, list]) -> None:
@@ -135,12 +169,22 @@ class CounterSink(CountingSink):
             self._raw_counts[label] += calls
             self._raw_cycles[label] += cycles
 
-    # The charge-fed counters flush pending bus totals before every read.
+    # The counters flush pending bus counts and totals before every read.
 
     @property
     def events(self) -> Dict[str, int]:
         self.flush_charges()
         return self._events
+
+    @property
+    def syscalls(self) -> Dict[tuple, int]:
+        self.flush_charges()
+        return self._syscalls
+
+    @property
+    def hooks(self) -> Dict[str, int]:
+        self.flush_charges()
+        return self._hooks
 
     @property
     def charge_counts(self) -> Dict[str, int]:

@@ -315,15 +315,15 @@ class TraceContext:
         if self.bus is not None and self.bus.enabled:
             from repro.observability.events import RequestSpan
 
-            self.bus.emit(RequestSpan(
-                ts=ts, pid=0, tid=0, request=span["id"],
+            self.bus.emit(
+                RequestSpan, ts=ts, pid=0, tid=0, request=span["id"],
                 server=self.server, conn=conn, stage=stage,
                 tenant=span["tenant"], kind=span["kind"],
                 arrival_ns=arrival_ns, latency_ns=latency_ns,
                 admission_ns=admission_ns, conn_wait_ns=conn_wait_ns,
                 queue_ns=queue_ns,
                 service_ns=span["stages"][3][1],
-                shed=bool(shed), stalled=bool(stalled)))
+                shed=bool(shed), stalled=bool(stalled))
         return span
 
 

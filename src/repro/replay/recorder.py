@@ -180,10 +180,9 @@ class Recorder(CountingSink):
         self._last_checkpoint_insns = insns
         self.checkpoints.append(state)
         kernel = self.kernel
-        kernel.bus.emit(ReplayCheckpoint(ts=kernel.cycles.cycles, pid=0,
-                                         tid=0, seq=state.seq, index=index,
-                                         insns=state.insns,
-                                         pages=state.total_pages()))
+        kernel.bus.emit(ReplayCheckpoint, ts=kernel.cycles.cycles, pid=0,
+                        tid=0, seq=state.seq, index=index, insns=state.insns,
+                        pages=state.total_pages())
         self._log.append({"type": "Checkpoint", "index": index,
                           "seq": state.seq, "insns": state.insns,
                           "pages": state.total_pages(),

@@ -250,10 +250,11 @@ class _ShadowRun:
     def emit(self, kind: str, request: int, detail: str) -> None:
         self.divergences.append({"kind": kind, "request": request,
                                  "detail": detail})
-        self.primary.kernel.bus.emit(ShadowDivergence(
-            ts=self.primary.kernel.cycles.cycles, pid=0, tid=0, kind=kind,
+        self.primary.kernel.bus.emit(
+            ShadowDivergence, ts=self.primary.kernel.cycles.cycles, pid=0,
+            tid=0, kind=kind,
             primary=self.config.primary, shadow=self.config.shadow,
-            request=request, detail=detail))
+            request=request, detail=detail)
         if self.flight_path is None and self.flight.recorded:
             import os
 

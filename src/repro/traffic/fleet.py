@@ -417,10 +417,11 @@ class RoundAdmission:
             if self.kernel.bus.enabled:
                 from repro.observability.events import QueueDepthSample
 
-                self.kernel.bus.emit(QueueDepthSample(
-                    ts=self.kernel.cycles.cycles, pid=0, tid=0,
+                self.kernel.bus.emit(
+                    QueueDepthSample, ts=self.kernel.cycles.cycles, pid=0,
+                    tid=0,
                     server=self.server, depth=sample[1],
-                    in_flight=sample[2], t_ns=sample[0]))
+                    in_flight=sample[2], t_ns=sample[0])
             self._next_sample_ns += self._sample_every
 
 
@@ -526,8 +527,9 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
             for (s, _t, _k), hist in admission.latency.items():
                 if s == stage:
                     stage_hist.merge(hist)
-            kernel.bus.emit(TrafficStageStats(
-                ts=kernel.cycles.cycles, pid=0, tid=0, stage=stage,
+            kernel.bus.emit(
+                TrafficStageStats, ts=kernel.cycles.cycles, pid=0, tid=0,
+                stage=stage,
                 rate=base_rate * multiplier,
                 offered=sum(n for (s, _t, _k), n
                             in admission.offered.items() if s == stage),
@@ -536,7 +538,7 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
                 shed=sum(n for (s, _t, _k), n
                          in admission.shed.items() if s == stage),
                 p99_ns=stage_hist.percentile(99),
-                max_depth=admission.stage_max_depth[stage]))
+                max_depth=admission.stage_max_depth[stage])
     return server_result_doc(server, admission.offered, admission.completed,
                              admission.shed, admission.latency,
                              admission.stage_max_depth,

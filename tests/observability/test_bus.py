@@ -42,7 +42,7 @@ class TestBus:
         a, b = CounterSink(), CounterSink()
         bus.attach(a)
         bus.attach(b)
-        bus.emit(QuantumEnd(ts=1, pid=1, tid=0))
+        bus.emit(QuantumEnd, ts=1, pid=1, tid=0)
         assert a.events["QuantumEnd"] == 1
         assert b.events["QuantumEnd"] == 1
 
