@@ -7,8 +7,6 @@ narrative).  Also quantifies the §7 static-augmentation extension: fallback
 rate with and without augmented logs on a partial-coverage run.
 """
 
-import pytest
-
 from repro.core import K23Interposer, OfflinePhase
 from repro.core.offline import import_logs
 from repro.core.static_augment import offline_with_augmentation
@@ -44,12 +42,9 @@ def coverage_for(name, seed=71):
     return vias
 
 
-def test_stage_coverage_decomposition(benchmark, save_artifact):
-    def sweep():
-        return {name: coverage_for(name)
-                for name in ("K23", "zpoline", "lazypoline")}
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_stage_coverage_decomposition(save_artifact):
+    results = {name: coverage_for(name)
+               for name in ("K23", "zpoline", "lazypoline")}
     lines = ["Ablation: per-stage coverage on ls (app-requested syscalls)",
              f"{'mechanism':<12} {'total':>6} {'ptrace':>7} {'rewrite':>8} "
              f"{'sud':>5} {'missed':>7}"]
@@ -65,7 +60,7 @@ def test_stage_coverage_decomposition(benchmark, save_artifact):
     assert results["lazypoline"]["missed"] > 100
 
 
-def test_augmentation_reduces_fallback_rate(benchmark, save_artifact):
+def test_augmentation_reduces_fallback_rate(save_artifact):
     """§7 extension: static augmentation moves unexercised-but-provable
     sites onto the fast path."""
     from repro.workloads.programs import ProgramBuilder, data_ref
@@ -107,11 +102,7 @@ def test_augmentation_reduces_fallback_rate(benchmark, save_artifact):
         fallback = sum(1 for _nr, via in entries if via == "sud")
         return fallback, len(entries)
 
-    def sweep():
-        return run(False), run(True)
-
-    (plain_fb, plain_total), (aug_fb, aug_total) = benchmark.pedantic(
-        sweep, rounds=1, iterations=1)
+    (plain_fb, plain_total), (aug_fb, aug_total) = run(False), run(True)
     report = (
         "Ablation: SUD-fallback rate, rare code path (40 unlogged calls)\n"
         f"  dynamic log only : {plain_fb}/{plain_total} calls on fallback\n"

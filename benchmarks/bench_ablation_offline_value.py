@@ -7,8 +7,6 @@ is exactly why the hybrid design needs the offline phase for datacenter
 workloads (and why the fallback alone still guarantees correctness).
 """
 
-import pytest
-
 from repro.core import K23Interposer
 from repro.core.logs import SiteLog, seal_logs
 from repro.evaluation.runner import measure_micro_cycles
@@ -36,9 +34,8 @@ def measure_empty_log_per_call() -> float:
     return (high - low) / 1200
 
 
-def test_offline_phase_value(benchmark, save_artifact):
-    empty = benchmark.pedantic(measure_empty_log_per_call, rounds=1,
-                               iterations=1)
+def test_offline_phase_value(save_artifact):
+    empty = measure_empty_log_per_call()
     native = measure_micro_cycles("native")
     logged = measure_micro_cycles("K23-default")
     sud = measure_micro_cycles("SUD")

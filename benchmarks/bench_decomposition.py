@@ -16,9 +16,8 @@ MECHS = ("zpoline-default", "lazypoline", "K23-default", "K23-ultra", "SUD")
 
 
 @pytest.mark.parametrize("name", MECHS)
-def test_decompose(benchmark, name, save_artifact):
-    breakdown = benchmark.pedantic(run_decomposed, args=(name,),
-                                   rounds=1, iterations=1)
+def test_decompose(name, save_artifact):
+    breakdown = run_decomposed(name)
     save_artifact(f"decomposition_{name}.txt",
                   render_breakdown(name, breakdown))
     if name == "SUD":

@@ -1,9 +1,9 @@
 """P4b — memory footprint of NULL-execution checking (§4.4 / §6.1).
 
 Compares zpoline's whole-address-space bitmap against K23's bounded hash
-set, and times the check primitives themselves (the runtime side of the
-trade-off that separates zpoline-ultra's small delta from K23-ultra's in
-Table 5).
+set, and checks that each structure's lookup finds a stored site (the
+runtime side of the trade-off that separates zpoline-ultra's small delta
+from K23-ultra's in Table 5).
 """
 
 import pytest
@@ -30,12 +30,12 @@ def hashset():
     return structure
 
 
-def test_bitmap_check_speed(benchmark, bitmap):
-    assert benchmark(bitmap.test, SITES[41])
+def test_bitmap_check(bitmap):
+    assert bitmap.test(SITES[41])
 
 
-def test_hashset_check_speed(benchmark, hashset):
-    assert benchmark(hashset.__contains__, SITES[41])
+def test_hashset_check(hashset):
+    assert SITES[41] in hashset
 
 
 @pytest.fixture
@@ -46,14 +46,13 @@ def twolevel():
     return structure
 
 
-def test_twolevel_check_speed(benchmark, twolevel):
+def test_twolevel_check(twolevel):
     """The zpoline authors' proposed alternative: one extra dependent load
     per check vs the flat bitmap."""
-    assert benchmark(twolevel.test, SITES[41])
+    assert twolevel.test(SITES[41])
 
 
-def test_footprint_comparison(benchmark, bitmap, hashset, twolevel,
-                              save_artifact):
+def test_footprint_comparison(bitmap, hashset, twolevel, save_artifact):
     report = (
         "P4b footprint (92 redis sites):\n"
         f"  zpoline bitmap  : {bitmap.reserved_virtual_bytes:>16,} B reserved "
@@ -64,7 +63,6 @@ def test_footprint_comparison(benchmark, bitmap, hashset, twolevel,
         f"{twolevel.resident_bytes:,} B resident\n"
         f"  K23 hash set    : {hashset.memory_bytes:>16,} B total\n"
     )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     save_artifact("p4b_memory.txt", report)
     assert bitmap.reserved_virtual_bytes == USER_VA_SIZE // 8
     assert twolevel.reserved_virtual_bytes < \

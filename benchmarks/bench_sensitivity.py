@@ -9,8 +9,8 @@ at every point.  See ``repro/evaluation/sensitivity.py``.
 from repro.evaluation.sensitivity import render_sweep, sweep
 
 
-def test_sensitivity_sweep(benchmark, save_artifact):
-    results = benchmark(sweep)
+def test_sensitivity_sweep(save_artifact):
+    results = sweep()
     text = render_sweep(results)
     save_artifact("sensitivity.txt", text)
     assert all(not violations for _e, _m, violations in results)

@@ -1,33 +1,23 @@
 """Table 2 — unique syscall sites logged during K23's offline phase.
 
-Regenerates the per-program unique-(region, offset) counts for the five
-coreutils and four applications, asserting exact agreement with the paper.
+Reads the per-program unique-(region, offset) counts for the five
+coreutils and four applications from their offline logs, asserting exact
+agreement with the paper.
 """
 
-import pytest
-
-from repro.evaluation.experiments import run_table2
-from repro.evaluation.tables import PAPER_TABLE2
-from repro.core import OfflinePhase
-from repro.kernel import Kernel
-from repro.workloads.coreutils import TABLE2_COREUTILS, install_coreutils
+from repro.evaluation.tables import (PAPER_TABLE2, render_table2,
+                                     table2_site_counts)
+from repro.workloads.coreutils import TABLE2_COREUTILS
 
 
-def _coreutil_counts():
-    kernel = Kernel(seed=12)
-    paths = install_coreutils(kernel)
-    offline = OfflinePhase(kernel)
-    return {path: len(offline.run(path)[1]) for path in paths}
+def test_table2_coreutils():
+    counts = table2_site_counts()
+    for path, count in TABLE2_COREUTILS.items():
+        assert counts[path] == count, path
 
 
-def test_table2_coreutils(benchmark):
-    counts = benchmark.pedantic(_coreutil_counts, rounds=1, iterations=1)
-    for path, count in counts.items():
-        assert count == TABLE2_COREUTILS[path], path
-
-
-def test_table2_full(benchmark, save_artifact):
-    table = benchmark.pedantic(run_table2, rounds=1, iterations=1)
+def test_table2_full(save_artifact):
+    table = render_table2(table2_site_counts())
     save_artifact("table2.txt", table)
     for base, expected in PAPER_TABLE2.items():
         assert f"{base:<19}| {expected:>13}" in table, (base, table)

@@ -4,8 +4,8 @@ from repro.pitfalls import pitfall_matrix, render_table3
 from repro.pitfalls.matrix import PAPER_TABLE3, matches_paper
 
 
-def test_table3_matrix(benchmark, save_artifact):
-    outcomes = benchmark.pedantic(pitfall_matrix, rounds=1, iterations=1)
+def test_table3_matrix(save_artifact):
+    outcomes = pitfall_matrix()
     text = render_table3(outcomes, show_evidence=True)
     save_artifact("table3.txt", text)
     assert matches_paper(outcomes)

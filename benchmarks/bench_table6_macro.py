@@ -3,16 +3,16 @@
 One benchmark per row; each regenerates the row's native figure and every
 mechanism's relative throughput (or relative runtime for sqlite), asserting
 the paper's shape: native within 2 %, binary-rewriting interposers ≥ 95 %,
-SUD within a few points of the published collapse.  All cells come from
-the parallel, memoized pipeline; under ``--smoke`` only the reduced rows
-and mechanisms run.
+SUD within a few points of the published collapse.
+:func:`repro.evaluation.pipeline.table6` builds the table on the
+parallel, memoized pipeline; under ``--smoke`` only the reduced rows and
+mechanisms run.
 """
 
 import pytest
 
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.runner import MACRO_BY_KEY, MACRO_CONFIGS
-from repro.evaluation.tables import render_table6
 
 
 @pytest.fixture(scope="module")
@@ -23,19 +23,21 @@ def bench_rows(smoke):
 
 
 @pytest.fixture(scope="module")
-def table6_run(run_pipeline, bench_rows, bench_mechanisms):
-    return run_pipeline(pipe.macro_specs(bench_rows, bench_mechanisms))
+def table6(table_options, bench_rows):
+    return pipe.table6(bench_rows, **table_options)
+
+
+@pytest.fixture(scope="module")
+def rows_by_key(table6, bench_rows):
+    return dict(zip(bench_rows, table6.checked().rows))
 
 
 @pytest.mark.parametrize("key", [config.key for config in MACRO_CONFIGS])
-def test_table6_row(benchmark, key, table6_run, bench_rows,
-                    bench_mechanisms, save_artifact):
-    if key not in bench_rows:
+def test_table6_row(key, rows_by_key, smoke, save_artifact):
+    if key not in rows_by_key:
         pytest.skip(f"{key} outside the --smoke row axis")
     config = MACRO_BY_KEY[key]
-    row = benchmark.pedantic(
-        lambda: pipe.table6_rows(table6_run, [key], bench_mechanisms)[0],
-        rounds=1, iterations=1)
+    row = rows_by_key[key]
     if config.paper_native and row["native"] is not None:
         assert row["native"] == pytest.approx(config.paper_native, rel=0.02)
     for name, paper_pct in (config.paper_relative or {}).items():
@@ -50,22 +52,17 @@ def test_table6_row(benchmark, key, table6_run, bench_rows,
     lines = [f"{key}:"]
     for name, pct in row["relative"].items():
         lines.append(f"  {name:24s} {pct:7.2f}%")
-    save_artifact(f"table6_{key}.txt", "\n".join(lines))
+    suffix = ".smoke.txt" if smoke else ".txt"
+    save_artifact(f"table6_{key}{suffix}", "\n".join(lines))
 
 
 @pytest.mark.full_matrix
-def test_table6_full_render(benchmark, table6_run, bench_rows,
-                            bench_mechanisms, save_artifact):
-    text = benchmark.pedantic(
-        lambda: render_table6(
-            pipe.table6_rows(table6_run, bench_rows, bench_mechanisms)),
-        rounds=1, iterations=1)
-    save_artifact("table6.txt", text)
-    assert "geomean" in text
+def test_table6_full_render(table6, save_artifact):
+    save_artifact("table6.txt", table6.text)
+    assert "geomean" in table6.text
 
 
-def test_table6_pipeline_accounting(table6_run, bench_rows,
-                                    bench_mechanisms):
-    stats = table6_run.stats
+def test_table6_pipeline_accounting(table6, bench_rows, bench_mechanisms):
+    stats = table6.run.stats
     assert stats.cells == len(bench_rows) * len(bench_mechanisms)
-    assert not table6_run.failures()
+    assert not table6.run.failures()

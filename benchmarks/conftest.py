@@ -1,14 +1,17 @@
 """Shared benchmark fixtures.
 
-Every benchmark regenerates one of the paper's tables or figures, times the
-regeneration with pytest-benchmark, sanity-checks the result against the
-paper's reference values, and writes the rendered artifact to
-``benchmarks/output/`` for inspection (the files EXPERIMENTS.md quotes).
+Every benchmark regenerates one of the paper's tables or figures,
+sanity-checks the result against the paper's reference values, and
+writes the rendered artifact to ``benchmarks/output/`` (the files
+EXPERIMENTS.md quotes; :mod:`repro.evaluation.manifest` names the module
+that writes each one).
 
-The measurement matrices (Table 5/6) run through the parallel, memoized
-evaluation pipeline (:mod:`repro.evaluation.pipeline`).  Knobs::
+The measurement matrices (Table 5/6) are built by
+:func:`repro.evaluation.pipeline.table5` and
+:func:`~repro.evaluation.pipeline.table6` on the parallel, memoized
+evaluation pipeline.  Knobs::
 
-    pytest benchmarks/ --benchmark-only                 # full matrix
+    pytest benchmarks/                                  # full matrix
     pytest benchmarks/ --smoke                          # 2 mechanisms, tiny
     pytest benchmarks/ --eval-jobs 8                    # pool width
     pytest benchmarks/ --no-eval-cache                  # recompute all cells
@@ -16,6 +19,8 @@ evaluation pipeline (:mod:`repro.evaluation.pipeline`).  Knobs::
 ``--smoke`` skips everything marked ``full_matrix`` and shrinks the
 mechanism axis to :data:`repro.evaluation.pipeline.SMOKE_MECHANISMS`, so a
 smoke pass finishes in seconds while the complete matrix stays opt-in.
+Its Table 5/6 artifacts go to ``*.smoke.txt``; every other artifact has
+one protocol and is written under its committed name either way.
 """
 
 import os
@@ -25,7 +30,6 @@ import pytest
 
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import ResultCache
-from repro.interposers.registry import REGISTRY
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -35,9 +39,7 @@ def pytest_addoption(parser):
     group.addoption("--smoke", action="store_true", default=False,
                     help="reduced matrix: 2 mechanisms, tiny iteration "
                          "counts; skips full_matrix benchmarks")
-    group.addoption("--eval-jobs", type=int,
-                    default=int(os.environ.get("REPRO_EVAL_JOBS",
-                                               os.cpu_count() or 1)),
+    group.addoption("--eval-jobs", type=int, default=os.cpu_count() or 1,
                     help="worker processes for evaluation cells")
     group.addoption("--no-eval-cache", action="store_true", default=False,
                     help="disable the content-addressed result cache")
@@ -77,19 +79,16 @@ def eval_cache(pytestconfig):
 
 
 @pytest.fixture(scope="session")
-def bench_mechanisms(smoke):
-    """The mechanism axis benchmarks measure this session."""
-    return pipe.SMOKE_MECHANISMS if smoke else REGISTRY.names()
+def table_options(smoke, eval_jobs, eval_cache):
+    """Keyword arguments for :func:`repro.evaluation.pipeline.table5`
+    and ``table6`` this session."""
+    return dict(smoke=smoke, jobs=eval_jobs, cache=eval_cache)
 
 
 @pytest.fixture(scope="session")
-def run_pipeline(eval_jobs, eval_cache):
-    """Run a spec list through the pool with the session's jobs/cache."""
-
-    def _run(specs):
-        return pipe.run_cells(specs, jobs=eval_jobs, cache=eval_cache)
-
-    return _run
+def bench_mechanisms(smoke):
+    """The mechanism axis benchmarks measure this session."""
+    return pipe.table_mechanisms(smoke=smoke)
 
 
 @pytest.fixture(scope="session")
@@ -99,14 +98,10 @@ def artifact_dir() -> pathlib.Path:
 
 
 @pytest.fixture
-def save_artifact(artifact_dir, smoke):
-    """Write a rendered artifact; smoke runs go to ``*.smoke.txt`` so a
-    reduced matrix never overwrites the committed full-matrix files."""
+def save_artifact(artifact_dir):
+    """Write a rendered artifact under *name*."""
 
     def _save(name: str, text: str) -> pathlib.Path:
-        if smoke:
-            stem, dot, suffix = name.rpartition(".")
-            name = f"{stem}.smoke.{suffix}" if dot else f"{name}.smoke"
         path = artifact_dir / name
         path.write_text(text)
         return path

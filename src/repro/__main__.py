@@ -3,7 +3,7 @@
 One dispatcher over the tools::
 
     python -m repro simtrace <program> [--seed N] [--trace-out F] ...
-    python -m repro evalrun [table5|table6|matrix] [--seed N] [--jobs N] ...
+    python -m repro evalrun [table2..6|figure1..4|matrix|report] [--jobs N] ...
     python -m repro conformance [--smoke] [--seed N] [--jobs N] ...
     python -m repro pitfallcheck [zpoline|lazypoline|K23|all] [--seed N] ...
     python -m repro shadow --primary A --shadow B --workload W [--seed N] ...

@@ -7,14 +7,17 @@
   mechanism registry (:mod:`repro.interposers.registry`).
 - :mod:`repro.evaluation.pipeline` — the parallel, memoized evaluation
   pipeline (``ScenarioSpec`` cells, multiprocessing pool, deterministic
-  merge).
+  merge) and the Table 5/6 builders on it.
 - :mod:`repro.evaluation.cache` — the content-addressed on-disk result
   cache the pipeline memoizes through.
-- :mod:`repro.evaluation.tables` — Table 2/3/4/5/6 renderers.
+- :mod:`repro.evaluation.tables` — Table 2/3/4/5/6 renderers and the
+  Table 2 measurement.
 - :mod:`repro.evaluation.figures` — Figure 1–4 generators.
-- :mod:`repro.evaluation.experiments` — the CLI
-  (``python -m repro.evaluation.experiments <table2|...|figure4|all>``,
-  with ``--jobs``/``--no-cache``/``--smoke``).
+- :mod:`repro.evaluation.manifest` — which command writes each committed
+  file under ``benchmarks/output/``.
+
+``python -m repro evalrun <target>`` regenerates any table, figure or the
+full report.
 """
 
 from repro.evaluation.stats import RepeatedMeasurement, geomean

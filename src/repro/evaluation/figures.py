@@ -177,3 +177,12 @@ def figure4(seed: int = 8) -> str:
         f"{len(kernel.uninterposed_syscalls(process.pid)):>5} syscalls",
     ]
     return "\n".join(lines)
+
+
+def render_figure(number: int) -> str:
+    """Figure *number* as printed text; Figure 3 gets a caption naming
+    the log file."""
+    if number == 3:
+        path, contents = figure3()
+        return f"Figure 3: log file generated for ls ({path}):\n\n{contents}"
+    return {1: figure1, 2: figure2, 4: figure4}[number]()

@@ -29,8 +29,9 @@ previously serial, recompute-everything harness into a pipeline:
    existing table renderers consume, in registry/config order, so pipeline
    output is byte-identical to a serial run regardless of completion order.
 
-The benchmarks, the experiments CLI, and ``python -m repro.tools.evalrun``
-all run on this substrate.
+:func:`table5` and :func:`table6` build the two measured tables on this
+substrate; ``python -m repro evalrun``, the report and the benchmarks
+all call them.
 """
 
 from __future__ import annotations
@@ -655,3 +656,73 @@ def table6_rows(run: PipelineRun, keys: Optional[Sequence[str]] = None,
             "paper_relative": config.paper_relative,
         })
     return rows
+
+
+# -------------------------------------------------------------------- tables
+
+
+@dataclass
+class TableRun:
+    """One measured table: its cells' run, the merged *rows* its renderer
+    consumed and the rendered *text* (both ``None`` when a cell failed)."""
+
+    run: PipelineRun
+    rows: object = None
+    text: Optional[str] = None
+
+    def checked(self) -> "TableRun":
+        """This table, or :class:`CellFailure` for its first failed cell."""
+        for failure in self.run.failures():
+            raise CellFailure(failure)
+        return self
+
+
+def table_mechanisms(mechanisms: Optional[Sequence[str]] = None,
+                     smoke: bool = False) -> Tuple[str, ...]:
+    """The mechanism axis of Tables 5 and 6: *mechanisms* with native
+    put first when missing, else the smoke pair or the whole registry."""
+    from repro.interposers.registry import REGISTRY
+
+    if mechanisms:
+        names = tuple(mechanisms)
+        return names if "native" in names else ("native",) + names
+    return SMOKE_MECHANISMS if smoke else REGISTRY.names()
+
+
+def table5(mechanisms: Optional[Sequence[str]] = None, smoke: bool = False,
+           seed: Optional[int] = None, jobs: int = 1,
+           cache: Optional[ResultCache] = None) -> TableRun:
+    """Table 5: one micro cell per mechanism, as overhead factors over
+    native; *smoke* uses the tiny iteration counts."""
+    from repro.evaluation.tables import render_table5
+
+    names = table_mechanisms(mechanisms, smoke)
+    options = {} if seed is None else {"seed": seed}
+    if smoke:
+        options["iterations_low"], options["iterations_high"] = \
+            SMOKE_MICRO_ITERATIONS
+    run = run_cells(micro_specs(names, **options), jobs=jobs, cache=cache)
+    if run.failures():
+        return TableRun(run)
+    overheads = table5_overheads(run, names[1:])
+    return TableRun(run, overheads, render_table5(overheads))
+
+
+def table6(rows: Optional[Sequence[str]] = None,
+           mechanisms: Optional[Sequence[str]] = None, smoke: bool = False,
+           seed: Optional[int] = None, jobs: int = 1,
+           cache: Optional[ResultCache] = None) -> TableRun:
+    """Table 6: one macro cell per row key and mechanism; *rows* default
+    to the smoke row under *smoke*, else to every row."""
+    from repro.evaluation.tables import render_table6
+
+    names = table_mechanisms(mechanisms, smoke)
+    if rows is None and smoke:
+        rows = SMOKE_MACRO_KEYS
+    options = {} if seed is None else {"seed": seed}
+    run = run_cells(macro_specs(rows, names, **options), jobs=jobs,
+                    cache=cache)
+    if run.failures():
+        return TableRun(run)
+    merged = table6_rows(run, rows, names)
+    return TableRun(run, merged, render_table6(merged))

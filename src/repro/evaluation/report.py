@@ -1,20 +1,23 @@
 """Full reproduction report generator.
 
-``python -m repro.evaluation.experiments report`` regenerates every table
-and figure and writes a single self-contained markdown report
-(paper-vs-measured, with the per-cell evidence) — the machine-written
+``python -m repro evalrun report`` regenerates every table and figure and
+writes a single self-contained markdown report (paper-vs-measured, with
+the per-cell evidence) to :data:`REPORT_PATH` — the machine-written
 counterpart of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import io
+from pathlib import Path
 from typing import Optional
 
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import ResultCache
-from repro.interposers.registry import REGISTRY
-from repro.evaluation.tables import PAPER_TABLE5, render_table2, render_table4, render_table5
+from repro.evaluation.tables import (PAPER_TABLE5, render_table2,
+                                     render_table4, table2_site_counts)
+
+REPORT_PATH = Path("benchmarks/output/report.md")
 
 
 def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
@@ -25,7 +28,7 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
     (*jobs* worker processes, *cache* for cross-run memoization); the
     rendered text is identical to a serial run either way.
     """
-    from repro.evaluation import experiments, figures
+    from repro.evaluation.figures import render_figure
     from repro.pitfalls import pitfall_matrix, render_table3
     from repro.pitfalls.matrix import matches_paper
 
@@ -44,7 +47,7 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
 
     emit("\n## Table 2 — offline-phase unique syscall sites\n")
     emit("```")
-    emit(experiments.run_table2())
+    emit(render_table2(table2_site_counts()))
     emit("```")
 
     emit("\n## Table 3 — pitfall matrix\n")
@@ -60,10 +63,10 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
     emit("```")
 
     emit("\n## Table 5 — microbenchmark overheads\n")
-    run = pipe.run_cells(pipe.micro_specs(), jobs=jobs, cache=cache)
-    overheads = pipe.table5_overheads(run, REGISTRY.names()[1:])
+    table5 = pipe.table5(jobs=jobs, cache=cache).checked()
+    overheads = table5.rows
     emit("```")
-    emit(render_table5(overheads))
+    emit(table5.text)
     emit("```")
     worst = max(abs(overheads[name] - PAPER_TABLE5[name]) / PAPER_TABLE5[name]
                 for name in PAPER_TABLE5)
@@ -71,16 +74,13 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
 
     emit("\n## Table 6 — macrobenchmarks\n")
     emit("```")
-    emit(experiments.run_table6(jobs=jobs, cache=cache))
+    emit(pipe.table6(jobs=jobs, cache=cache).checked().text)
     emit("```")
 
-    for number, runner in ((1, experiments.run_figure1),
-                           (2, experiments.run_figure2),
-                           (3, experiments.run_figure3),
-                           (4, experiments.run_figure4)):
+    for number in (1, 2, 3, 4):
         emit(f"\n## Figure {number}\n")
         emit("```")
-        emit(runner())
+        emit(render_figure(number))
         emit("```")
 
     return buffer.getvalue()

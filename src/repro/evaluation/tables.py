@@ -1,8 +1,10 @@
 """Renderers for the paper's tables.
 
-Each function takes measured data and returns the table as text, with the
-paper's reference numbers alongside for direct comparison (the material
-EXPERIMENTS.md records).
+Each ``render_*`` function takes measured data and returns the table as
+text, with the paper's reference numbers alongside for direct comparison
+(the material EXPERIMENTS.md records).  :func:`table2_site_counts`
+measures Table 2; :mod:`repro.evaluation.pipeline` measures Tables 5
+and 6.
 """
 
 from __future__ import annotations
@@ -39,6 +41,22 @@ PAPER_TABLE2: Dict[str, int] = {
     "lighttpd": 44,
     "redis-server": 92,
 }
+
+
+#: Table 2's nine programs, as :data:`repro.runapi.WORKLOADS` keys.
+TABLE2_WORKLOADS = ("pwd", "touch", "ls", "cat", "clear", "sqlite", "nginx",
+                    "lighttpd", "redis")
+
+
+def table2_site_counts() -> Dict[str, int]:
+    """Unique sites each Table 2 program's K23 offline phase logged, by
+    program path, fewest first (the paper's order)."""
+    from repro import runapi
+
+    counts = {path: len(text.splitlines())
+              for workload in TABLE2_WORKLOADS
+              for path, text in runapi.offline_logs(workload).items()}
+    return dict(sorted(counts.items(), key=lambda item: item[1]))
 
 
 def render_table2(site_counts: Dict[str, int]) -> str:

@@ -950,68 +950,13 @@ def sys_exit_group(kernel, thread: Thread, args) -> None:
 
 # ------------------------------------------------------------------------- table
 
+#: Handlers shared between syscall numbers; every other ``Nr.<name>``
+#: is served by ``sys_<name>``.
+_ALIASES = {Nr.fdatasync: "fsync"}
+
+_HANDLER_NAMES = {nr: "sys_" + _ALIASES.get(nr, nr.name) for nr in Nr}
+
+#: ``Nr`` → handler, for every number that has one.
 SYSCALL_TABLE: Dict[int, Callable] = {
-    Nr.read: sys_read,
-    Nr.write: sys_write,
-    Nr.open: sys_open,
-    Nr.openat: sys_openat,
-    Nr.close: sys_close,
-    Nr.lseek: sys_lseek,
-    Nr.stat: sys_stat,
-    Nr.fstat: sys_fstat,
-    Nr.newfstatat: sys_newfstatat,
-    Nr.access: sys_access,
-    Nr.getdents64: sys_getdents64,
-    Nr.unlink: sys_unlink,
-    Nr.mkdir: sys_mkdir,
-    Nr.getcwd: sys_getcwd,
-    Nr.chdir: sys_chdir,
-    Nr.fsync: sys_fsync,
-    Nr.fdatasync: sys_fsync,
-    Nr.dup: sys_dup,
-    Nr.fcntl: sys_fcntl,
-    Nr.ioctl: sys_ioctl,
-    Nr.mmap: sys_mmap,
-    Nr.munmap: sys_munmap,
-    Nr.mprotect: sys_mprotect,
-    Nr.pkey_mprotect: sys_pkey_mprotect,
-    Nr.pkey_alloc: sys_pkey_alloc,
-    Nr.pkey_free: sys_pkey_free,
-    Nr.brk: sys_brk,
-    Nr.getpid: sys_getpid,
-    Nr.gettid: sys_gettid,
-    Nr.getppid: sys_getppid,
-    Nr.getuid: sys_getuid,
-    Nr.uname: sys_uname,
-    Nr.clock_gettime: sys_clock_gettime,
-    Nr.gettimeofday: sys_gettimeofday,
-    Nr.nanosleep: sys_nanosleep,
-    Nr.sched_yield: sys_sched_yield,
-    Nr.getrandom: sys_getrandom,
-    Nr.futex: sys_futex,
-    Nr.rt_sigprocmask: sys_rt_sigprocmask,
-    Nr.arch_prctl: sys_arch_prctl,
-    Nr.setpriority: sys_setpriority,
-    Nr.rt_sigaction: sys_rt_sigaction,
-    Nr.rt_sigreturn: sys_rt_sigreturn,
-    Nr.kill: sys_kill,
-    Nr.prctl: sys_prctl,
-    Nr.ptrace: sys_ptrace,
-    Nr.socket: sys_socket,
-    Nr.bind: sys_bind,
-    Nr.listen: sys_listen,
-    Nr.accept: sys_accept,
-    Nr.recvfrom: sys_recvfrom,
-    Nr.sendto: sys_sendto,
-    Nr.shutdown: sys_shutdown,
-    Nr.connect: sys_connect,
-    Nr.epoll_create: sys_epoll_create,
-    Nr.epoll_ctl: sys_epoll_ctl,
-    Nr.epoll_wait: sys_epoll_wait,
-    Nr.exit: sys_exit,
-    Nr.exit_group: sys_exit_group,
-    Nr.clone: sys_clone,
-    Nr.fork: sys_fork,
-    Nr.wait4: sys_wait4,
-    Nr.execve: sys_execve,
-}
+    nr: globals()[name] for nr, name in _HANDLER_NAMES.items()
+    if name in globals()}

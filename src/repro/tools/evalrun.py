@@ -1,8 +1,14 @@
-"""evalrun — drive the parallel, memoized evaluation pipeline.
+"""evalrun — regenerate the paper's tables, figures and report.
 
 Usage::
 
-    python -m repro.tools.evalrun [table5|table6|matrix] [options]
+    python -m repro.tools.evalrun [TARGET] [options]
+
+Targets: ``table2``, ``table3``, ``table4`` and ``figure1``..``figure4``
+print one artifact; ``table5``, ``table6`` and ``matrix`` (the default:
+every Table 5 + Table 6 cell) run the parallel, memoized pipeline;
+``report`` regenerates everything into one markdown report, streamed to
+stdout and written to benchmarks/output/report.md.
 
     --jobs N        worker processes (default: os.cpu_count())
     --seed N        base cell seed (default: 20 for table5 cells, 30 for
@@ -24,15 +30,19 @@ Usage::
                     benchmarks/output/METRICS_table5.json when running
                     table5/matrix; --no-metrics disables)
 
-``matrix`` (the default) runs every Table 5 + Table 6 cell.  Tables are
-printed to stdout exactly as the serial harness renders them; pipeline
-accounting (cache hits, misses, failures, pool fallback) goes to stderr so
-redirected table output stays byte-identical to a serial run.
+Every target accepts ``--jobs``, ``--no-cache`` and ``--cache-dir``
+(``report`` is the other target that runs pipeline cells); the other
+options apply only to ``table5``, ``table6`` and ``matrix``.  Tables are printed to stdout exactly as the serial harness
+renders them; pipeline accounting (cache hits, misses, failures, pool
+fallback) goes to stderr so redirected table output stays byte-identical
+to a serial run.  ``repro.evaluation.manifest.ARTIFACTS`` names the
+command that writes each committed file under benchmarks/output/.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -40,8 +50,9 @@ from typing import List, Optional
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import ResultCache
 from repro.evaluation.runner import MACRO_BY_KEY
-from repro.evaluation.tables import render_table5, render_table6
 from repro.interposers.registry import REGISTRY
+
+MATRIX_TARGETS = ("table5", "table6", "matrix")
 
 
 def _interp_probe() -> str:
@@ -71,7 +82,9 @@ def _interp_probe() -> str:
             f"guard fails {stats['guard_fails']})")
 
 
-def _echo(run: pipe.PipelineRun, label: str, verbose: bool) -> None:
+def _show(table: pipe.TableRun, label: str, verbose: bool) -> int:
+    """Print *table* (its accounting to stderr); 1 if a cell failed."""
+    run = table.run
     print(f"{label}: {run.stats.summary()}", file=sys.stderr)
     if verbose:
         for result in run.results.values():
@@ -81,6 +94,52 @@ def _echo(run: pipe.PipelineRun, label: str, verbose: bool) -> None:
     for failure in run.failures():
         print(f"FAILED {failure.spec.label} (seed {failure.spec.seed}):\n"
               f"{failure.error}", file=sys.stderr)
+    if table.text is None:
+        return 1
+    print(table.text)
+    return 0
+
+
+def _figure(number: int) -> str:
+    from repro.evaluation.figures import render_figure
+
+    return render_figure(number)
+
+
+def _table2() -> str:
+    from repro.evaluation.tables import render_table2, table2_site_counts
+
+    return render_table2(table2_site_counts())
+
+
+def _table3() -> str:
+    from repro.pitfalls import pitfall_matrix, render_table3
+
+    return render_table3(pitfall_matrix(), show_evidence=True)
+
+
+def _table4() -> str:
+    from repro.evaluation.tables import render_table4
+
+    return render_table4()
+
+
+#: The targets that print one artifact and take no pipeline option.
+ARTIFACT_TARGETS = {
+    "table2": _table2,
+    "table3": _table3,
+    "table4": _table4,
+    **{f"figure{n}": functools.partial(_figure, n) for n in (1, 2, 3, 4)},
+}
+
+
+def _report(jobs: int, cache: Optional[ResultCache]) -> None:
+    from repro.evaluation.report import REPORT_PATH, generate_report
+
+    text = generate_report(out=sys.stdout, jobs=jobs, cache=cache)
+    REPORT_PATH.parent.mkdir(parents=True, exist_ok=True)
+    REPORT_PATH.write_text(text)
+    print(f"report: {REPORT_PATH}", file=sys.stderr)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -88,7 +147,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="evalrun", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("target", nargs="?", default="matrix",
-                        choices=["table5", "table6", "matrix"])
+                        choices=[*ARTIFACT_TARGETS, *MATRIX_TARGETS,
+                                 "report"])
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--seed", type=int, default=None,
                         help="base cell seed (default: micro 20, macro 30)")
@@ -123,59 +183,48 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"cleared {removed} cached cells", file=sys.stderr)
         return 0
 
-    mechanisms = args.mechanisms
-    if mechanisms:
-        for name in mechanisms:
-            if name not in REGISTRY:
-                parser.error(f"unknown mechanism {name!r}; "
-                             f"valid: {', '.join(REGISTRY.names())}")
-        if "native" not in mechanisms:
-            mechanisms = ["native"] + list(mechanisms)
-    elif args.smoke:
-        mechanisms = list(pipe.SMOKE_MECHANISMS)
-    else:
-        mechanisms = list(REGISTRY.names())
-
-    rows = args.rows
-    if rows:
-        for key in rows:
-            if key not in MACRO_BY_KEY:
-                parser.error(f"unknown table6 row {key!r}; "
-                             f"rows: {', '.join(MACRO_BY_KEY)}")
-    elif args.smoke:
-        rows = list(pipe.SMOKE_MACRO_KEYS)
-
     jobs = max(1, args.jobs)
+    if args.target not in MATRIX_TARGETS:
+        matrix_only = {"--seed": args.seed is not None,
+                       "--smoke": args.smoke, "--rows": args.rows,
+                       "--mechanisms": args.mechanisms,
+                       "--trace-out": args.trace_out,
+                       "--metrics-out": args.metrics_out,
+                       "--no-metrics": args.no_metrics,
+                       "--verbose": args.verbose}
+        given = [flag for flag, value in matrix_only.items() if value]
+        if given:
+            parser.error(f"{args.target} does not take {', '.join(given)} "
+                         f"(only {', '.join(MATRIX_TARGETS)} do)")
+        if args.target == "report":
+            _report(jobs, cache)
+        else:
+            print(ARTIFACT_TARGETS[args.target]())
+        return 0
+
+    for name in args.mechanisms or ():
+        if name not in REGISTRY:
+            parser.error(f"unknown mechanism {name!r}; "
+                         f"valid: {', '.join(REGISTRY.names())}")
+    mechanisms = pipe.table_mechanisms(args.mechanisms, args.smoke)
+
+    for key in args.rows or ():
+        if key not in MACRO_BY_KEY:
+            parser.error(f"unknown table6 row {key!r}; "
+                         f"rows: {', '.join(MACRO_BY_KEY)}")
+
     status = 0
 
     if args.verbose:
         print(_interp_probe(), file=sys.stderr)
 
-    micro_kwargs = {} if args.seed is None else {"seed": args.seed}
+    options = dict(smoke=args.smoke, seed=args.seed, jobs=jobs, cache=cache)
     if args.target in ("table5", "matrix"):
-        if args.smoke:
-            low, high = pipe.SMOKE_MICRO_ITERATIONS
-            specs = pipe.micro_specs(mechanisms, iterations_low=low,
-                                     iterations_high=high, **micro_kwargs)
-        else:
-            specs = pipe.micro_specs(mechanisms, **micro_kwargs)
-        run = pipe.run_cells(specs, jobs=jobs, cache=cache)
-        _echo(run, "table5", args.verbose)
-        if run.failures():
-            status = 1
-        else:
-            print(render_table5(
-                pipe.table5_overheads(run, mechanisms[1:])))
-
+        status |= _show(pipe.table5(mechanisms, **options), "table5",
+                        args.verbose)
     if args.target in ("table6", "matrix"):
-        macro_kwargs = {} if args.seed is None else {"seed": args.seed}
-        specs = pipe.macro_specs(rows, mechanisms, **macro_kwargs)
-        run = pipe.run_cells(specs, jobs=jobs, cache=cache)
-        _echo(run, "table6", args.verbose)
-        if run.failures():
-            status = 1
-        else:
-            print(render_table6(pipe.table6_rows(run, rows, mechanisms)))
+        status |= _show(pipe.table6(args.rows, mechanisms, **options),
+                        "table6", args.verbose)
 
     if (args.target in ("table5", "matrix") and status == 0
             and not args.no_metrics):

@@ -28,12 +28,11 @@ from __future__ import annotations
 import json
 import statistics
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.cpu.cycles import CLOCK_HZ
 from repro.observability.analyzers.latency import LogHistogram
 from repro.traffic.config import TrafficConfig
-from repro.workloads.clients import TrafficSource
 from repro.traffic.loadbalancer import DEPTH_SAMPLES, server_result_doc
 from repro.traffic.schedule import NS, ArrivalSchedule
 
@@ -544,42 +543,3 @@ def run_server_full(mechanism: str, workload: str, traffic: TrafficConfig,
                              admission.stage_max_depth,
                              admission.depth_series)
 
-
-class OpenLoopSource(TrafficSource):
-    """:class:`~repro.workloads.clients.TrafficSource` over the
-    full-serve fleet path — one server kernel driven by a schedule slice
-    through the admission seam.  The open-loop counterpart of
-    :class:`~repro.workloads.clients.KeepAliveSource`: ``drive`` runs
-    the server's whole arrival subsequence."""
-
-    def __init__(self, mechanism: str, workload: str,
-                 traffic: TrafficConfig, seed: int, server: int,
-                 schedule: ArrivalSchedule):
-        self.mechanism = mechanism
-        self.workload = workload
-        self.traffic = traffic
-        self.seed = seed
-        self.server = server
-        self.schedule = schedule
-        self.result_doc: Optional[Dict] = None
-
-    def warmup(self, rounds: int = 2) -> None:
-        return None  # run_server_full warms before anchoring the epoch
-
-    def drive(self, requests: int):
-        from repro.workloads.clients import DriveResult
-
-        self.result_doc = run_server_full(
-            self.mechanism, self.workload, self.traffic, self.seed,
-            self.server, self.schedule)
-        completed = sum(self.result_doc["completed"].values())
-        shed = sum(self.result_doc["shed"].values())
-        return DriveResult(requests=completed, cycles=0, failures=shed)
-
-    def exchange(self, limit=None):
-        raise NotImplementedError(
-            "OpenLoopSource drives whole schedules; per-batch exchange "
-            "is a closed-loop (KeepAliveSource) operation")
-
-    def close(self) -> None:
-        return None

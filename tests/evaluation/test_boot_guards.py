@@ -27,7 +27,6 @@ BOOT_SITES = {
     ("runapi.py", "_offline_recipe"),
     ("evaluation/figures.py", "figure2"),
     ("evaluation/figures.py", "figure3"),
-    ("evaluation/experiments.py", "run_table2"),
     ("pitfalls/poc.py", "build"),
 }
 

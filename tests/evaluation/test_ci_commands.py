@@ -5,13 +5,14 @@ what its test modules import.
 The workflow is read as text (no YAML parser: CI installs only the
 ``test`` extra of ``pyproject.toml``).  Lines continued with ``\\`` are
 joined, then every ``python benchmarks/<script>.py ...``, ``python -m
-repro <sub> ...`` and ``python -m repro.tools.<module> ...`` invocation
-is collected up to the next shell separator.  Each command's ``--flag``
-arguments are checked against the options section of its own ``--help``,
-so a workflow that still passes a deleted flag fails here instead of in a
-CI job.  Each job's ``pip install`` arguments are expanded (``.[test]``
-becomes the extra's requirements) and checked against the third-party
-modules imported by the files its ``pytest`` runs collect.
+repro <sub> ...``, ``python -m repro.tools.<module> ...`` and ``python -m
+pytest benchmarks/...`` invocation is collected up to the next shell
+separator.  Each command's ``--flag`` arguments are checked against the
+options section of its own ``--help``, so a workflow that still passes a
+deleted flag fails here instead of in a CI job.  Each job's ``pip
+install`` arguments are expanded (``.[test]`` becomes the extra's
+requirements) and checked against the third-party modules imported by
+the files its ``pytest`` runs collect.
 """
 
 import ast
@@ -34,7 +35,8 @@ _INVOCATION = re.compile(
     r"\bpython3?\s+"
     r"(?:(?P<script>benchmarks/[\w/-]+\.py)"
     r"|-m\s+repro\.tools\.(?P<tool>\w+)"
-    r"|-m\s+repro\s+(?P<sub>[\w-]+))"
+    r"|-m\s+repro\s+(?P<sub>[\w-]+)"
+    r"|-m\s+pytest\s+(?P<tests>benchmarks/[\w/.-]*))"
     r"(?P<rest>[^|;&)\n]*)")
 _FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 
@@ -48,6 +50,8 @@ def _invocations(text):
             argv = (match["script"],)
         elif match["tool"]:
             argv = ("-m", f"repro.tools.{match['tool']}")
+        elif match["tests"]:
+            argv = ("-m", "pytest", match["tests"])
         else:
             argv = ("-m", "repro", match["sub"])
         flags = commands.setdefault(argv, set())
@@ -85,23 +89,37 @@ def test_invocation_parser_joins_continued_lines():
             "  python -m repro loadtest --requests 10 \\\n"
             "      --out a.json --gone\n"
             "  ID=$(python -m repro sloexplain --worst --json | python -c x)\n"
-            "  python benchmarks/bench_x.py --smoke\n")
+            "  python benchmarks/bench_x.py --smoke\n"
+            "  python -m pytest benchmarks/ -q --smoke\n")
     assert _invocations(text) == {
         ("-m", "repro", "loadtest"): {"--requests", "--out", "--gone"},
         ("-m", "repro", "sloexplain"): {"--worst", "--json"},
         ("benchmarks/bench_x.py",): {"--smoke"},
+        ("-m", "pytest", "benchmarks/"): {"--smoke"},
     }
+
+
+def missing_command(argv):
+    """Why *argv* names nothing that can run, or ``None``."""
+    if argv[0] != "-m":
+        if not (REPO / argv[0]).is_file():
+            return f"{argv[0]} does not exist"
+    elif argv[1] == "pytest":
+        if not (REPO / argv[2]).exists():
+            return f"{argv[2]} does not exist"
+    elif argv[1] == "repro":
+        if argv[2] not in SUBCOMMANDS:
+            return f"no repro subcommand {argv[2]!r}"
+    elif not (REPO / "src" / Path(*argv[1].split("."))).with_suffix(
+            ".py").is_file():
+        return f"no module {argv[1]}"
+    return None
 
 
 @pytest.mark.parametrize("argv", sorted(COMMANDS), ids=" ".join)
 def test_command_exists_and_accepts_its_flags(argv):
-    if argv[0] != "-m":
-        assert (REPO / argv[0]).is_file(), f"{argv[0]} does not exist"
-    elif argv[1] == "repro":
-        assert argv[2] in SUBCOMMANDS, f"no repro subcommand {argv[2]!r}"
-    else:
-        assert (REPO / "src" / Path(*argv[1].split("."))).with_suffix(
-            ".py").is_file(), f"no module {argv[1]}"
+    problem = missing_command(argv)
+    assert problem is None, problem
     unknown = COMMANDS[argv] - _help_options(argv)
     assert not unknown, (f"ci.yml passes {sorted(unknown)} to "
                          f"{' '.join(argv)}, which its --help does not list")

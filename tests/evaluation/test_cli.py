@@ -1,46 +1,61 @@
-"""Experiment-CLI tests (python -m repro.evaluation.experiments)."""
+"""evalrun CLI tests (``python -m repro evalrun``): one target per paper
+artifact.  Runs pass ``--no-cache`` so nothing is written to the home
+result cache."""
 
 import pytest
 
-from repro.evaluation.experiments import main, run_table4
+from repro.tools.evalrun import ARTIFACT_TARGETS, MATRIX_TARGETS, main
+
+
+def _exit_code(argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    return exited.value.code
 
 
 def test_help(capsys):
-    assert main([]) == 0
+    assert _exit_code(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "table5" in out and "figure3" in out
+    for target in (*ARTIFACT_TARGETS, *MATRIX_TARGETS, "report"):
+        assert target in out, target
 
 
 def test_unknown_target(capsys):
-    assert main(["table99"]) == 2
-    assert "unknown experiment" in capsys.readouterr().out
+    assert _exit_code(["table99"]) == 2
+    assert "invalid choice: 'table99'" in capsys.readouterr().err
+
+
+def test_matrix_option_on_an_artifact_target(capsys):
+    assert _exit_code(["table4", "--smoke"]) == 2
+    assert "table4 does not take --smoke" in capsys.readouterr().err
 
 
 def test_table4(capsys):
-    assert main(["table4"]) == 0
+    assert main(["table4", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "K23-ultra+" in out
 
 
 def test_figure1(capsys):
-    assert main(["figure1"]) == 0
+    assert main(["figure1", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "partial instruction" in out
 
 
 def test_figure3(capsys):
-    assert main(["figure3"]) == 0
+    assert main(["figure3", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "ls.log" in out and "libc.so.6," in out
 
 
 def test_table6_single_row(capsys):
-    assert main(["table6", "redis-1t"]) == 0
+    assert main(["table6", "--rows", "redis-1t", "--no-cache",
+                 "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert "redis (1 I/O thread)" in out
     assert "geomean" in out
 
 
 def test_table6_unknown_row(capsys):
-    assert main(["table6", "minecraft"]) == 2
-    assert "unknown table6 row" in capsys.readouterr().out
+    assert _exit_code(["table6", "--rows", "minecraft", "--no-cache"]) == 2
+    assert "unknown table6 row" in capsys.readouterr().err

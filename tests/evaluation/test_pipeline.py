@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro.cpu.cycles import DEFAULT_COSTS, Event
-from repro.evaluation import experiments
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import (
     MISS,
@@ -28,7 +27,9 @@ from repro.evaluation.cache import (
     code_digest,
     package_digest,
 )
-from repro.evaluation.tables import render_table5
+from repro.evaluation.runner import MACRO_CONFIGS, macro_results
+from repro.evaluation.tables import render_table5, render_table6
+from repro.interposers.registry import REGISTRY
 
 MECHS = ("native", "zpoline-default", "SUD-no-interposition")
 MICRO = dict(iterations_low=60, iterations_high=240)
@@ -36,6 +37,24 @@ MICRO = dict(iterations_low=60, iterations_high=240)
 
 def reduced_micro_specs(mechanisms=MECHS):
     return pipe.micro_specs(mechanisms, **MICRO)
+
+
+def serial_table6(keys):
+    """Table 6 for *keys* the original way: each row measured in process
+    by :func:`macro_results`, no pipeline (the equivalence oracle)."""
+    rows = []
+    for config in MACRO_CONFIGS:
+        if config.key not in keys:
+            continue
+        results = macro_results(config)
+        rows.append({
+            "label": config.label,
+            "native": results["native"].get("throughput"),
+            "relative": {name: results[name]["relative_pct"]
+                         for name in REGISTRY.names() if name != "native"},
+            "paper_relative": config.paper_relative,
+        })
+    return render_table6(rows)
 
 
 # ----------------------------------------------------------- equivalence
@@ -54,8 +73,8 @@ class TestEquivalence:
     def test_pipeline_matches_legacy_serial_table6(self):
         """The pipeline's Table 6 text is byte-identical to the original
         in-process serial path for the same row."""
-        legacy = experiments.run_table6_serial(["redis-1t"])
-        piped = experiments.run_table6(["redis-1t"], jobs=2)
+        legacy = serial_table6(["redis-1t"])
+        piped = pipe.table6(["redis-1t"], jobs=2).text
         assert piped == legacy
 
     def test_merge_is_order_independent(self):

@@ -5,27 +5,27 @@ import io
 import pytest
 
 import repro.evaluation.report as report_mod
+from repro.evaluation import pipeline as pipe
 from repro.evaluation.tables import PAPER_TABLE5
 
 
 def test_generate_report_structure(monkeypatch):
-    from repro.evaluation import experiments
+    from repro.evaluation import figures
     from repro.pitfalls import matrix as matrix_mod
     from repro.pitfalls.poc import PitfallOutcome
 
-    monkeypatch.setattr(experiments, "run_table2", lambda: "TABLE2-STUB")
-    monkeypatch.setattr(experiments, "run_table6",
-                        lambda **kwargs: "TABLE6-STUB")
-    for number in (1, 2, 3, 4):
-        monkeypatch.setattr(experiments, f"run_figure{number}",
-                            lambda n=number: f"FIGURE{n}-STUB")
+    monkeypatch.setattr(report_mod, "table2_site_counts",
+                        lambda: {"/usr/bin/TABLE2-STUB": 1})
+    monkeypatch.setattr(figures, "render_figure",
+                        lambda number: f"FIGURE{number}-STUB")
     outcomes = [PitfallOutcome(p, name, expected, "stub")
                 for p, row in matrix_mod.PAPER_TABLE3.items()
                 for name, expected in row.items()]
-    monkeypatch.setattr(report_mod.pipe, "run_cells",
-                        lambda specs, jobs=1, cache=None: "RUN-STUB")
-    monkeypatch.setattr(report_mod.pipe, "table5_overheads",
-                        lambda run, mechanisms: dict(PAPER_TABLE5))
+    run = pipe.PipelineRun(results={}, stats=pipe.PipelineStats())
+    monkeypatch.setattr(pipe, "table5", lambda **kwargs: pipe.TableRun(
+        run, dict(PAPER_TABLE5), "TABLE5-STUB"))
+    monkeypatch.setattr(pipe, "table6", lambda **kwargs: pipe.TableRun(
+        run, [], "TABLE6-STUB"))
     import repro.pitfalls as pitfalls_pkg
 
     monkeypatch.setattr(pitfalls_pkg, "pitfall_matrix", lambda: outcomes)
@@ -33,7 +33,8 @@ def test_generate_report_structure(monkeypatch):
     stream = io.StringIO()
     text = report_mod.generate_report(out=stream)
     assert text == stream.getvalue()
-    for marker in ("TABLE2-STUB", "TABLE6-STUB", "FIGURE3-STUB",
+    for marker in ("TABLE2-STUB", "TABLE5-STUB", "TABLE6-STUB",
+                   "FIGURE3-STUB",
                    "Matches the paper exactly: **True**",
                    "Worst per-row deviation"):
         assert marker in text

@@ -35,12 +35,12 @@ class TestCatalogue:
     def test_mechanisms_derived_from_registry(self):
         # The evaluation matrix reads the registry where it enumerates
         # mechanisms; no evaluation module keeps its own copy.
-        from repro.evaluation import experiments, report, runner
+        from repro.evaluation import report, runner
         from repro.evaluation import pipeline as pipe
 
         assert (tuple(spec.mechanism for spec in pipe.micro_specs())
                 == REGISTRY.names())
-        for module in (runner, experiments, report):
+        for module in (runner, report):
             assert not hasattr(module, "MECHANISMS")
 
     def test_needs_offline_only_k23(self):
