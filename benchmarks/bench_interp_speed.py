@@ -30,7 +30,7 @@ the final simulated cycle counter — which must be *identical* across all
 four modes (every tier is a pure interpreter optimization; see
 tests/cpu/test_engine.py and tests/properties/test_prop_lockstep.py).
 A separate micro-bench times the address-space single-page fast path
-with per-page generations against simulated global-generation eviction.
+with per-page eviction against clearing the whole page map per mmap.
 Results land in ``benchmarks/output/BENCH_interp.json``.
 """
 
@@ -137,13 +137,16 @@ def _measure(fn, arg, mode, rounds):
 
 
 def _bench_addrspace(reads, rounds):
-    """Per-page-generation win: a working set of hot pages read between
-    bursts of unrelated cold mmap traffic.  With per-page generations the
-    hot pages' memoized entries survive the cold mappings; the contrast
-    run clears the memo table after every mmap, which is exactly what a
-    global generation counter used to do to every cached translation.
-    Only the hot reads are timed — the cold mmaps cost the same either
-    way and would dilute the ratio."""
+    """Per-page eviction win: a working set of hot pages read between
+    bursts of unrelated cold mmap traffic.  An mmap evicts only its own
+    pages' entries from the page map, so the hot pages' memoized entries
+    survive the cold mappings; the contrast run clears the whole map
+    after every mmap, which is what the global generation counter of an
+    early version did to every cached translation.  Only the hot reads
+    are timed — the cold mmaps cost the same either way and would dilute
+    the ratio.  The JSON keys keep their original ``*_gen_*`` names:
+    ``per_page_gen`` is per-page eviction, ``global_gen`` the whole-map
+    clear."""
     from repro.memory.address_space import AddressSpace
     from repro.memory.pages import PAGE_SIZE, Prot
 

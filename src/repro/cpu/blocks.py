@@ -173,6 +173,11 @@ def _record(env, ctx, icache, budget: int) -> int:
     append = steps.append
     fetch_entry = icache.fetch_entry
     mem_fetch = env.mem_fetch
+    # The page map of the space executing now (execve swaps it, so bind
+    # it per call); an environment without ``mem_space`` fetches through
+    # mem_fetch alone.
+    space = getattr(env, "mem_space", None)
+    pages = None if space is None else space._fast
     charge = env.charge
     instruction = Event.INSTRUCTION
     # Every traced instruction is appended to steps, so executed is also
@@ -184,7 +189,7 @@ def _record(env, ctx, icache, budget: int) -> int:
             env.unit_retired = executed + 1
             fetch_addr = ctx.rip
             try:
-                _raw, insn, fn = fetch_entry(fetch_addr, mem_fetch)
+                _raw, insn, fn = fetch_entry(fetch_addr, mem_fetch, pages)
             except DecodeError as exc:
                 raise InvalidOpcode(fetch_addr, str(exc)) from exc
             slide = fn is slide_nops

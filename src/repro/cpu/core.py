@@ -83,8 +83,10 @@ def step(env) -> Instruction:
     """Execute one instruction; returns it (for tracing)."""
     ctx = env.context
     fetch_addr = ctx.rip
+    space = getattr(env, "mem_space", None)
     try:
-        _raw, insn, fn = env.icache.fetch_entry(fetch_addr, env.mem_fetch)
+        _raw, insn, fn = env.icache.fetch_entry(
+            fetch_addr, env.mem_fetch, None if space is None else space._fast)
     except DecodeError as exc:
         raise InvalidOpcode(fetch_addr, str(exc)) from exc
 

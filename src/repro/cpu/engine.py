@@ -19,8 +19,8 @@ This module adds the two tiers that remove that overhead for hot code:
    at most :data:`SUPERBLOCK_MAX` steps) into one :class:`Superblock` and
    compiled at once by :mod:`repro.cpu.tracejit` into one ``exec``'d Python
    function with register/flag operations inlined and an inline-cached
-   single-page memory fast path seeded from
-   :meth:`repro.memory.address_space.AddressSpace.page_entry`.  A trace
+   single-page memory fast path over the address space's page map (see
+   :meth:`repro.memory.address_space.AddressSpace.page_entry`).  A trace
    is one replay unit with **one** batched INSTRUCTION charge and one
    budget check.  Conditional edges inside it are *guards*: if the branch
    goes the other way, the trace returns early, the unexecuted tail is
@@ -57,9 +57,11 @@ Invariants (the lockstep fuzzer asserts them across every configuration):
 Environments that expose a ``mem_space`` attribute (the process
 :class:`~repro.memory.address_space.AddressSpace`) additionally promise
 that their ``mem_read``/``mem_write`` are exactly
-``space.read/write(addr, .., pkru=ctx.pkru)`` — the contract that lets a
-compiled trace touch page bytes directly.  Environments without it never
-get traces compiled (``Superblock.trace`` is ``False``) and stay chained.
+``space.read/write(addr, .., pkru=ctx.pkru)`` and their ``mem_fetch`` is
+exactly ``space.fetch`` — the contract that lets a compiled trace touch
+page bytes directly and a first fetch slice its line from the page map.
+Environments without it never get traces compiled (``Superblock.trace``
+is ``False``) and stay chained, and fetch through ``mem_fetch`` alone.
 """
 
 from __future__ import annotations

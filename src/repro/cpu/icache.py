@@ -36,6 +36,12 @@ Lines and blocks are indexed by page so per-store invalidation inspects only
 candidates on the written pages instead of scanning every cached entry.  An
 entry that straddles a page end is indexed on every page it covers, so a
 store to any of them finds it.
+
+A line's first fetch reads the environment's page map when it has one
+(:meth:`ICache.fetch_entry`): a window inside one executable page is
+sliced straight from the memoized page entry, the same bytes the
+permission-checked fetch returns.  Hits, misses and faults are counted and
+raised exactly as through the checked fetch.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from repro.arch.isa import Instruction, Mnemonic
 from repro.cpu.dispatch import (
     BLOCK_TERMINATORS, Executor, compile_insn, slide_nops)
 from repro.errors import ProtectionKeyFault, SegmentationFault
-from repro.memory.pages import PAGE_SHIFT
+from repro.memory.pages import PAGE_SHIFT, PAGE_SIZE, Prot
 
 #: Maximum bytes one line caches (longest SimX86 instruction is 10 bytes).
 LINE_SPAN = 16
@@ -56,6 +62,11 @@ LINE_SPAN = 16
 #: A cached line: the raw bytes the decode consumed, the decoded
 #: instruction, and its compiled executor closure.
 Line = Tuple[bytes, Instruction, Executor]
+
+#: Last page offset at which a full line still fits in its page.
+_LAST_IN_PAGE = PAGE_SIZE - LINE_SPAN
+
+_PROT_EXEC = int(Prot.EXEC)
 
 #: Bound on the process-wide decoded-line memo (:func:`decode_line`); the
 #: programs of a full evaluation run fetch a few thousand distinct windows.
@@ -220,13 +231,38 @@ class ICache:
         """
         return self.fetch_entry(address, read_bytes)[1]
 
-    def fetch_entry(self, address: int, read_bytes) -> Line:
-        """Like :meth:`fetch`, returning the whole ``(raw, insn, fn)`` line."""
+    def fetch_entry(self, address: int, read_bytes, pages=None) -> Line:
+        """Like :meth:`fetch`, returning the whole ``(raw, insn, fn)`` line.
+
+        *pages* is the environment's page map
+        (:attr:`repro.memory.address_space.AddressSpace._fast`, for an
+        environment whose ``mem_fetch`` is that space's ``fetch``).  A
+        line window inside one page whose memoized entry allows EXEC is
+        sliced straight from the entry — exactly what ``read_bytes``
+        would return, since a fetch is not subject to PKU.  Everything
+        else (the last ``LINE_SPAN - 1`` bytes of a page, a page without
+        an entry, no page map) takes ``read_bytes``, so faults are the
+        ones it raises.
+        """
         line = self._lines.get(address)
         if line is not None:
             self.hits += 1
             return line
         self.misses += 1
+        off = address & (PAGE_SIZE - 1)
+        if pages is not None and off <= _LAST_IN_PAGE:
+            page = address >> PAGE_SHIFT
+            entry = pages.get(page)
+            if entry is not None and entry[1] & _PROT_EXEC:
+                line = decode_line(bytes(entry[0][off:off + LINE_SPAN]))
+                self._lines[address] = line
+                # The window, hence the line, stays on this page.
+                entries = self._line_pages.get(page)
+                if entries is None:
+                    self._line_pages[page] = {address}
+                else:
+                    entries.add(address)
+                return line
         raw = None
         fault = None
         # A full line may cross into an unmapped page even though the

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.arch.registers import Reg, SYSCALL_ARG_REGS
+from repro.arch.registers import Reg
 from repro.memory.pku import Pkru
 
 _MASK64 = (1 << 64) - 1
@@ -66,7 +66,9 @@ class CpuContext:
     def syscall_args(self, count: int = 6) -> List[int]:
         """Arguments per the x86-64 syscall ABI (rdi, rsi, rdx, r10, r8, r9)."""
         regs = self._regs
-        return [regs[reg] for reg in SYSCALL_ARG_REGS[:count]]
+        # SYSCALL_ARG_REGS as fixed indices: this runs on every syscall.
+        args = [regs[7], regs[6], regs[2], regs[10], regs[8], regs[9]]
+        return args if count == 6 else args[:count]
 
     def set_syscall_result(self, value: int) -> None:
         """Store a (possibly negative-errno) result into RAX."""

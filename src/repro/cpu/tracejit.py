@@ -10,12 +10,15 @@ as replaying its blocks, minus the per-instruction overhead:
   constant, so ``ctx.rip`` is materialized only where it is observable —
   before any call that can fault or observe state (memory slow paths,
   syscalls, hostcalls, the faulting trio) and at every exit;
-- memory accesses try an inline-cached single-page fast path first,
-  seeded from :meth:`repro.memory.address_space.AddressSpace.page_entry`
-  (generation-checked ``(gen, page, prot_int, pkey)`` entries with PKU as
-  integer bit math), falling back to the environment's own
+- memory accesses try an inline-cached single-page fast path first: one
+  probe of the address space's page map
+  (``env.mem_space._fast.get``, entries ``(page, prot_int, pkey)`` as
+  filled by :meth:`repro.memory.address_space.AddressSpace.page_entry`,
+  with PKU as integer bit math), falling back to the environment's own
   ``mem_read``/``mem_write`` — which raise the exact fault the
-  interpreter would — on any miss;
+  interpreter would, and fill the entry — on a miss or a denied access.
+  A mapping change evicts the entry, so a present entry is always
+  current;
 - conditional branches compile into the guard structure directly: the
   recorded direction falls through into the next segment's code, the
   other direction materializes RIP and returns the retire count, so a
@@ -92,7 +95,7 @@ class _Emitter:
         if "pk.value" in body:
             header.append("    pk = ctx.pkru")
         if "pe(" in body:
-            header.append("    pe = env.mem_space.page_entry")
+            header.append("    pe = env.mem_space._fast.get")
         return "\n".join(header) + "\n" + body + "\n"
 
 
@@ -109,18 +112,18 @@ def _read(out: _Emitter, addr_expr: str, dest: str, size: int,
     out.emit(f"a = {addr_expr}")
     out.emit("e = pe(a >> 12)")
     if size == 1:
-        out.emit("if e is not None and e[2] & 1 and "
-                 "not (pk.value >> (e[3] << 1)) & 1:")
-        out.emit(f"    {dest} = e[1][a & 4095]")
+        out.emit("if e is not None and e[1] & 1 and "
+                 "not (pk.value >> (e[2] << 1)) & 1:")
+        out.emit(f"    {dest} = e[0][a & 4095]")
         out.emit("else:")
         out.emit(f"    ctx.rip = {next_rip:#x}")
         out.emit(f"    env.unit_retired = base + {k + 1}")
         out.emit(f"    {dest} = env.mem_read(a, 1)[0]")
         return
-    out.emit("if e is not None and e[2] & 1 and "
-             "not (pk.value >> (e[3] << 1)) & 1 and a & 4095 <= 4088:")
+    out.emit("if e is not None and e[1] & 1 and "
+             "not (pk.value >> (e[2] << 1)) & 1 and a & 4095 <= 4088:")
     out.emit("    o = a & 4095")
-    out.emit(f"    {dest} = _unpack(e[1][o:o + 8])[0]")
+    out.emit(f"    {dest} = _unpack(e[0][o:o + 8])[0]")
     out.emit("else:")
     out.emit(f"    ctx.rip = {next_rip:#x}")
     out.emit(f"    env.unit_retired = base + {k + 1}")
@@ -133,18 +136,18 @@ def _write(out: _Emitter, addr_expr: str, value_expr: str, size: int,
     out.emit(f"a = {addr_expr}")
     out.emit("e = pe(a >> 12)")
     if size == 1:
-        out.emit("if e is not None and e[2] & 2 and "
-                 "not (pk.value >> (e[3] << 1)) & 3:")
-        out.emit(f"    e[1][a & 4095] = {value_expr} & 255")
+        out.emit("if e is not None and e[1] & 2 and "
+                 "not (pk.value >> (e[2] << 1)) & 3:")
+        out.emit(f"    e[0][a & 4095] = {value_expr} & 255")
         out.emit("else:")
         out.emit(f"    ctx.rip = {next_rip:#x}")
         out.emit(f"    env.unit_retired = base + {k + 1}")
         out.emit(f"    env.mem_write(a, bytes(({value_expr} & 255,)))")
         return
-    out.emit("if e is not None and e[2] & 2 and "
-             "not (pk.value >> (e[3] << 1)) & 3 and a & 4095 <= 4088:")
+    out.emit("if e is not None and e[1] & 2 and "
+             "not (pk.value >> (e[2] << 1)) & 3 and a & 4095 <= 4088:")
     out.emit("    o = a & 4095")
-    out.emit(f"    e[1][o:o + 8] = _pack({value_expr})")
+    out.emit(f"    e[0][o:o + 8] = _pack({value_expr})")
     out.emit("else:")
     out.emit(f"    ctx.rip = {next_rip:#x}")
     out.emit(f"    env.unit_retired = base + {k + 1}")
@@ -157,10 +160,10 @@ def _push(out: _Emitter, value_expr: str, k: int, next_rip: int) -> None:
     out.emit(f"a = (r[4] - 8) & {_M_HEX}")
     out.emit("r[4] = a")
     out.emit("e = pe(a >> 12)")
-    out.emit("if e is not None and e[2] & 2 and "
-             "not (pk.value >> (e[3] << 1)) & 3 and a & 4095 <= 4088:")
+    out.emit("if e is not None and e[1] & 2 and "
+             "not (pk.value >> (e[2] << 1)) & 3 and a & 4095 <= 4088:")
     out.emit("    o = a & 4095")
-    out.emit("    e[1][o:o + 8] = _pack(_v)")
+    out.emit("    e[0][o:o + 8] = _pack(_v)")
     out.emit("else:")
     out.emit(f"    ctx.rip = {next_rip:#x}")
     out.emit(f"    env.unit_retired = base + {k + 1}")

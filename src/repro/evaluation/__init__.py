@@ -35,7 +35,6 @@ from repro.evaluation.pipeline import (
     PipelineRun,
     PipelineStats,
     ScenarioSpec,
-    full_matrix_specs,
     macro_specs,
     micro_specs,
     run_cells,
@@ -57,7 +56,6 @@ __all__ = [
     "PipelineRun",
     "PipelineStats",
     "ScenarioSpec",
-    "full_matrix_specs",
     "macro_specs",
     "micro_specs",
     "run_cells",

@@ -216,20 +216,6 @@ def shadow_specs(primary: str, shadows: Sequence[str], workload: str,
             for name in shadows]
 
 
-def full_matrix_specs(mechanisms: Optional[Sequence[str]] = None,
-                      macro_keys: Optional[Sequence[str]] = None,
-                      smoke: bool = False) -> List[ScenarioSpec]:
-    """The whole Table 5 + Table 6 matrix (reduced when *smoke*)."""
-    if smoke:
-        mechanisms = mechanisms or SMOKE_MECHANISMS
-        macro_keys = macro_keys or SMOKE_MACRO_KEYS
-        low, high = SMOKE_MICRO_ITERATIONS
-        return (micro_specs(mechanisms, iterations_low=low,
-                            iterations_high=high)
-                + macro_specs(macro_keys, mechanisms))
-    return micro_specs(mechanisms) + macro_specs(macro_keys, mechanisms)
-
-
 # --------------------------------------------------------------- execution
 
 

@@ -116,11 +116,13 @@ class Thread:
 
     @property
     def mem_space(self) -> AddressSpace:
-        """The live address space — the trace JIT's inline-cache seed.
+        """The live address space — the trace JIT's and the first
+        fetch's page map.
 
         Exposing this attribute is the promise (see
         :mod:`repro.cpu.engine`) that ``mem_read``/``mem_write`` below are
-        exactly ``address_space.read/write(.., pkru=self.context.pkru)``.
+        exactly ``address_space.read/write(.., pkru=self.context.pkru)``
+        and ``mem_fetch`` is exactly ``address_space.fetch``.
         """
         return self.process.address_space
 
@@ -193,7 +195,7 @@ class Thread:
         """Overwrite this thread with a snapshot taken by
         :meth:`snapshot_state`.  Flushes the core-local icache: decoded
         lines, chained blocks, and compiled traces all cache pre-restore
-        code bytes and page generations."""
+        code bytes."""
         self.tid = state["tid"]
         self.core_id = state["core_id"]
         self.context.restore(copy.deepcopy(state["context"]))

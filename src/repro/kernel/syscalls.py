@@ -83,10 +83,8 @@ class Nr(enum.IntEnum):
     @classmethod
     def name_of(cls, number: int) -> str:
         """Readable name for traces; unknown numbers render as ``sys_<n>``."""
-        try:
-            return cls(number).name
-        except ValueError:
-            return f"sys_{number}"
+        member = cls._value2member_map_.get(number)
+        return f"sys_{number}" if member is None else member.name
 
 
 #: The paper's microbenchmark syscall: non-existent number 500, chosen to

@@ -42,7 +42,11 @@ class Inode:
 def _canon(path: str) -> str:
     if not path.startswith("/"):
         raise VFSError(Errno.EINVAL, f"VFS paths must be absolute: {path!r}")
-    return posixpath.normpath(path)
+    # An absolute path without an empty, "." or ".." component or a
+    # trailing slash is already what normpath would return.
+    if "//" in path or "/." in path or (path[-1] == "/" and path != "/"):
+        return posixpath.normpath(path)
+    return path
 
 
 class VFS:

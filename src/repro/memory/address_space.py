@@ -4,6 +4,13 @@ This is the process-memory substrate under every simulated program: the
 loader maps code/data here, rewriters flip bytes here, the kernel consults it
 for ``/proc/$PID/maps``, and the CPU's fetch/load/store paths go through the
 permission checks (including PKU) that produce segmentation faults.
+
+Single-page accesses are served from the **page map** (``_fast``): one
+memoized ``(page, prot, pkey)`` entry per page index, evicted by every
+mapping or protection change on its page and cleared by snapshots and
+forks.  The CPU's compiled paths (the trace JIT, the icache's first
+fetch) probe the same map directly.  Freshly mapped pages all start on
+one shared zero page, copied on the first write like a snapshot page.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ MMAP_BASE = 0x7F00_0000_0000
 
 #: Stack top for the main thread.
 STACK_TOP = 0x7FFF_FFFF_F000
+
+#: The one backing page of every freshly mapped page.  ``mmap`` maps each
+#: new page onto it and marks the page frozen, so the unshare paths copy
+#: it before the first in-place write; it is never written itself.
+_ZERO_PAGE = bytearray(PAGE_SIZE)
 
 
 @dataclass
@@ -94,20 +106,20 @@ class AddressSpace:
         self._pkey: Dict[int, int] = {}
         self.regions: List[Region] = []
         self._mmap_cursor = MMAP_BASE
-        # Single-page access fast path: memoized (generation, page, prot,
-        # pkey) per page index.  Generations are **per page**: a mapping or
-        # protection change bumps only the touched pages' generations, so an
-        # unrelated region's mmap does not evict every memoized translation
-        # (the interpreter keeps its hot-page entries across cold mmap
-        # traffic).  The page bytearray is shared (not copied), so in-place
-        # writes through the slow path remain visible to fast-path readers;
-        # ``prot`` is stored as a raw int (see _PROT_*).
-        self._fast: Dict[int, Tuple[int, bytearray, int, int]] = {}
-        self._page_gen: Dict[int, int] = {}
-        self._gen_counter = 0
-        # Pages whose bytearray is shared with a snapshot (or a forked
-        # sibling).  A frozen page must be unshared — copied and removed
-        # from this set — before any in-place mutation; see _freeze_all.
+        # The page map: memoized (page, prot, pkey) per page index, the
+        # single-page access fast path (see page_entry).  A mapping or
+        # protection change **evicts** only the touched pages' entries, so
+        # an unrelated region's mmap keeps every other memoized
+        # translation.  The page bytearray is shared (not copied), so
+        # in-place writes through the slow path remain visible to
+        # fast-path readers; ``prot`` is stored as a raw int (see _PROT_*).
+        # The dict is cleared, never replaced: compiled traces and the
+        # icache bind it.
+        self._fast: Dict[int, Tuple[bytearray, int, int]] = {}
+        # Pages whose bytearray is shared with a snapshot, a forked
+        # sibling or other fresh pages (_ZERO_PAGE).  A frozen page must
+        # be unshared — copied and removed from this set — before any
+        # in-place mutation; see _freeze_all.
         self._frozen: set = set()
         # region_at bisect index: region start addresses, kept in sync with
         # the (sorted, non-overlapping) regions list.
@@ -144,14 +156,14 @@ class AddressSpace:
                 raise MapError(
                     f"mapping {addr:#x}+{length:#x} overlaps an existing one"
                 )
-        self._gen_counter += 1
-        gen = self._gen_counter
+        pages, prots, pkeys = self._pages, self._prot, self._pkey
+        fast, frozen = self._fast, self._frozen
         for idx in page_span(addr, length):
-            self._pages[idx] = bytearray(PAGE_SIZE)
-            self._prot[idx] = prot
-            self._pkey[idx] = pkey
-            self._page_gen[idx] = gen
-            self._frozen.discard(idx)
+            pages[idx] = _ZERO_PAGE
+            prots[idx] = prot
+            pkeys[idx] = pkey
+            fast.pop(idx, None)
+            frozen.add(idx)
         self._drop_region_overlap(addr, addr + length)
         self.regions.append(Region(addr, addr + length, name, file_offset))
         self.regions.sort(key=lambda r: r.start)
@@ -163,13 +175,11 @@ class AddressSpace:
         if addr % PAGE_SIZE:
             raise MapError(f"munmap address {addr:#x} is not page-aligned")
         length = round_up_pages(length)
-        self._gen_counter += 1
-        gen = self._gen_counter
         for idx in page_span(addr, length):
             self._pages.pop(idx, None)
             self._prot.pop(idx, None)
             self._pkey.pop(idx, None)
-            self._page_gen[idx] = gen
+            self._fast.pop(idx, None)
             self._frozen.discard(idx)
         self._drop_region_overlap(addr, addr + length)
 
@@ -184,22 +194,18 @@ class AddressSpace:
                 raise MapError(
                     f"mprotect range {addr:#x}+{length:#x} covers unmapped pages"
                 )
-        self._gen_counter += 1
-        gen = self._gen_counter
         for idx in indices:
             self._prot[idx] = prot
-            self._page_gen[idx] = gen
+            self._fast.pop(idx, None)
 
     def pkey_mprotect(self, addr: int, length: int, prot: Prot, pkey: int) -> None:
         """``pkey_mprotect``: mprotect + assign a protection key."""
         if not 0 <= pkey < PKEY_COUNT:
             raise MapError(f"invalid pkey {pkey}")
         self.mprotect(addr, length, prot)
-        self._gen_counter += 1
-        gen = self._gen_counter
         for idx in page_span(addr, round_up_pages(length)):
             self._pkey[idx] = pkey
-            self._page_gen[idx] = gen
+            self._fast.pop(idx, None)
 
     def _find_free(self, length: int) -> int:
         addr = self._mmap_cursor
@@ -253,40 +259,41 @@ class AddressSpace:
             if pkru is not None and not pkru.permits(self._pkey[idx], access):
                 raise ProtectionKeyFault(addr, access)
 
-    def page_entry(self, idx: int) -> "Optional[Tuple[int, bytearray, int, int]]":
-        """Generation-checked ``(gen, page, prot_int, pkey)`` for one page.
+    def page_entry(self, idx: int) -> "Optional[Tuple[bytearray, int, int]]":
+        """Memoized ``(page, prot_int, pkey)`` for one page, filling the
+        page map (``_fast``) on a miss.
 
-        The inline-cache seam the trace JIT compiles against
-        (:mod:`repro.cpu.tracejit`): a returned entry is valid until the
-        page's generation changes, the page bytearray is the live backing
-        store, and ``prot_int``/``pkey`` are raw ints so a compiled trace
-        checks permissions with integer arithmetic only.  PKU semantics for
-        a data access via *pkey* are ``not (pkru.value >> (pkey * 2)) & 1``
-        for reads and ``... & 3`` for writes (AD blocks both, WD writes).
-        Returns ``None`` for an unmapped page.
+        The inline-cache seam the trace JIT and the icache's first fetch
+        compile against (:mod:`repro.cpu.tracejit`,
+        :meth:`repro.cpu.icache.ICache.fetch_entry`): they probe ``_fast``
+        directly and take the permission-checked ``read``/``write``/
+        ``fetch`` path, which fills it, on a miss.  An entry lives until a
+        mapping or protection change on its page evicts it, the page
+        bytearray is the live backing store, and ``prot_int``/``pkey`` are
+        raw ints so a compiled trace checks permissions with integer
+        arithmetic only.  PKU semantics for a data access via *pkey* are
+        ``not (pkru.value >> (pkey * 2)) & 1`` for reads and ``... & 3``
+        for writes (AD blocks both, WD writes).  Returns ``None`` for an
+        unmapped page.
         """
         entry = self._fast.get(idx)
-        if entry is None or entry[0] != self._page_gen.get(idx, 0):
+        if entry is None:
             page = self._pages.get(idx)
             if page is None:
                 return None
             prot = int(self._prot[idx])
             if prot & _PROT_WRITE and idx in self._frozen:
                 # The entry is handed out for in-place writes whenever the
-                # write bit is set, so a frozen (snapshot-shared) page must
-                # be unshared *before* it becomes reachable through the
+                # write bit is set, so a frozen (shared) page must be
+                # unshared *before* it becomes reachable through the
                 # inline-cache seam.  Read-only pages keep sharing; a later
-                # mprotect(+W) bumps the generation and lands back here.
+                # mprotect(+W) evicts the entry and lands back here.
                 page = bytearray(page)
                 self._pages[idx] = page
                 self._frozen.discard(idx)
-            entry = (self._page_gen.get(idx, 0), page, prot, self._pkey[idx])
+            entry = (page, prot, self._pkey[idx])
             self._fast[idx] = entry
         return entry
-
-    #: Internal alias — the read/write/fetch fast paths below and the JIT
-    #: seam share one implementation (no forwarding frame on either side).
-    _fast_entry = page_entry
 
     def read(self, addr: int, length: int, pkru: Optional[Pkru] = None) -> bytes:
         """Data read with permission + PKU checks."""
@@ -297,11 +304,12 @@ class AddressSpace:
         # check is pkru.permits(pkey, "read") as integer bit math.
         off = addr & (PAGE_SIZE - 1)
         if off + length <= PAGE_SIZE:
-            entry = self._fast_entry(addr // PAGE_SIZE)
-            if entry is not None and entry[2] & _PROT_READ and (
+            idx = addr // PAGE_SIZE
+            entry = self._fast.get(idx) or self.page_entry(idx)
+            if entry is not None and entry[1] & _PROT_READ and (
                     pkru is None
-                    or not (pkru.value >> (entry[3] << 1)) & 1):
-                return bytes(entry[1][off:off + length])
+                    or not (pkru.value >> (entry[2] << 1)) & 1):
+                return bytes(entry[0][off:off + length])
         self._check(addr, length, "read", pkru)
         return self._copy_out(addr, length)
 
@@ -309,9 +317,10 @@ class AddressSpace:
         """Instruction fetch: requires EXEC; **not** subject to PKU."""
         off = addr & (PAGE_SIZE - 1)
         if off + length <= PAGE_SIZE:
-            entry = self._fast_entry(addr // PAGE_SIZE)
-            if entry is not None and entry[2] & _PROT_EXEC:
-                return bytes(entry[1][off:off + length])
+            idx = addr // PAGE_SIZE
+            entry = self._fast.get(idx) or self.page_entry(idx)
+            if entry is not None and entry[1] & _PROT_EXEC:
+                return bytes(entry[0][off:off + length])
         self._check(addr, length, "exec", None)
         return self._copy_out(addr, length)
 
@@ -320,11 +329,12 @@ class AddressSpace:
         length = len(data)
         off = addr & (PAGE_SIZE - 1)
         if off + length <= PAGE_SIZE:
-            entry = self._fast_entry(addr // PAGE_SIZE)
-            if entry is not None and entry[2] & _PROT_WRITE and (
+            idx = addr // PAGE_SIZE
+            entry = self._fast.get(idx) or self.page_entry(idx)
+            if entry is not None and entry[1] & _PROT_WRITE and (
                     pkru is None
-                    or not (pkru.value >> (entry[3] << 1)) & 3):
-                entry[1][off:off + length] = data
+                    or not (pkru.value >> (entry[2] << 1)) & 3):
+                entry[0][off:off + length] = data
                 return
         self._check(addr, length, "write", pkru)
         self._copy_in(addr, data)
@@ -373,8 +383,8 @@ class AddressSpace:
     def write_kernel(self, addr: int, data: bytes) -> None:
         """Kernel-privilege write (loader, ptrace POKE, process_vm_writev)."""
         # Single-page fast path: the 1-byte selector writes of the K23 and
-        # zpoline trampoline entries.  A frozen page takes _copy_in's
-        # unshare-and-bump-generation path.
+        # zpoline trampoline entries.  A frozen page (a fresh zero page
+        # too) takes _copy_in's unshare-and-evict path.
         length = len(data)
         off = addr & (PAGE_SIZE - 1)
         if off + length <= PAGE_SIZE:
@@ -409,12 +419,11 @@ class AddressSpace:
             idx = page_index(cursor)
             if frozen and idx in frozen:
                 # Kernel-privilege writes bypass page_entry, so unshare
-                # here; bump the generation because a read-only page may
+                # here; evict the entry because a read-only page may
                 # already be memoized with the still-shared bytearray.
                 self._pages[idx] = bytearray(self._pages[idx])
                 frozen.discard(idx)
-                self._gen_counter += 1
-                self._page_gen[idx] = self._gen_counter
+                self._fast.pop(idx, None)
             off = cursor - idx * PAGE_SIZE
             take = min(len(view), PAGE_SIZE - off)
             self._pages[idx][off:off + take] = view[:take]
@@ -454,19 +463,14 @@ class AddressSpace:
     # --------------------------------------------------- snapshot / fork (CoW)
 
     def _freeze_all(self) -> None:
-        """Mark every current page snapshot-shared and invalidate all
-        memoized translations.
+        """Mark every current page snapshot-shared and evict every
+        memoized translation.
 
-        Bumping every page's generation honors the :meth:`page_entry`
-        contract — any held entry (interpreter fast path, JIT inline
-        cache) becomes invalid, so the next access rebuilds through
-        ``page_entry`` and unshares there if it can write in place.
+        The next access through any fast path (interpreter, icache first
+        fetch, JIT inline cache) misses the page map and rebuilds through
+        :meth:`page_entry`, which unshares there if it can write in place.
         """
         self._frozen.update(self._pages)
-        self._gen_counter += 1
-        gen = self._gen_counter
-        for idx in self._pages:
-            self._page_gen[idx] = gen
         self._fast.clear()
 
     def snapshot(self) -> AddressSpaceSnapshot:
@@ -505,10 +509,6 @@ class AddressSpace:
         self._reindex_regions()
         self._mmap_cursor = snap.mmap_cursor
         self._frozen = set(self._pages)
-        self._gen_counter += 1
-        gen = self._gen_counter
-        self._page_gen = {idx: gen
-                          for idx in set(self._page_gen) | set(self._pages)}
         self._fast.clear()
 
     def fork_copy(self) -> "AddressSpace":
@@ -516,12 +516,11 @@ class AddressSpace:
 
         Parent and child share page bytearrays until either side writes
         (both sides' pages are frozen; mutation paths unshare).  The child
-        starts with *fresh* fast-path generation state — empty ``_fast``,
-        empty ``_page_gen``, zero counter — and the parent's own memoized
-        translations are invalidated by :meth:`_freeze_all`, so the two
-        spaces never share inline-cache validity: a post-fork SMC patch on
-        one side can never satisfy a generation check made against the
-        other (the fork-then-SMC pitfall).
+        starts with an *empty* page map of its own, and the parent's
+        memoized translations are evicted by :meth:`_freeze_all`, so
+        neither side holds an entry for a page the other can still write
+        in place: a post-fork SMC patch on one side can never be served to
+        the other (the fork-then-SMC pitfall).
         """
         self._freeze_all()
         child = AddressSpace()

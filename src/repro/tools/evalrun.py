@@ -32,10 +32,12 @@ stdout and written to benchmarks/output/report.md.
 
 Every target accepts ``--jobs``, ``--no-cache`` and ``--cache-dir``
 (``report`` is the other target that runs pipeline cells); the other
-options apply only to ``table5``, ``table6`` and ``matrix``.  Tables are printed to stdout exactly as the serial harness
-renders them; pipeline accounting (cache hits, misses, failures, pool
-fallback) goes to stderr so redirected table output stays byte-identical
-to a serial run.  ``repro.evaluation.manifest.ARTIFACTS`` names the
+options apply only to ``table5``, ``table6`` and ``matrix``, and
+``--metrics-out``/``--no-metrics`` only to ``table5`` and ``matrix``.
+Tables are printed to stdout exactly as the serial harness renders
+them; pipeline accounting (cache hits, misses, failures, pool fallback)
+goes to stderr so redirected table output stays byte-identical to a
+serial run.  ``repro.evaluation.manifest.ARTIFACTS`` names the
 command that writes each committed file under benchmarks/output/.
 """
 
@@ -53,6 +55,18 @@ from repro.evaluation.runner import MACRO_BY_KEY
 from repro.interposers.registry import REGISTRY
 
 MATRIX_TARGETS = ("table5", "table6", "matrix")
+
+#: The targets that write the METRICS artifact.
+METRICS_TARGETS = ("table5", "matrix")
+
+
+def _reject_options(parser, target: str, options, takers) -> None:
+    """Exit 2 naming every option in *options* (flag → value) that was
+    given, since only the *takers* targets take them."""
+    given = [flag for flag, value in options.items() if value]
+    if given:
+        parser.error(f"{target} does not take {', '.join(given)} "
+                     f"(only {', '.join(takers)} do)")
 
 
 def _interp_probe() -> str:
@@ -184,18 +198,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     jobs = max(1, args.jobs)
+    metrics_only = {"--metrics-out": args.metrics_out,
+                    "--no-metrics": args.no_metrics}
+    if args.target == "table6":
+        _reject_options(parser, args.target, metrics_only, METRICS_TARGETS)
     if args.target not in MATRIX_TARGETS:
-        matrix_only = {"--seed": args.seed is not None,
-                       "--smoke": args.smoke, "--rows": args.rows,
-                       "--mechanisms": args.mechanisms,
-                       "--trace-out": args.trace_out,
-                       "--metrics-out": args.metrics_out,
-                       "--no-metrics": args.no_metrics,
-                       "--verbose": args.verbose}
-        given = [flag for flag, value in matrix_only.items() if value]
-        if given:
-            parser.error(f"{args.target} does not take {', '.join(given)} "
-                         f"(only {', '.join(MATRIX_TARGETS)} do)")
+        _reject_options(parser, args.target, {
+            "--seed": args.seed is not None, "--smoke": args.smoke,
+            "--rows": args.rows, "--mechanisms": args.mechanisms,
+            "--trace-out": args.trace_out, **metrics_only,
+            "--verbose": args.verbose}, MATRIX_TARGETS)
         if args.target == "report":
             _report(jobs, cache)
         else:
@@ -226,7 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         status |= _show(pipe.table6(args.rows, mechanisms, **options),
                         "table6", args.verbose)
 
-    if (args.target in ("table5", "matrix") and status == 0
+    if (args.target in METRICS_TARGETS and status == 0
             and not args.no_metrics):
         from repro.evaluation.metrics import (METRICS_TABLE5_PATH,
                                               collect_mechanism_metrics,

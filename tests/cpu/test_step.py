@@ -172,6 +172,18 @@ def test_syscall_dispatches_to_env():
     assert env.context.rip == CODE_BASE + 5 + 2
 
 
+def test_syscall_args_follow_the_abi_registers():
+    from repro.arch.registers import SYSCALL_ARG_REGS
+
+    ctx = CpuContext()
+    for value, reg in enumerate(Reg, start=100):
+        ctx.set(reg, value)
+    for count in range(7):
+        assert ctx.syscall_args(count) == \
+            [ctx.get(reg) for reg in SYSCALL_ARG_REGS[:count]]
+    assert ctx.syscall_args() == ctx.syscall_args(6)
+
+
 def test_hostcall_dispatches_to_env():
     env = build(lambda a: a.hostcall(7))
     env.run(1)

@@ -30,6 +30,17 @@ def test_matrix_option_on_an_artifact_target(capsys):
     assert "table4 does not take --smoke" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--metrics-out", "m.json"],
+                                   ["--no-metrics"]])
+def test_metrics_option_on_table6(capsys, flags):
+    """Only table5 and matrix write METRICS; table6 must not silently
+    accept the flags and ignore them."""
+    assert _exit_code(["table6", "--no-cache", *flags]) == 2
+    err = capsys.readouterr().err
+    assert f"table6 does not take {flags[0]}" in err
+    assert "(only table5, matrix do)" in err
+
+
 def test_table4(capsys):
     assert main(["table4", "--no-cache"]) == 0
     out = capsys.readouterr().out

@@ -175,6 +175,17 @@ class TestMemoization:
 K23_SMOKE = ("native", "K23-ultra", "K23-default")
 
 
+def matrix_specs(mechanisms=None, smoke=False):
+    """The whole Table 5 + Table 6 matrix over ``table_mechanisms``,
+    reduced to the smoke rows and iteration counts when *smoke*."""
+    names = pipe.table_mechanisms(mechanisms, smoke)
+    if not smoke:
+        return pipe.micro_specs(names) + pipe.macro_specs(None, names)
+    low, high = pipe.SMOKE_MICRO_ITERATIONS
+    return (pipe.micro_specs(names, iterations_low=low, iterations_high=high)
+            + pipe.macro_specs(pipe.SMOKE_MACRO_KEYS, names))
+
+
 @pytest.fixture
 def offline_calls(monkeypatch, tmp_path):
     """Record the pid of every ``OfflinePhase.run`` call, forked workers
@@ -213,7 +224,7 @@ def offline_keys(specs):
 class TestOfflinePrewarm:
     def test_parent_runs_each_offline_phase_once(self, offline_calls,
                                                  tmp_path):
-        specs = pipe.full_matrix_specs(K23_SMOKE, smoke=True)
+        specs = matrix_specs(K23_SMOKE, smoke=True)
         keys = offline_keys(specs)
         assert keys == {("stress", ()), ("redis", (("io_threads", 1),))}
         cache = ResultCache(tmp_path / "cache")
@@ -262,7 +273,7 @@ class TestOfflinePrewarm:
 
     def test_failed_offline_phase_fails_only_its_cells(self, offline_calls):
         offline_calls.state["fail_on"] = "redis"
-        specs = pipe.full_matrix_specs(K23_SMOKE, smoke=True)
+        specs = matrix_specs(K23_SMOKE, smoke=True)
         run = pipe.run_cells(specs, jobs=2, cache=None)
         failed = {spec for spec, result in run.results.items()
                   if not result.ok}
@@ -517,14 +528,14 @@ class TestEnumeration:
 
         MECHANISMS = REGISTRY.names()
 
-        specs = pipe.full_matrix_specs()
+        specs = matrix_specs()
         micro = [s for s in specs if s.kind == "micro"]
         macro = [s for s in specs if s.kind == "macro"]
         assert len(micro) == len(MECHANISMS)
         assert len(macro) == len(MECHANISMS) * len(MACRO_CONFIGS)
 
     def test_smoke_matrix_is_tiny(self):
-        specs = pipe.full_matrix_specs(smoke=True)
+        specs = matrix_specs(smoke=True)
         assert {s.mechanism for s in specs} == set(pipe.SMOKE_MECHANISMS)
         assert len(specs) == (len(pipe.SMOKE_MECHANISMS)
                               * (1 + len(pipe.SMOKE_MACRO_KEYS)))
@@ -532,7 +543,7 @@ class TestEnumeration:
     def test_specs_are_picklable_and_hashable(self):
         import pickle
 
-        specs = pipe.full_matrix_specs(smoke=True)
+        specs = matrix_specs(smoke=True)
         assert pickle.loads(pickle.dumps(specs)) == specs
         assert len(set(specs)) == len(specs)
 

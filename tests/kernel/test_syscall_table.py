@@ -22,3 +22,10 @@ def test_every_handler_serves_a_number():
                 if name.startswith("sys_")}
     assert handlers == {handler.__name__
                         for handler in SYSCALL_TABLE.values()}
+
+
+def test_name_of_known_and_unknown_numbers():
+    for member in Nr:
+        assert Nr.name_of(int(member)) == member.name
+    assert Nr.name_of(500) == "sys_500"
+    assert Nr.name_of(-1) == "sys_-1"

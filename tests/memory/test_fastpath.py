@@ -1,19 +1,25 @@
-"""Single-page fast path in :class:`AddressSpace`: equivalence and
-generation-based invalidation.
+"""Single-page fast path in :class:`AddressSpace`: equivalence, eviction
+of memoized page entries, and the shared zero page behind fresh mappings.
 
-The fast path memoizes (generation, page, prot, pkey) per page index and
-serves any access that stays inside one page; everything else — and every
-*fault* — falls through to the original ``_check`` + copy path.  These
-tests pin the contract: identical bytes, identical exception types and
-fields, and correct invalidation after every mapping mutation
-(``mprotect``/``pkey_mprotect``/``munmap``/``mmap``).
+The fast path memoizes (page, prot, pkey) per page index in the page map
+(``_fast``) and serves any access that stays inside one page; everything
+else — and every *fault* — falls through to the original ``_check`` +
+copy path.  These tests pin the contract: identical bytes, identical
+exception types and fields, and correct eviction after every mapping
+mutation (``mprotect``/``pkey_mprotect``/``munmap``/``mmap``) and every
+unshare.  Fresh pages start out on one shared zero page, which no write
+path may ever change.
 """
 
 import pytest
 
+from repro.arch.registers import Reg
+from repro.cpu.engine import EngineConfig
 from repro.errors import ProtectionKeyFault, SegmentationFault
 from repro.memory import PAGE_SIZE, Pkru, Prot
+from repro.memory import address_space
 from repro.memory.address_space import AddressSpace
+from tests.cpu.test_engine import DATA_BASE, build, hot, run_to_halt
 
 BASE = 0x40_0000
 
@@ -158,25 +164,123 @@ def test_fork_copy_does_not_share_fast_entries():
     assert child.read(BASE, 8) == b"child!!!"
 
 
-def test_fork_copy_resets_generation_state():
-    # The child must start with its *own* fast-path generation state —
-    # fresh dicts, not aliases of the parent's — or a post-fork unshare
-    # on one side silently corrupts the other's memoized translations.
+def test_fork_copy_starts_with_empty_page_map():
+    # The child must start with its *own*, empty page map — a fresh dict,
+    # not an alias of the parent's — or a post-fork unshare on one side
+    # silently corrupts the other's memoized translations.
     parent = make_space()
     parent.write(BASE, b"warmmmm!")                  # warm parent _fast
     child = parent.fork_copy()
     assert child._fast is not parent._fast
-    assert child._page_gen is not parent._page_gen
     assert child._frozen is not parent._frozen
     assert not child._fast                           # fresh, not copied
-    # Fork froze the parent: its warmed entries were all invalidated.
+    # Fork froze the parent: its warmed entries were all evicted.
     assert not parent._fast
+
+
+def _warm(space, addr=BASE):
+    space.read(addr, 8)
+    assert addr // PAGE_SIZE in space._fast
+
+
+@pytest.mark.parametrize("change", [
+    lambda s: s.mmap(BASE, PAGE_SIZE, Prot.READ | Prot.WRITE, fixed=True),
+    lambda s: s.munmap(BASE, PAGE_SIZE),
+    lambda s: s.mprotect(BASE, PAGE_SIZE, Prot.READ),
+    lambda s: s.pkey_mprotect(BASE, PAGE_SIZE, Prot.READ | Prot.WRITE, 2),
+], ids=["remap", "munmap", "mprotect", "pkey_mprotect"])
+def test_mapping_change_evicts_page_entry(change):
+    space = make_space()
+    _warm(space)
+    _warm(space, BASE + PAGE_SIZE)
+    change(space)
+    assert BASE // PAGE_SIZE not in space._fast
+    # Only the changed page loses its entry.
+    assert (BASE + PAGE_SIZE) // PAGE_SIZE in space._fast
+
+
+def test_unshare_evicts_read_only_page_entry():
+    # A read-only page memoized with the snapshot-shared bytearray: the
+    # kernel write that unshares it must evict that entry, or later reads
+    # would keep serving the snapshot's bytes.
+    space = make_space(prot=Prot.READ)
+    snap = space.snapshot()
+    _warm(space)
+    space.write_kernel(BASE, b"patched!")
+    assert BASE // PAGE_SIZE not in space._fast
+    assert space.read(BASE, 8) == b"patched!"
+    assert bytes(snap.pages[BASE // PAGE_SIZE][:8]) == b"\x00" * 8
+
+
+# ---------------------------------------------------------------- zero page
+
+
+def _zero_page_intact():
+    return address_space._ZERO_PAGE == bytearray(PAGE_SIZE)
+
+
+def test_fresh_pages_share_one_zero_page():
+    space = make_space()
+    pages = {id(space._pages[BASE // PAGE_SIZE + i]) for i in range(4)}
+    assert pages == {id(address_space._ZERO_PAGE)}
+    assert set(range(BASE // PAGE_SIZE, BASE // PAGE_SIZE + 4)) \
+        <= space._frozen
+
+
+@pytest.mark.parametrize("method, addr", [
+    ("write", BASE + 8),
+    ("write_kernel", BASE + 8),
+    ("write", BASE + PAGE_SIZE - 4),
+    ("write_kernel", BASE + PAGE_SIZE - 4),
+], ids=["write", "write_kernel", "write_straddle", "write_kernel_straddle"])
+def test_writes_to_fresh_pages_leave_zero_page_alone(method, addr):
+    one, other = make_space(), make_space()
+    for space in (one, other):
+        _warm(space)                                 # read-share the zeros
+    getattr(one, method)(addr, b"written!")
+    assert one.read_kernel(addr, 8) == b"written!"
+    assert other.read_kernel(BASE, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+    assert _zero_page_intact()
+    fresh = AddressSpace()
+    fresh.mmap(BASE, PAGE_SIZE, Prot.READ, fixed=True)
+    assert fresh.read(BASE, 16) == bytes(16)
+
+
+def test_mprotect_write_on_read_only_fresh_page_unshares():
+    one, other = make_space(prot=Prot.READ), make_space(prot=Prot.READ)
+    _warm(one)
+    _warm(other)
+    one.mprotect(BASE, PAGE_SIZE, Prot.READ | Prot.WRITE)
+    one.write(BASE, b"now rw!!")
+    assert one.read(BASE, 8) == b"now rw!!"
+    assert other.read(BASE, 8) == bytes(8)
+    assert _zero_page_intact()
+
+
+def test_trace_store_to_fresh_page_leaves_zero_page_alone():
+    # A compiled trace stores through the page map in place; the entry it
+    # finds must already hold the page's own copy.
+    def writer(a):
+        a.mov_ri(Reg.RCX, 30)
+        a.label("loop")
+        a.inc(Reg.RAX)
+        a.store(Reg.RDI, Reg.RAX)
+        a.dec(Reg.RCX)
+        a.jne("loop")
+        a.hlt()
+    with hot():
+        env = run_to_halt(build(writer, engine=EngineConfig()))
+        other = run_to_halt(build(lambda a: a.hlt(), engine=EngineConfig()))
+    assert env.icache.trace_hits >= 1
+    assert env.space.read_kernel(DATA_BASE, 8) == (30).to_bytes(8, "little")
+    assert other.space.read_kernel(DATA_BASE, 8) == bytes(8)
+    assert _zero_page_intact()
 
 
 def test_fork_then_smc_isolated_in_both_directions():
     # The fork-then-SMC pitfall: both sides warm their single-page fast
     # entries on a shared RWX code page, then each side patches its own
-    # copy.  Neither patch may leak — a stale generation entry on either
+    # copy.  Neither patch may leak — a stale page entry on either
     # side would serve the other side's bytes to the instruction fetch.
     parent = make_space(prot=Prot.READ | Prot.WRITE | Prot.EXEC)
     code = b"\x90" * 16                              # NOP sled

@@ -163,6 +163,12 @@ _KERNEL_OPS = st.lists(st.one_of(
     st.tuples(st.just("snapshot"), st.none(), st.none())), max_size=30)
 
 
+def _page_map(space):
+    """The memoized entries by page, with page bytes copied out."""
+    return {idx: (bytes(page), prot, pkey)
+            for idx, (page, prot, pkey) in space._fast.items()}
+
+
 class TestKernelAccessFastPath:
     """``read_kernel``/``write_kernel`` single-page fast paths against the
     page-by-page ``_copy_out``/``_copy_in`` path they short-cut."""
@@ -187,19 +193,18 @@ class TestKernelAccessFastPath:
                 want = _outcome(lambda: ref.read(addr, arg))
             else:
                 frozen = set(fast._frozen)
-                gens = dict(fast._page_gen)
                 got = _outcome(lambda: fast.write_kernel(addr, arg))
                 want = _outcome(
                     lambda: _reference_write_kernel(ref, addr, arg))
                 for idx in page_span(addr, len(arg)):
                     if got[0] == "ok" and idx in frozen:
-                        # Unshared from the snapshot, and memoized
-                        # translations of the shared page invalidated.
+                        # Unshared from the snapshot, and the memoized
+                        # translation of the shared page evicted.
                         assert idx not in fast._frozen
-                        assert fast._page_gen[idx] > gens[idx]
+                        assert idx not in fast._fast
             assert got == want
         assert fast._pages == ref._pages
-        assert fast._page_gen == ref._page_gen
+        assert _page_map(fast) == _page_map(ref)
         assert fast._frozen == ref._frozen
         for snap, pages in snapshots:
             assert {idx: bytes(page)
