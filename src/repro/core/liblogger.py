@@ -20,7 +20,7 @@ maximize coverage, not a security mechanism (§5.3).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional
 
 from repro.core.logs import SiteLog
 from repro.interposers.base import (
@@ -30,6 +30,7 @@ from repro.interposers.base import (
     prepend_ld_preload,
     write_selector,
 )
+from repro.kernel.procfs import MapsEntry, entry_for, parse_maps, render_maps
 from repro.kernel.ptrace import Tracer
 from repro.kernel.syscall_impl import BLOCKED
 from repro.kernel.syscalls import (
@@ -63,6 +64,10 @@ class LibLogger(Interposer):
         self.logs: Dict[str, SiteLog] = {}
         #: Figure 2 event trace: (step, detail) tuples.
         self.timeline = []
+        #: The maps text of the previous trap and its parse: the layout
+        #: changes at a handful of traps per run, not at every one.
+        self._maps_text: Optional[bytes] = None
+        self._maps: List[MapsEntry] = []
         make_injector_library(kernel, LIB_PATH, "liblogger",
                               self._constructor)
 
@@ -79,6 +84,14 @@ class LibLogger(Interposer):
 
         guard.on_execve = enforce
         guard.attach(process)
+
+    def maps_entries(self, process) -> List[MapsEntry]:
+        """The parsed ``/proc/$PID/maps`` of *process*, rendered now and
+        parsed only when its text differs from the previous call's."""
+        text = render_maps(process)
+        if text != self._maps_text:
+            self._maps_text, self._maps = text, parse_maps(text.decode())
+        return self._maps
 
     def log_for(self, program: str) -> SiteLog:
         if program not in self.logs:
@@ -129,11 +142,9 @@ class LibLogger(Interposer):
         # (the literal mechanism of §5.1; the logger's own open/read/close
         # round trips are charged as interposer-internal kernel work).
         from repro.cpu.cycles import Event
-        from repro.kernel.procfs import entry_for, parse_maps, render_maps
 
         self.kernel.cycles.charge(Event.KERNEL_SYSCALL, times=3)
-        entries = parse_maps(render_maps(process).decode())
-        entry = entry_for(entries, site)
+        entry = entry_for(self.maps_entries(process), site)
         if (entry is not None and entry.executable and not entry.writable
                 and entry.path and not entry.path.startswith("[")):
             log = self.log_for(process.path)

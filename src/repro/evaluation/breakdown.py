@@ -17,7 +17,7 @@ with and without fault injection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cpu.cycles import Event
@@ -59,16 +59,15 @@ def _counts_for(name: str, iterations: int, seed: int,
     lifetime; returns ``(sink, final cycle counter)``.  *extra_sinks*
     (e.g. a :class:`~repro.observability.analyzers.LatencyAnalyzer`)
     listen over the same run."""
+    from repro.evaluation.runner import micro_run_config
     from repro.faultinject.schedule import build_schedule
-    from repro.runapi import RunConfig, prepare
+    from repro.runapi import prepare
 
     schedule = None
     if fault_config is not None:
         schedule = build_schedule(fault_seed, fault_config)
-    prepared = prepare(RunConfig(
-        name, "stress", seed=seed, aslr=True, schedule=schedule,
-        sinks=extra_sinks, max_steps=50_000_000,
-        params=(("iterations", iterations),)))
+    prepared = prepare(replace(micro_run_config(name, iterations, seed),
+                               schedule=schedule, sinks=extra_sinks))
     result = prepared.execute()
     if not result.ok:
         faults = ("" if fault_config is None

@@ -1,6 +1,9 @@
 """Per-mechanism instrumentation-bus metrics → ``METRICS_*.json``.
 
-Each registered mechanism gets a short, deterministic stress run with a
+Each mechanism's snapshot is one ``metrics`` cell of the evaluation
+pipeline (:func:`repro.evaluation.pipeline.run_matrix`), run and cached
+like the Table 5 and 6 cells.  Each gets a short, deterministic stress
+run with a
 :class:`~repro.observability.sinks.CounterSink` **and** a
 :class:`~repro.observability.analyzers.LatencyAnalyzer` attached for the
 whole kernel lifetime; the snapshots (event tallies, per-cycle-model-
@@ -17,36 +20,43 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
 METRICS_TABLE5_PATH = Path("benchmarks/output/METRICS_table5.json")
 
 
-def collect_mechanism_metrics(mechanisms: Optional[Sequence[str]] = None,
-                              iterations: int = 120,
-                              seed: int = 99) -> Dict:
-    """Counter snapshots for every (or the given) registered mechanism."""
-    from repro.cpu.cycles import CLOCK_HZ
+#: Stress-loop iterations of each mechanism's METRICS run (``evalrun
+#: --smoke`` uses :data:`SMOKE_ITERATIONS`), and the run's seed.
+ITERATIONS = 120
+SMOKE_ITERATIONS = 48
+SEED = 99
+
+
+def mechanism_snapshot(name: str, iterations: int, seed: int) -> Dict:
+    """One mechanism's counter and latency snapshot: the value of its
+    ``metrics`` evaluation cell."""
     from repro.evaluation.breakdown import _counts_for
-    from repro.interposers.registry import REGISTRY
     from repro.observability.analyzers import LatencyAnalyzer
 
-    names = tuple(mechanisms) if mechanisms is not None else REGISTRY.names()
-    per_mechanism = {}
-    for name in names:
-        latency = LatencyAnalyzer()
-        sink, total = _counts_for(name, iterations, seed,
-                                  extra_sinks=(latency,))
-        snapshot = sink.snapshot()
-        snapshot["cycle_counter"] = total
-        snapshot["latency"] = latency.snapshot()
-        per_mechanism[name] = snapshot
+    latency = LatencyAnalyzer()
+    sink, total = _counts_for(name, iterations, seed, extra_sinks=(latency,))
+    snapshot = sink.snapshot()
+    snapshot["cycle_counter"] = total
+    snapshot["latency"] = latency.snapshot()
+    return snapshot
+
+
+def metrics_document(snapshots: Dict[str, Dict], iterations: int,
+                     seed: int) -> Dict:
+    """The ``METRICS_*.json`` document over per-mechanism *snapshots*."""
+    from repro.cpu.cycles import CLOCK_HZ
+
     return {
         "workload": "stress",
         "iterations": iterations,
         "seed": seed,
         "clock_hz": CLOCK_HZ,
-        "mechanisms": per_mechanism,
+        "mechanisms": snapshots,
     }
 
 

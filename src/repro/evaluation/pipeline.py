@@ -29,14 +29,17 @@ previously serial, recompute-everything harness into a pipeline:
    existing table renderers consume, in registry/config order, so pipeline
    output is byte-identical to a serial run regardless of completion order.
 
-:func:`table5` and :func:`table6` build the two measured tables on this
-substrate; ``python -m repro evalrun``, the report and the benchmarks
-all call them.
+:func:`run_matrix` builds the two measured tables, and the per-mechanism
+``METRICS_table5.json`` snapshots, on this substrate in one run: one pool
+and one cache pass for every cell.  ``python -m repro evalrun`` and the
+report call it; :func:`table5` and :func:`table6` are its one-table
+views, which the benchmarks call.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import time
 import traceback
 from dataclasses import dataclass
@@ -70,15 +73,16 @@ class ScenarioSpec:
             ``mechanism``, the candidate rides in ``params``), or
             ``"loadtest"`` (one traffic-engine shard — the canonical
             TrafficConfig JSON and shard coordinates ride in
-            ``params``).
+            ``params``), or ``"metrics"`` (one mechanism's
+            ``METRICS_table5.json`` snapshot).
         mechanism: registry name (``"K23-ultra"``, ...).
         workload: ``"syscall-stress"`` for micro cells, a
             :data:`~repro.evaluation.runner.MACRO_BY_KEY` row key for
             macro cells, a :data:`repro.runapi.WORKLOADS` key for
-            shadow cells.
+            shadow cells, ``"stress"`` for metrics cells.
         seed: base RNG seed the cell's kernels derive from.
-        params: extra parameters as a sorted tuple of pairs (micro
-            iteration counts; shadow mechanism/budget/requests),
+        params: extra parameters as a sorted tuple of pairs (micro and
+            metrics iteration counts; shadow mechanism/budget/requests),
             keeping the spec hashable.
     """
 
@@ -156,6 +160,11 @@ class PipelineRun:
     def failures(self) -> List[CellResult]:
         return [r for r in self.results.values() if not r.ok]
 
+    def subset(self, specs: Iterable[ScenarioSpec]) -> "PipelineRun":
+        """The results of *specs* alone, with this whole run's stats."""
+        return PipelineRun({spec: self.results[spec] for spec in specs},
+                           self.stats)
+
 
 class CellFailure(RuntimeError):
     """A consumed cell had failed; carries the worker traceback."""
@@ -214,6 +223,17 @@ def shadow_specs(primary: str, shadows: Sequence[str], workload: str,
     return [ScenarioSpec("shadow", primary, workload, seed,
                          tuple(sorted(base + (("shadow", name),))))
             for name in shadows]
+
+
+def metrics_specs(mechanisms: Sequence[str],
+                  iterations: int) -> List[ScenarioSpec]:
+    """METRICS cells: one counter-and-latency snapshot per mechanism
+    (:func:`repro.evaluation.metrics.mechanism_snapshot`)."""
+    from repro.evaluation.metrics import SEED
+
+    return [ScenarioSpec("metrics", name, "stress", SEED,
+                         (("iterations", iterations),))
+            for name in mechanisms]
 
 
 # --------------------------------------------------------------- execution
@@ -275,6 +295,11 @@ def execute_cell(spec: ScenarioSpec) -> dict:
         return run_shard(spec.mechanism, spec.workload,
                          _loadtest_traffic(spec), spec.seed,
                          int(params["shard"]), int(params["shards"]))
+    if spec.kind == "metrics":
+        from repro.evaluation.metrics import mechanism_snapshot
+
+        return mechanism_snapshot(spec.mechanism,
+                                  dict(spec.params)["iterations"], spec.seed)
     raise ValueError(f"unknown cell kind {spec.kind!r}")
 
 
@@ -304,6 +329,11 @@ def _cell_run_configs(spec: ScenarioSpec) -> List:
         return [server_run_config(
             spec.mechanism, spec.workload,
             TrafficConfig.from_dict(_loadtest_traffic(spec)), spec.seed)]
+    if spec.kind == "metrics":
+        from repro.evaluation.runner import micro_run_config
+
+        return [micro_run_config(spec.mechanism,
+                                 dict(spec.params)["iterations"], spec.seed)]
     raise ValueError(f"unknown cell kind {spec.kind!r}")
 
 
@@ -385,8 +415,19 @@ def _pool_worker(spec: ScenarioSpec) -> Tuple[ScenarioSpec, Optional[dict],
 def _shard_worker(shard: List[ScenarioSpec]
                   ) -> List[Tuple[ScenarioSpec, Optional[dict],
                                   Optional[str], float]]:
-    """Top-level pool entry point: one worker executes one shard serially."""
-    return [_pool_worker(spec) for spec in shard]
+    """Top-level pool entry point: one worker executes one shard serially.
+
+    A finished cell's kernels are reference cycles, which would otherwise
+    wait for an occasional full collection, so a worker would peak at
+    several cells' dead kernels.  Each is collected right after its cell;
+    the heap inherited from the parent is frozen first, so that those
+    collections scan only the worker's own objects."""
+    gc.freeze()
+    outcomes = []
+    for spec in shard:
+        outcomes.append(_pool_worker(spec))
+        gc.collect()
+    return outcomes
 
 
 def shard_specs(specs: Sequence[ScenarioSpec],
@@ -675,40 +716,94 @@ def table_mechanisms(mechanisms: Optional[Sequence[str]] = None,
     return SMOKE_MECHANISMS if smoke else REGISTRY.names()
 
 
-def table5(mechanisms: Optional[Sequence[str]] = None, smoke: bool = False,
-           seed: Optional[int] = None, jobs: int = 1,
-           cache: Optional[ResultCache] = None) -> TableRun:
-    """Table 5: one micro cell per mechanism, as overhead factors over
-    native; *smoke* uses the tiny iteration counts."""
-    from repro.evaluation.tables import render_table5
+@dataclass
+class MatrixRun:
+    """One :func:`run_matrix` call: the pipeline run of all its cells,
+    the :class:`TableRun` view of each table it built, and the METRICS
+    document (``None`` when not asked for or when a METRICS cell
+    failed)."""
+
+    run: PipelineRun
+    table5: Optional[TableRun] = None
+    table6: Optional[TableRun] = None
+    metrics: Optional[dict] = None
+
+
+def _table_view(run: PipelineRun, merge: Callable[[PipelineRun], object],
+                render: Callable[[object], str]) -> TableRun:
+    if run.failures():
+        return TableRun(run)
+    rows = merge(run)
+    return TableRun(run, rows, render(rows))
+
+
+def run_matrix(tables: Sequence[str] = ("table5", "table6"),
+               rows: Optional[Sequence[str]] = None,
+               mechanisms: Optional[Sequence[str]] = None,
+               smoke: bool = False, seed: Optional[int] = None,
+               jobs: int = 1, cache: Optional[ResultCache] = None,
+               metrics: bool = False) -> MatrixRun:
+    """Tables 5 and 6 (those named in *tables*) and, with *metrics*, one
+    METRICS cell per mechanism, in **one** :func:`run_cells` call — one
+    pool, one offline prewarm and one cache pass for every cell.
+
+    Table 5 is one micro cell per mechanism, as overhead factors over
+    native; Table 6 is one macro cell per row key and mechanism, its
+    *rows* defaulting to the smoke row under *smoke*, else to every
+    row.  *smoke* also shrinks the micro and METRICS iteration counts.
+    *seed* pins the micro and macro cells' base seed."""
+    from repro.evaluation import metrics as metrics_mod
+    from repro.evaluation.tables import render_table5, render_table6
 
     names = table_mechanisms(mechanisms, smoke)
     options = {} if seed is None else {"seed": seed}
-    if smoke:
-        options["iterations_low"], options["iterations_high"] = \
-            SMOKE_MICRO_ITERATIONS
-    run = run_cells(micro_specs(names, **options), jobs=jobs, cache=cache)
-    if run.failures():
-        return TableRun(run)
-    overheads = table5_overheads(run, names[1:])
-    return TableRun(run, overheads, render_table5(overheads))
+    micro: List[ScenarioSpec] = []
+    macro: List[ScenarioSpec] = []
+    snapshots: List[ScenarioSpec] = []
+    if "table5" in tables:
+        micro_options = dict(options)
+        if smoke:
+            (micro_options["iterations_low"],
+             micro_options["iterations_high"]) = SMOKE_MICRO_ITERATIONS
+        micro = micro_specs(names, **micro_options)
+    if "table6" in tables:
+        if rows is None and smoke:
+            rows = SMOKE_MACRO_KEYS
+        macro = macro_specs(rows, names, **options)
+    if metrics:
+        snapshots = metrics_specs(names, metrics_mod.SMOKE_ITERATIONS
+                                  if smoke else metrics_mod.ITERATIONS)
+
+    run = run_cells(micro + macro + snapshots, jobs=jobs, cache=cache)
+    matrix = MatrixRun(run)
+    if micro:
+        matrix.table5 = _table_view(
+            run.subset(micro),
+            lambda view: table5_overheads(view, names[1:]), render_table5)
+    if macro:
+        matrix.table6 = _table_view(
+            run.subset(macro),
+            lambda view: table6_rows(view, rows, names), render_table6)
+    if snapshots and not run.subset(snapshots).failures():
+        first = snapshots[0]
+        matrix.metrics = metrics_mod.metrics_document(
+            {spec.mechanism: run.value(spec) for spec in snapshots},
+            dict(first.params)["iterations"], first.seed)
+    return matrix
+
+
+def table5(mechanisms: Optional[Sequence[str]] = None, smoke: bool = False,
+           seed: Optional[int] = None, jobs: int = 1,
+           cache: Optional[ResultCache] = None) -> TableRun:
+    """Table 5 alone (see :func:`run_matrix`)."""
+    return run_matrix(("table5",), None, mechanisms, smoke, seed, jobs,
+                      cache).table5
 
 
 def table6(rows: Optional[Sequence[str]] = None,
            mechanisms: Optional[Sequence[str]] = None, smoke: bool = False,
            seed: Optional[int] = None, jobs: int = 1,
            cache: Optional[ResultCache] = None) -> TableRun:
-    """Table 6: one macro cell per row key and mechanism; *rows* default
-    to the smoke row under *smoke*, else to every row."""
-    from repro.evaluation.tables import render_table6
-
-    names = table_mechanisms(mechanisms, smoke)
-    if rows is None and smoke:
-        rows = SMOKE_MACRO_KEYS
-    options = {} if seed is None else {"seed": seed}
-    run = run_cells(macro_specs(rows, names, **options), jobs=jobs,
-                    cache=cache)
-    if run.failures():
-        return TableRun(run)
-    merged = table6_rows(run, rows, names)
-    return TableRun(run, merged, render_table6(merged))
+    """Table 6 alone (see :func:`run_matrix`)."""
+    return run_matrix(("table6",), rows, mechanisms, smoke, seed, jobs,
+                      cache).table6

@@ -24,7 +24,7 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
                     cache: Optional[ResultCache] = None) -> str:
     """Run everything; returns (and optionally streams) the markdown.
 
-    The measurement matrices go through the parallel, memoized pipeline
+    Tables 5 and 6 go through one parallel, memoized pipeline run
     (*jobs* worker processes, *cache* for cross-run memoization); the
     rendered text is identical to a serial run either way.
     """
@@ -63,7 +63,8 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
     emit("```")
 
     emit("\n## Table 5 — microbenchmark overheads\n")
-    table5 = pipe.table5(jobs=jobs, cache=cache).checked()
+    matrix = pipe.run_matrix(jobs=jobs, cache=cache)
+    table5 = matrix.table5.checked()
     overheads = table5.rows
     emit("```")
     emit(table5.text)
@@ -74,7 +75,7 @@ def generate_report(out: Optional[io.TextIOBase] = None, jobs: int = 1,
 
     emit("\n## Table 6 — macrobenchmarks\n")
     emit("```")
-    emit(pipe.table6(jobs=jobs, cache=cache).checked().text)
+    emit(matrix.table6.checked().text)
     emit("```")
 
     for number in (1, 2, 3, 4):

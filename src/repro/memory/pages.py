@@ -27,12 +27,12 @@ class Prot(enum.IntFlag):
     @property
     def text(self) -> str:
         """Render like a ``/proc/$PID/maps`` permission column (``rwxp``)."""
-        return (
-            ("r" if self & Prot.READ else "-")
-            + ("w" if self & Prot.WRITE else "-")
-            + ("x" if self & Prot.EXEC else "-")
-            + "p"
-        )
+        return _PROT_TEXT[self._value_ & 7]
+
+
+#: ``Prot.text`` for each of the eight ``READ|WRITE|EXEC`` combinations.
+_PROT_TEXT = tuple(("r" if bits & 1 else "-") + ("w" if bits & 2 else "-")
+                   + ("x" if bits & 4 else "-") + "p" for bits in range(8))
 
 
 def page_index(address: int) -> int:

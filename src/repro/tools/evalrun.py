@@ -6,7 +6,8 @@ Usage::
 
 Targets: ``table2``, ``table3``, ``table4`` and ``figure1``..``figure4``
 print one artifact; ``table5``, ``table6`` and ``matrix`` (the default:
-every Table 5 + Table 6 cell) run the parallel, memoized pipeline;
+every Table 5 + Table 6 cell) run the parallel, memoized pipeline, all
+of an invocation's cells (the METRICS snapshots included) in one pool;
 ``report`` regenerates everything into one markdown report, streamed to
 stdout and written to benchmarks/output/report.md.
 
@@ -96,9 +97,10 @@ def _interp_probe() -> str:
             f"guard fails {stats['guard_fails']})")
 
 
-def _show(table: pipe.TableRun, label: str, verbose: bool) -> int:
-    """Print *table* (its accounting to stderr); 1 if a cell failed."""
-    run = table.run
+def _show(matrix: pipe.MatrixRun, label: str, verbose: bool) -> int:
+    """Print *matrix*'s tables (its accounting to stderr); 1 if a cell
+    failed."""
+    run = matrix.run
     print(f"{label}: {run.stats.summary()}", file=sys.stderr)
     if verbose:
         for result in run.results.values():
@@ -108,10 +110,10 @@ def _show(table: pipe.TableRun, label: str, verbose: bool) -> int:
     for failure in run.failures():
         print(f"FAILED {failure.spec.label} (seed {failure.spec.seed}):\n"
               f"{failure.error}", file=sys.stderr)
-    if table.text is None:
-        return 1
-    print(table.text)
-    return 0
+    for table in (matrix.table5, matrix.table6):
+        if table is not None and table.text is not None:
+            print(table.text)
+    return 1 if run.failures() else 0
 
 
 def _figure(number: int) -> str:
@@ -225,28 +227,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown table6 row {key!r}; "
                          f"rows: {', '.join(MACRO_BY_KEY)}")
 
-    status = 0
-
     if args.verbose:
         print(_interp_probe(), file=sys.stderr)
 
-    options = dict(smoke=args.smoke, seed=args.seed, jobs=jobs, cache=cache)
-    if args.target in ("table5", "matrix"):
-        status |= _show(pipe.table5(mechanisms, **options), "table5",
-                        args.verbose)
-    if args.target in ("table6", "matrix"):
-        status |= _show(pipe.table6(args.rows, mechanisms, **options),
-                        "table6", args.verbose)
+    tables = ("table5", "table6") if args.target == "matrix" else \
+        (args.target,)
+    matrix = pipe.run_matrix(
+        tables, args.rows, mechanisms, smoke=args.smoke, seed=args.seed,
+        jobs=jobs, cache=cache,
+        metrics=args.target in METRICS_TARGETS and not args.no_metrics)
+    status = _show(matrix, args.target, args.verbose)
 
-    if (args.target in METRICS_TARGETS and status == 0
-            and not args.no_metrics):
+    if status == 0 and matrix.metrics is not None:
         from repro.evaluation.metrics import (METRICS_TABLE5_PATH,
-                                              collect_mechanism_metrics,
                                               write_metrics)
 
-        iterations = 48 if args.smoke else 120
-        doc = collect_mechanism_metrics(mechanisms, iterations=iterations)
-        out = write_metrics(doc, args.metrics_out or METRICS_TABLE5_PATH)
+        out = write_metrics(matrix.metrics,
+                            args.metrics_out or METRICS_TABLE5_PATH)
         print(f"metrics: {out}", file=sys.stderr)
 
     if args.trace_out is not None:

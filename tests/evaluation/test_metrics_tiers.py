@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.evaluation.metrics import collect_mechanism_metrics
+from repro.evaluation import pipeline as pipe
 
 TIER_HATCHES = ("REPRO_NO_BLOCK_CACHE", "REPRO_NO_CHAIN",
                 "REPRO_NO_TRACE_JIT")
@@ -29,8 +29,8 @@ def _metrics(monkeypatch, no_trace_jit: bool) -> str:
             patch.delenv(hatch, raising=False)
         if no_trace_jit:
             patch.setenv("REPRO_NO_TRACE_JIT", "1")
-        doc = collect_mechanism_metrics(("native", "K23-ultra"),
-                                        iterations=48)
+        doc = pipe.run_matrix((), mechanisms=("K23-ultra",), smoke=True,
+                              metrics=True).metrics
     return json.dumps(doc, indent=2, sort_keys=True)
 
 

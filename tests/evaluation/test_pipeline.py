@@ -271,6 +271,30 @@ class TestOfflinePrewarm:
         calls = offline_calls()
         assert len(calls) == 1 and calls[0] != os.getpid()
 
+    def test_matrix_with_metrics_runs_each_phase_in_the_parent(
+            self, offline_calls):
+        matrix = pipe.run_matrix(mechanisms=K23_SMOKE, smoke=True, jobs=2,
+                                 metrics=True)
+        run = matrix.run
+        assert run.stats.mode == "parallel"
+        assert run.stats.cells == 3 * len(K23_SMOKE)
+        assert not run.failures() and matrix.metrics is not None
+        assert offline_calls() == [os.getpid()] * len(
+            offline_keys(run.results))
+
+    def test_metrics_cell_shares_the_stress_phase(self, offline_calls):
+        """A Table 5 cell on one shard and a METRICS cell on the other
+        both import the stress logs: the parent runs that phase once."""
+        specs = (pipe.micro_specs(["K23-ultra"], iterations_low=20,
+                                  iterations_high=60)
+                 + pipe.metrics_specs(["K23-ultra"], 12))
+        assert [shard[0].kind for shard in pipe.shard_specs(specs, 2)] == \
+            ["micro", "metrics"]
+        run = pipe.run_cells(specs, jobs=2, cache=None)
+        assert run.stats.mode == "parallel"
+        assert not run.failures()
+        assert offline_calls() == [os.getpid()]
+
     def test_failed_offline_phase_fails_only_its_cells(self, offline_calls):
         offline_calls.state["fail_on"] = "redis"
         specs = matrix_specs(K23_SMOKE, smoke=True)
@@ -304,6 +328,10 @@ class TestOfflinePrewarm:
         assert pipe.cell_offline_keys(
             loadtest_specs(["K23-ultra"], "nginx", {"workers": 3}, 7, 2)[0]
         ) == {("nginx", (("multiconn", 1), ("workers", 3)))}
+        assert pipe.cell_offline_keys(
+            pipe.metrics_specs(["native"], 48)[0]) == set()
+        assert pipe.cell_offline_keys(
+            pipe.metrics_specs(["K23-default"], 120)[0]) == {("stress", ())}
 
 
 class TestCacheKeys:

@@ -22,10 +22,9 @@ def test_generate_report_structure(monkeypatch):
                 for p, row in matrix_mod.PAPER_TABLE3.items()
                 for name, expected in row.items()]
     run = pipe.PipelineRun(results={}, stats=pipe.PipelineStats())
-    monkeypatch.setattr(pipe, "table5", lambda **kwargs: pipe.TableRun(
-        run, dict(PAPER_TABLE5), "TABLE5-STUB"))
-    monkeypatch.setattr(pipe, "table6", lambda **kwargs: pipe.TableRun(
-        run, [], "TABLE6-STUB"))
+    monkeypatch.setattr(pipe, "run_matrix", lambda **kwargs: pipe.MatrixRun(
+        run, pipe.TableRun(run, dict(PAPER_TABLE5), "TABLE5-STUB"),
+        pipe.TableRun(run, [], "TABLE6-STUB")))
     import repro.pitfalls as pitfalls_pkg
 
     monkeypatch.setattr(pitfalls_pkg, "pitfall_matrix", lambda: outcomes)
