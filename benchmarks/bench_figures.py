@@ -17,7 +17,7 @@ def test_figure2_offline_flow(save_artifact):
 
 def test_figure3_ls_log(save_artifact):
     path, contents = figures.figure3()
-    save_artifact("figure3.txt", f"{path}\n\n{contents}")
+    save_artifact("figure3.txt", figures.render_figure(3))
     assert len([l for l in contents.splitlines() if l]) == 10
 
 

@@ -6,7 +6,19 @@ from typing import Dict, List, Optional
 
 from repro.core.libk23 import LIB_PATH, LibK23
 from repro.core.ptracer_stage import K23Ptracer
-from repro.interposers.base import Interposer, prepend_ld_preload
+from repro.cpu.cycles import Event
+from repro.errors import InterposerAbort
+from repro.interposers.base import (
+    Interposer,
+    prepend_ld_preload,
+    reblock_child_selector,
+)
+from repro.kernel.syscalls import (
+    PR_SET_SYSCALL_USER_DISPATCH,
+    PR_SYS_DISPATCH_OFF,
+    SYSCALL_DISPATCH_FILTER_BLOCK,
+    Nr,
+)
 
 
 class K23Interposer(Interposer):
@@ -23,12 +35,21 @@ class K23Interposer(Interposer):
     isolates.
     """
 
+    state_key = "k23"
+    entry_charges = (Event.TRAMPOLINE_SLED, Event.K23_HANDLER)
+    #: prctl for the P1b guard, execve for the §5.3 re-attach.
+    guarded = frozenset({int(Nr.prctl), int(Nr.execve)})
+
     def __init__(self, kernel, hook=None, variant: str = "default"):
         super().__init__(kernel, hook)
         if variant not in ("default", "ultra", "ultra+"):
             raise ValueError(f"unknown K23 variant {variant!r}")
         self.variant = variant
         self.name = f"K23-{variant}"
+        if variant != "default":
+            self.site_check = (Event.HASHSET_CHECK, "hashset", "libK23")
+        if variant == "ultra+":
+            self.switch_charges = (Event.STACK_SWITCH,)
         #: Figure 4 event trace.
         self.timeline: List[tuple] = []
         self.libk23 = LibK23(self)
@@ -63,11 +84,19 @@ class K23Interposer(Interposer):
         if tracer is not None and not tracer.detached:
             tracer.detach()
 
+    def guard(self, thread, nr: int, args: List[int]) -> None:
+        """Any attempt to disable dispatch aborts the process (P1b), and
+        ``execve`` re-attaches a fresh ptracer before it is forwarded."""
+        if nr == Nr.prctl:
+            if (args[0] == PR_SET_SYSCALL_USER_DISPATCH
+                    and args[1] == PR_SYS_DISPATCH_OFF):
+                raise InterposerAbort(
+                    "libK23: attempt to disable Syscall User Dispatch (P1b)")
+        else:
+            self.reattach_ptracer(thread.process)
+
     def on_fork_child(self, thread, child_pid: int) -> None:
         """Child-side re-init after fork: re-arm the inherited selector."""
-        from repro.interposers.base import reblock_child_selector
-        from repro.kernel.syscalls import SYSCALL_DISPATCH_FILTER_BLOCK
-
         child = self.kernel.find_process(child_pid)
         if child is None:
             return

@@ -27,36 +27,26 @@ trap path.  Everything else happens in the constructor and handlers:
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.arch.decoder import decode
 from repro.arch.registers import Reg
-from repro.cpu.cycles import Event
-from repro.errors import DecodeError, InterposerAbort, SegmentationFault
+from repro.errors import DecodeError, SegmentationFault
 from repro.core.logs import SiteLog
 from repro.interposers.base import (
     allocate_selector_page,
-    finish_trampoline_call,
     install_trampoline,
-    read_return_address,
-    restart_from_trampoline,
     write_selector,
 )
 from repro.interposers.zpoline import rewrite_site_safely
-from repro.kernel.syscall_impl import BLOCKED
 from repro.kernel.syscalls import (
     K23_FAKE_SYSCALL_DETACH,
     K23_FAKE_SYSCALL_STATE,
-    Nr,
-    PR_SET_SYSCALL_USER_DISPATCH,
-    PR_SYS_DISPATCH_OFF,
     SIGSYS,
-    SYSCALL_DISPATCH_FILTER_ALLOW,
     SYSCALL_DISPATCH_FILTER_BLOCK,
 )
 from repro.loader.image import SimImage
 from repro.memory.hashset import RobinHoodSet
-from repro.memory.pages import PAGE_SIZE, Prot
 
 LIB_PATH = "/opt/k23/libk23.so"
 
@@ -89,7 +79,7 @@ class LibK23:
         self._finish_idx = self.kernel.hostcalls.register(
             self._finish_init, "k23.finish_init")
         self._entry_idx = self.kernel.hostcalls.register(
-            self._trampoline_entry, "k23.entry")
+            interposer.intercept, "k23.entry")
         self.image = build_libk23_image(self.kernel, self.constructor,
                                         self._finish_idx)
         self.kernel.loader.register_image(self.image)
@@ -177,7 +167,11 @@ class LibK23:
         state = process.interposer_state["k23"]
         selector = allocate_selector_page(kernel, process)
         state["selector"] = selector
-        process.dispositions.set_action(SIGSYS, self._sigsys_fallback)
+        # The SUD fallback (P2a): unlogged sites trap into the shared SIGSYS
+        # body, which — unlike lazypoline's — never rewrites: discovery-
+        # driven patching is exactly what enables attack-induced
+        # misidentification (P3b).
+        process.dispositions.set_action(SIGSYS, self.interposer.sigsys_entry)
         for t in process.threads:
             t.sud.arm(allow_start=0, allow_len=0, selector_addr=selector)
         process.sud_armed_ever = True
@@ -185,74 +179,3 @@ class LibK23:
                        SYSCALL_DISPATCH_FILTER_BLOCK)
         self.interposer.timeline.append(
             ("libk23:sud-fallback-armed", selector))
-
-    # ------------------------------------------------------------ dispatch core
-
-    def _guard_and_forward(self, thread, nr: int, args: List[int], via: str):
-        """Common policy: P1b prctl guard, execve re-attach, then the hook."""
-        if (nr == Nr.prctl and args[0] == PR_SET_SYSCALL_USER_DISPATCH
-                and args[1] == PR_SYS_DISPATCH_OFF):
-            raise InterposerAbort(
-                "libK23: attempt to disable Syscall User Dispatch (P1b)")
-        if nr == Nr.execve:
-            self.interposer.reattach_ptracer(thread.process)
-        return self.interposer.run_hook(thread, nr, args, via=via)
-
-    # -- rewritten fast path -------------------------------------------------------
-
-    def _trampoline_entry(self, thread) -> None:
-        kernel = self.kernel
-        process = thread.process
-        state = process.interposer_state.get("k23")
-        variant = self.interposer.variant
-        kernel.cycles.charge(Event.TRAMPOLINE_SLED)
-        kernel.cycles.charge(Event.K23_HANDLER)
-        if variant in ("ultra", "ultra+"):
-            kernel.cycles.charge(Event.HASHSET_CHECK)
-            site = read_return_address(thread) - 2
-            if site not in state["hashset"]:
-                raise InterposerAbort(
-                    f"libK23: trampoline entered from unknown site "
-                    f"{site:#x} (NULL-execution check)")
-        if variant == "ultra+":
-            kernel.cycles.charge(Event.STACK_SWITCH)
-        selector = state["selector"]
-        nr = thread.context.syscall_number
-        args = thread.context.syscall_args()
-        if selector is not None:
-            write_selector(kernel, process, selector,
-                           SYSCALL_DISPATCH_FILTER_ALLOW)
-        result = self._guard_and_forward(thread, nr, args, via="rewrite")
-        if selector is not None and not thread._just_execed:
-            write_selector(kernel, process, selector,
-                           SYSCALL_DISPATCH_FILTER_BLOCK)
-        if result is BLOCKED:
-            restart_from_trampoline(thread)
-            return
-        finish_trampoline_call(thread, result)
-
-    # -- SUD fallback (P2a) ------------------------------------------------------------
-
-    def _sigsys_fallback(self, sigctx) -> None:
-        kernel = self.kernel
-        thread = sigctx.thread
-        process = thread.process
-        state = process.interposer_state["k23"]
-        selector = state["selector"]
-        nr = sigctx.info["nr"]
-        args = [sigctx.saved["regs"][reg] for reg in (7, 6, 2, 10, 8, 9)]
-        if self.interposer.variant == "ultra+":
-            kernel.cycles.charge(Event.STACK_SWITCH)
-        write_selector(kernel, process, selector,
-                       SYSCALL_DISPATCH_FILTER_ALLOW)
-        # Unlike lazypoline: NO rewriting here — discovery-driven patching
-        # is exactly what enables attack-induced misidentification (P3b).
-        result = self._guard_and_forward(thread, nr, args, via="sud")
-        if not thread._just_execed:
-            write_selector(kernel, process, selector,
-                           SYSCALL_DISPATCH_FILTER_BLOCK)
-        if result is BLOCKED:
-            thread._sud_restart_credit = True
-            sigctx.set_resume_rip(sigctx.fault_rip)
-            return
-        sigctx.set_return_value(result)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.logs import SiteLog
+from repro.cpu.cycles import Event
 from repro.interposers.base import (
     Interposer,
     allocate_selector_page,
@@ -32,12 +33,7 @@ from repro.interposers.base import (
 )
 from repro.kernel.procfs import MapsEntry, entry_for, parse_maps, render_maps
 from repro.kernel.ptrace import Tracer
-from repro.kernel.syscall_impl import BLOCKED
-from repro.kernel.syscalls import (
-    SIGSYS,
-    SYSCALL_DISPATCH_FILTER_ALLOW,
-    SYSCALL_DISPATCH_FILTER_BLOCK,
-)
+from repro.kernel.syscalls import SIGSYS, SYSCALL_DISPATCH_FILTER_BLOCK
 from repro.memory.pages import Prot
 
 LIB_PATH = "/opt/k23/liblogger.so"
@@ -57,9 +53,11 @@ class LibLogger(Interposer):
     """The offline logger; one :class:`SiteLog` per traced program path."""
 
     name = "libLogger"
+    state_key = "liblogger"
 
     def __init__(self, kernel, hook=None):
         super().__init__(kernel, hook)
+        self.discover = self._log_site
         #: program path → accumulated SiteLog (merged across runs/inputs).
         self.logs: Dict[str, SiteLog] = {}
         #: Figure 2 event trace: (step, detail) tuples.
@@ -104,7 +102,7 @@ class LibLogger(Interposer):
         process = thread.process
         selector = allocate_selector_page(self.kernel, process)
         process.interposer_state["liblogger"] = {"selector": selector}
-        process.dispositions.set_action(SIGSYS, self._sigsys_handler)
+        process.dispositions.set_action(SIGSYS, self.sigsys_entry)
         for t in process.threads:
             t.sud.arm(allow_start=0, allow_len=0, selector_addr=selector)
         process.sud_armed_ever = True
@@ -124,25 +122,15 @@ class LibLogger(Interposer):
                                    state["selector"],
                                    SYSCALL_DISPATCH_FILTER_BLOCK)
 
-    # -- SIGSYS handler (steps ②–④ of Figure 2) --------------------------------------
+    # -- SIGSYS (steps ②–④ of Figure 2) ---------------------------------------------
 
-    def _sigsys_handler(self, sigctx) -> None:
-        thread = sigctx.thread
+    def _log_site(self, thread, site: int) -> None:
+        """Step ③, run by the shared SIGSYS body once dispatch is off (②):
+        resolve and record the site by parsing ``/proc/$PID/maps`` (the
+        literal mechanism of §5.1; the logger's own open/read/close round
+        trips are charged as interposer-internal kernel work).  The body
+        then forwards the call and re-enables dispatch (④)."""
         process = thread.process
-        selector = process.interposer_state["liblogger"]["selector"]
-        nr = sigctx.info["nr"]
-        site = sigctx.fault_rip
-        args = [sigctx.saved["regs"][reg] for reg in (7, 6, 2, 10, 8, 9)]
-
-        # ② step: trap delivered; disable dispatch while we work.
-        write_selector(self.kernel, process, selector,
-                       SYSCALL_DISPATCH_FILTER_ALLOW)
-
-        # ③ step: resolve and record the site by parsing /proc/$PID/maps
-        # (the literal mechanism of §5.1; the logger's own open/read/close
-        # round trips are charged as interposer-internal kernel work).
-        from repro.cpu.cycles import Event
-
         self.kernel.cycles.charge(Event.KERNEL_SYSCALL, times=3)
         entry = entry_for(self.maps_entries(process), site)
         if (entry is not None and entry.executable and not entry.writable
@@ -151,14 +139,3 @@ class LibLogger(Interposer):
             if log.add(entry.path, site - entry.start):
                 self.timeline.append(
                     ("log", f"{entry.path}+{site - entry.start:#x}"))
-
-        # ④ step: invoke the original call, re-enable, return its result.
-        result = self.run_hook(thread, nr, args, via="sud")
-        if not thread._just_execed:
-            write_selector(self.kernel, process, selector,
-                           SYSCALL_DISPATCH_FILTER_BLOCK)
-        if result is BLOCKED:
-            thread._sud_restart_credit = True
-            sigctx.set_resume_rip(site)
-            return
-        sigctx.set_return_value(result)

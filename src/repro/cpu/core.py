@@ -8,7 +8,10 @@
 - ``mem_fetch(addr, n)`` / ``mem_read(addr, n)`` / ``mem_write(addr, data)``
   — permission-checked memory access (fetch is PKU-exempt);
 - ``on_syscall()`` — kernel dispatch for ``syscall``/``sysenter``;
-- ``on_hostcall(index)`` — host-callback dispatch for interposer bodies;
+- ``hostcall_table`` — host callbacks for interposer bodies: ``HOSTCALL
+  imm16`` runs ``hostcall_table[imm16](env)``, and an unregistered index
+  raises :class:`~repro.errors.InvalidOpcode` (see
+  :class:`HostcallTable`);
 - ``charge(event)`` — cycle accounting.
 
 RIP is advanced *before* execution, matching hardware: the kernel sees the
@@ -27,7 +30,7 @@ programs must keep operands within ±2^62, which all generated workloads do.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.arch.isa import Instruction
 from repro.cpu.cycles import Event
@@ -40,16 +43,26 @@ def _burned_index(env) -> None:  # pragma: no cover - placeholder slot
     raise InvalidOpcode(0, "burned hostcall index")
 
 
+class HostcallTable(dict):
+    """Index → handler.  A hit is one C-level dict probe, so the
+    ``HOSTCALL`` executor reaches its handler with no Python frame in
+    between; a miss raises :class:`InvalidOpcode`."""
+
+    def __missing__(self, index: int) -> Callable:
+        raise InvalidOpcode(0, f"unregistered hostcall {index}")
+
+
 class HostcallRegistry:
     """Maps hostcall indices to Python callables.
 
     Interposer bodies (signal handler logic, trampoline tails) are registered
     here by library constructors; simulated code reaches them with the
-    ``HOSTCALL`` escape instruction.
+    ``HOSTCALL`` escape instruction, through :attr:`table` (every thread
+    binds it as ``hostcall_table``).
     """
 
     def __init__(self) -> None:
-        self._handlers: List[Callable] = []
+        self.table = HostcallTable()
         self._names: Dict[int, str] = {}
 
     #: Indices whose little-endian encoding would place a ``0F 05``/``0F 34``
@@ -59,24 +72,19 @@ class HostcallRegistry:
 
     def register(self, handler: Callable, name: str = "") -> int:
         """Register *handler*; returns the index to assemble into code."""
-        while len(self._handlers) in self._HAZARDOUS_INDICES:
-            self._handlers.append(_burned_index)
-        index = len(self._handlers)
-        self._handlers.append(handler)
+        table = self.table
+        while len(table) in self._HAZARDOUS_INDICES:
+            table[len(table)] = _burned_index
+        index = len(table)
+        table[index] = handler
         self._names[index] = name or getattr(handler, "__name__", f"host{index}")
         return index
-
-    def get(self, index: int) -> Callable:
-        try:
-            return self._handlers[index]
-        except IndexError:
-            raise InvalidOpcode(0, f"unregistered hostcall {index}") from None
 
     def name(self, index: int) -> str:
         return self._names.get(index, f"host{index}")
 
     def __len__(self) -> int:
-        return len(self._handlers)
+        return len(self.table)
 
 
 def step(env) -> Instruction:

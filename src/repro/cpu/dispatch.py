@@ -20,8 +20,8 @@ stateless: everything they touch arrives through ``(env, ctx)``.
 
 Execution environment contract (duck-typed, see
 :class:`repro.kernel.process.Thread`): ``context``, ``icache``,
-``mem_fetch``/``mem_read``/``mem_write``, ``on_syscall``, ``on_hostcall``,
-``charge``.
+``mem_fetch``/``mem_read``/``mem_write``, ``on_syscall``,
+``hostcall_table``, ``charge``.
 """
 
 from __future__ import annotations
@@ -400,7 +400,7 @@ def _c_hostcall(insn: Instruction) -> Executor:
     index = insn.hostcall
 
     def run(env, ctx):
-        env.on_hostcall(index)
+        env.hostcall_table[index](env)
     return run
 
 

@@ -23,9 +23,6 @@ class Flags:
         self.zf = value == 0
         self.sf = bool(value >> 63)
 
-    def copy(self) -> "Flags":
-        return Flags(self.zf, self.sf)
-
 
 class CpuContext:
     """Registers + flags + PKRU for one simulated thread.
@@ -78,19 +75,21 @@ class CpuContext:
 
     def save(self) -> Dict:
         """Snapshot for a signal frame or ptrace GETREGS."""
+        flags = self.flags
         return {
-            "regs": list(self._regs),
+            "regs": self._regs[:],
             "rip": self.rip,
-            "flags": self.flags.copy(),
-            "pkru": self.pkru.copy(),
+            "flags": Flags(flags.zf, flags.sf),
+            "pkru": Pkru(self.pkru.value),
         }
 
     def restore(self, snapshot: Dict) -> None:
         """Restore a snapshot (``rt_sigreturn`` / ptrace SETREGS)."""
+        flags = snapshot["flags"]
         self._regs = list(snapshot["regs"])
         self.rip = snapshot["rip"]
-        self.flags = snapshot["flags"].copy()
-        self.pkru = snapshot["pkru"].copy()
+        self.flags = Flags(flags.zf, flags.sf)
+        self.pkru = Pkru(snapshot["pkru"].value)
 
     def copy(self) -> "CpuContext":
         clone = CpuContext()

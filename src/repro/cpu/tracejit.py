@@ -345,7 +345,7 @@ def _emit_step(out: _Emitter, insn, next_rip: int, k: int, n: int, *,
     elif m is Mnemonic.HOSTCALL:
         out.emit(f"ctx.rip = {next_rip:#x}")
         out.emit(f"env.unit_retired = base + {K}")
-        out.emit(f"env.on_hostcall({insn.hostcall})")
+        out.emit(f"env.hostcall_table[{insn.hostcall}](env)")
         out.emit(f"return {n}")
     elif m is Mnemonic.CPUID or m is Mnemonic.MFENCE:
         out.emit(f"ctx.rip = {next_rip:#x}")

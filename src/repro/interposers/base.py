@@ -10,6 +10,10 @@ unconditionally — the paper's overhead-isolation methodology (§6.2).  Use
 cases (tracing, sandboxing, emulation) supply richer hooks; see
 ``examples/``.
 
+Every interposed syscall takes one host path, :meth:`Interposer.intercept`,
+from the trampoline's ``HOSTCALL`` tail or from SIGSYS; a mechanism
+supplies only data (its charges, site check, discovery step and guard).
+
 This module also owns the shared trampoline machinery: the page at virtual
 address 0 holding a nop sled (landing pad for ``callq *%rax`` with RAX = the
 syscall number) that slides into a HOSTCALL tail, protected as eXecute-Only
@@ -20,18 +24,32 @@ dereference, while execution proceeds (the asymmetry behind P4a).
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.arch.assembler import Asm
 from repro.arch.registers import Reg
-from repro.kernel.syscalls import Nr as _Nr
-
-_NR_FORK = int(_Nr.fork)
 from repro.cpu.cycles import Event
+from repro.errors import InterposerAbort
 from repro.kernel.syscall_impl import BLOCKED
+from repro.kernel.syscalls import (
+    SYSCALL_DISPATCH_FILTER_ALLOW,
+    SYSCALL_DISPATCH_FILTER_BLOCK,
+    Errno,
+    Nr,
+)
 from repro.loader.image import SimImage
 from repro.memory.pages import PAGE_SIZE, Prot
 from repro.memory.pku import xom_pkru_for
+from repro.observability.events import SyscallEnter, SyscallExit
+
+_NR_FORK = int(Nr.fork)
+_ENOSYS = -Errno.ENOSYS
+_MASK64 = (1 << 64) - 1
+_PROT_WRITE = int(Prot.WRITE)
+_ALLOW = SYSCALL_DISPATCH_FILTER_ALLOW
+_BLOCK = SYSCALL_DISPATCH_FILTER_BLOCK
+_ORIGIN = {"rewrite": "rewrite-handler", "sud": "sud-handler"}
+_RCX, _RSP, _R11 = int(Reg.RCX), int(Reg.RSP), int(Reg.R11)
 
 #: Bytes of trampoline tail code (HOSTCALL imm16 = 5, RET = 1).
 TRAMPOLINE_TAIL_BYTES = 6
@@ -64,9 +82,26 @@ def EMPTY_HOOK(thread, nr: int, args: List[int], forward: Callable[[], int]):
 
 
 class Interposer:
-    """Base class: lifecycle hooks plus per-pid accounting."""
+    """Base class: lifecycle hooks, per-pid accounting, and the one host
+    path of an interposed syscall (:meth:`intercept`)."""
 
     name = "interposer"
+
+    # -- the mechanism's data for intercept() ----------------------------------
+
+    #: ``process.interposer_state`` key; a ``selector`` in that dict is
+    #: toggled to ALLOW around every forwarded call.
+    state_key = ""
+    #: Charged, in order, on every trampoline entry.
+    entry_charges: Tuple[Event, ...] = ()
+    #: NULL-execution check: ``(charge, site-set field, abort prefix)``.
+    site_check: Optional[Tuple[Event, str, str]] = None
+    #: Charged after the site check, or first on SIGSYS (stack switch).
+    switch_charges: Tuple[Event, ...] = ()
+    #: ``discover(thread, site)``: SIGSYS only, once dispatch is off.
+    discover: Optional[Callable[[object, int], None]] = None
+    #: Syscall numbers :meth:`guard` sees before they are forwarded.
+    guarded: FrozenSet[int] = frozenset()
 
     def __init__(self, kernel, hook: Optional[SyscallHook] = None):
         self.kernel = kernel
@@ -98,46 +133,164 @@ class Interposer:
             return len(self.handled.get(pid, []))
         return sum(len(entries) for entries in self.handled.values())
 
+    # -- the interposed path -----------------------------------------------------
+
+    def intercept(self, thread, sigctx=None) -> None:
+        """Interpose the syscall *thread* is making: the trampoline entry
+        (a ``callq *%rax`` from a rewritten site; live registers, return
+        address on the stack) or, with *sigctx*, the SIGSYS body (the
+        frame's registers).
+
+        Order: entry charges and site check, or switch charges; selector
+        to ALLOW; discovery; guard; hook and forwarded call; selector back
+        to BLOCK unless the call execve'd; result or restart.  Registers,
+        stack and selector are accessed in place, with no call frames.
+        """
+        charge = self.kernel.cycles.charge
+        process = thread.process
+        state = process.interposer_state.get(self.state_key)
+        space = process.address_space
+        if sigctx is None:
+            for event in self.entry_charges:
+                charge(event)
+            regs = thread.context._regs
+            check = self.site_check
+            if check is not None and state is not None:
+                charge(check[0])
+                rsp = regs[_RSP]
+                off = rsp % PAGE_SIZE
+                page = space._pages.get(rsp // PAGE_SIZE)
+                if page is not None and off <= PAGE_SIZE - 8:
+                    site = int.from_bytes(page[off:off + 8], "little") - 2
+                else:
+                    site = read_return_address(thread) - 2
+                if site not in state[check[1]]:
+                    raise InterposerAbort(
+                        f"{check[2]}: trampoline entered from unknown site "
+                        f"{site:#x} (NULL-execution check)")
+            for event in self.switch_charges:
+                charge(event)
+            nr = regs[0]
+            via = "rewrite"
+        else:
+            for event in self.switch_charges:
+                charge(event)
+            regs = sigctx.saved["regs"]
+            nr = sigctx.info["nr"]
+            via = "sud"
+        args = [regs[7], regs[6], regs[2], regs[10], regs[8], regs[9]]
+        selector = state.get("selector") if state is not None else None
+        if selector is not None:
+            charge(Event.SUD_SELECTOR_WRITE)
+            idx = selector // PAGE_SIZE
+            entry = space._fast.get(idx) or space.page_entry(idx)
+            if entry is not None and entry[1] & _PROT_WRITE:
+                entry[0][selector % PAGE_SIZE] = _ALLOW
+            else:
+                space.write_kernel(selector, _SELECTOR_BYTES[_ALLOW])
+        if sigctx is not None and self.discover is not None:
+            self.discover(thread, sigctx.fault_rip)
+        if nr in self.guarded:
+            self.guard(thread, nr, args)
+        result = self.run_hook(thread, nr, args, via)
+        if selector is not None and not thread._just_execed:
+            charge(Event.SUD_SELECTOR_WRITE)
+            idx = selector // PAGE_SIZE
+            entry = space._fast.get(idx) or space.page_entry(idx)
+            if entry is not None and entry[1] & _PROT_WRITE:
+                entry[0][selector % PAGE_SIZE] = _BLOCK
+            else:
+                space.write_kernel(selector, _SELECTOR_BYTES[_BLOCK])
+        if sigctx is None:
+            if result is BLOCKED:
+                restart_from_trampoline(thread)
+            elif not thread._just_execed:  # the tail's RET resumes the app
+                thread.context._regs[0] = result & _MASK64
+        elif result is BLOCKED:
+            # Resume on the syscall itself: it re-dispatches, uncharged.
+            thread._sud_restart_credit = True
+            sigctx.saved["rip"] = sigctx.fault_rip
+        else:
+            sigctx.saved["regs"][0] = result & _MASK64
+
+    def sigsys_entry(self, sigctx) -> None:
+        """The SIGSYS disposition of SUD-based mechanisms."""
+        self.intercept(sigctx.thread, sigctx)
+
+    def guard(self, thread, nr: int, args: List[int]) -> None:
+        """Policy on a :attr:`guarded` call before it is forwarded (runs
+        with dispatch already off)."""
+
     # -- forwarding ------------------------------------------------------------------
 
-    def forward(self, thread, nr: int, args: List[int], via: str):
-        """Execute the application's original syscall; returns result or
-        BLOCKED (propagated so the caller can arrange a restart)."""
-        origin = "rewrite-handler" if via == "rewrite" else "sud-handler"
+    def run_hook(self, thread, nr: int, args: List[int], via: str,
+                 hooked: bool = True):
+        """Run the hook over the application's original syscall; returns
+        its result, or BLOCKED when the call parked for a restart.
+
+        With :data:`EMPTY_HOOK`, or *hooked* False (the ``forward()``
+        closure a user hook gets), this is the forwarded call itself,
+        inline: record, kernel entry, charges, bus events, exit hook.
+        """
+        hook = self.hook
+        if hooked and hook is not EMPTY_HOOK:
+            return hook(thread, nr, args,
+                        lambda: self.run_hook(thread, nr, args, via, False))
+        kernel = self.kernel
+        cycles = kernel.cycles
+        bus = kernel.bus
+        process = thread.process
+        pid = process.pid
+        origin = _ORIGIN[via]
         # Record up front so never-returning calls (exit, execve) are still
         # accounted; roll back if the call parked for a restart.
-        self.record(thread.process.pid, nr, via)
-        result = self.kernel.direct_syscall(thread, nr, args, origin=origin)
+        handled = self.handled.get(pid)
+        if handled is None:
+            handled = self.handled[pid] = []
+        handled.append((nr, via))
+        if bus.enabled:
+            bus.emit(SyscallEnter, ts=cycles.cycles, pid=pid,
+                     tid=thread.tid, nr=nr, site=0, phase=origin)
+        result = kernel.do_syscall(thread, nr, args, origin)
         if result is BLOCKED:
-            self.handled[thread.process.pid].pop()
-        else:
-            # The forwarded syscall really enters the kernel, which clobbers
-            # RCX and R11 (the asymmetry K23's trampoline exploits, §6.2.1).
-            thread.context.set(Reg.RCX, thread.context.rip)
-            thread.context.set(Reg.R11, 0x202)
-            if (nr == _NR_FORK and isinstance(result, int)
-                    and 0 < result < (1 << 63)):
-                # fork executed while the handler had dispatch disabled, so
-                # the child inherited an ALLOW selector.  Real selector-based
-                # interposers re-initialize in the child (atfork hooks);
-                # mirror that here.
-                self.on_fork_child(thread, result)
+            kernel.syscall_log.pop()
+            if bus.enabled:
+                bus.emit(SyscallExit, ts=cycles.cycles, pid=pid,
+                         tid=thread.tid, nr=nr, phase=origin, result=None)
+            handled.pop()
+            return result
+        cycles.charge(Event.KERNEL_SYSCALL)
+        if process.sud_armed_ever:
+            cycles.charge(Event.SUD_ARMED_SLOWPATH)
+        if result is None:
+            result = _ENOSYS
+        if bus.enabled:
+            bus.emit(SyscallExit, ts=cycles.cycles, pid=pid, tid=thread.tid,
+                     nr=nr, phase=origin,
+                     result=result if isinstance(result, int) else None)
+        fi = kernel.fault_injector
+        if fi is not None:
+            # The forwarded application call completes here (the raw trap
+            # returned early from the SUD/rewrite dispatch path).
+            fi.on_syscall_exit(thread, nr, origin)
+        # The forwarded syscall really enters the kernel, which clobbers
+        # RCX and R11 (the asymmetry K23's trampoline exploits, §6.2.1).
+        ctx = thread.context
+        regs = ctx._regs
+        regs[_RCX] = ctx.rip & _MASK64
+        regs[_R11] = 0x202
+        if (nr == _NR_FORK and isinstance(result, int)
+                and 0 < result < (1 << 63)):
+            # fork executed while the handler had dispatch disabled, so
+            # the child inherited an ALLOW selector.  Real selector-based
+            # interposers re-initialize in the child (atfork hooks);
+            # mirror that here.
+            self.on_fork_child(thread, result)
         return result
 
     def on_fork_child(self, thread, child_pid: int) -> None:
         """Child-side re-initialization after a forwarded fork (overridden
         by selector-based interposers)."""
-
-    def run_hook(self, thread, nr: int, args: List[int], via: str):
-        """Invoke the user hook with a forward closure; returns result or
-        BLOCKED."""
-        if self.hook is EMPTY_HOOK:
-            return self.forward(thread, nr, args, via)
-
-        def do_forward():
-            return self.forward(thread, nr, args, via)
-
-        return self.hook(thread, nr, args, do_forward)
 
 
 # ---------------------------------------------------------------- LD_PRELOAD
@@ -219,21 +372,9 @@ def restart_from_trampoline(thread) -> None:
     """Blocked-forward restart for the rewritten path: undo the implicit
     ``call`` push and re-execute the rewritten site once unparked."""
     ctx = thread.context
-    rsp = ctx.get(Reg.RSP)
-    return_addr = struct.unpack(
-        "<Q", thread.process.address_space.read_kernel(rsp, 8))[0]
-    ctx.set(Reg.RSP, rsp + 8)
+    return_addr = read_return_address(thread)
+    ctx.set(Reg.RSP, ctx.get(Reg.RSP) + 8)
     ctx.rip = return_addr - 2
-
-
-def finish_trampoline_call(thread, result: int) -> None:
-    """Store the syscall result; the trampoline tail's RET resumes the app.
-
-    No-op when the forwarded call was an ``execve`` that replaced the whole
-    context — the fresh image must start untouched.
-    """
-    if not thread._just_execed:
-        thread.context.set_syscall_result(result)
 
 
 # ------------------------------------------------------------ selector machinery

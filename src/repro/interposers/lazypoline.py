@@ -31,21 +31,15 @@ from repro.cpu.cycles import Event
 from repro.interposers.base import (
     Interposer,
     allocate_selector_page,
-    finish_trampoline_call,
     install_trampoline,
     make_injector_library,
     prepend_ld_preload,
-    read_return_address,
-    restart_from_trampoline,
+    reblock_child_selector,
     write_selector,
 )
-from repro.kernel.syscall_impl import BLOCKED
-from repro.kernel.syscalls import (
-    SIGSYS,
-    SYSCALL_DISPATCH_FILTER_ALLOW,
-    SYSCALL_DISPATCH_FILTER_BLOCK,
-)
-from repro.memory.pages import PAGE_SIZE, Prot, page_base, round_up_pages
+from repro.kernel.syscalls import SIGSYS, SYSCALL_DISPATCH_FILTER_BLOCK
+from repro.memory.pages import Prot, page_base, round_up_pages
+from repro.observability.events import RewriteApplied
 
 LIB_PATH = "/opt/interposers/liblazypoline.so"
 
@@ -54,10 +48,17 @@ class LazypolineInterposer(Interposer):
     """SUD-discovery rewriting with the upstream prototype's flaws."""
 
     name = "lazypoline"
+    state_key = "lazypoline"
+    # No NULL-execution check (P4a): whatever reached the sled is treated
+    # as a legitimate rewritten site.
+    entry_charges = (Event.TRAMPOLINE_SLED, Event.LAZYPOLINE_HANDLER)
 
     def __init__(self, kernel, hook=None):
         super().__init__(kernel, hook)
-        self._entry_idx = kernel.hostcalls.register(self._trampoline_entry,
+        # SIGSYS discovery: rewrite first (P3b: whatever RIP pointed at
+        # gets patched), then emulate the intercepted call.
+        self.discover = self._rewrite_lazily
+        self._entry_idx = kernel.hostcalls.register(self.intercept,
                                                     "lazypoline.entry")
         make_injector_library(kernel, LIB_PATH, "lazypoline",
                               self._constructor)
@@ -75,7 +76,7 @@ class LazypolineInterposer(Interposer):
             "selector": selector,
             "rewritten": [],
         }
-        process.dispositions.set_action(SIGSYS, self._sigsys_handler)
+        process.dispositions.set_action(SIGSYS, self.sigsys_entry)
         for t in process.threads:
             t.sud.arm(allow_start=0, allow_len=0, selector_addr=selector)
         process.sud_armed_ever = True
@@ -83,8 +84,6 @@ class LazypolineInterposer(Interposer):
                        SYSCALL_DISPATCH_FILTER_BLOCK)
 
     def on_fork_child(self, thread, child_pid: int) -> None:
-        from repro.interposers.base import reblock_child_selector
-
         child = self.kernel.find_process(child_pid)
         if child is None:
             return
@@ -121,59 +120,7 @@ class LazypolineInterposer(Interposer):
         kernel.cycles.charge(Event.REWRITE_SITE)
         process.interposer_state["lazypoline"]["rewritten"].append(site)
         if kernel.bus.enabled:
-            from repro.observability.events import RewriteApplied
-
             kernel.bus.emit(RewriteApplied, ts=kernel.cycles.cycles,
                             pid=process.pid, tid=thread.tid, site=site,
                             protocol="lazy-unsafe", atomic=False,
                             coherent=False)
-
-    # -- SIGSYS discovery handler ---------------------------------------------------
-
-    def _sigsys_handler(self, sigctx) -> None:
-        thread = sigctx.thread
-        process = thread.process
-        state = process.interposer_state["lazypoline"]
-        selector = state["selector"]
-        nr = sigctx.info["nr"]
-        args = [sigctx.saved["regs"][reg] for reg in (7, 6, 2, 10, 8, 9)]
-        site = sigctx.fault_rip
-
-        write_selector(self.kernel, process, selector,
-                       SYSCALL_DISPATCH_FILTER_ALLOW)
-        # Rewrite first (P3b: whatever RIP pointed at gets patched), then
-        # emulate the intercepted call.
-        self._rewrite_lazily(thread, site)
-        result = self.run_hook(thread, nr, args, via="sud")
-        if not thread._just_execed:
-            write_selector(self.kernel, process, selector,
-                           SYSCALL_DISPATCH_FILTER_BLOCK)
-        if result is BLOCKED:
-            thread._sud_restart_credit = True
-            sigctx.set_resume_rip(site)
-            return
-        sigctx.set_return_value(result)
-
-    # -- trampoline fast path ----------------------------------------------------------
-
-    def _trampoline_entry(self, thread) -> None:
-        kernel = self.kernel
-        kernel.cycles.charge(Event.TRAMPOLINE_SLED)
-        kernel.cycles.charge(Event.LAZYPOLINE_HANDLER)
-        state = thread.process.interposer_state.get("lazypoline")
-        nr = thread.context.syscall_number
-        args = thread.context.syscall_args()
-        # No NULL-execution check (P4a): whatever reached the sled is
-        # treated as a legitimate rewritten site.
-        selector = state["selector"] if state else None
-        if selector is not None:
-            write_selector(kernel, thread.process, selector,
-                           SYSCALL_DISPATCH_FILTER_ALLOW)
-        result = self.run_hook(thread, nr, args, via="rewrite")
-        if selector is not None and not thread._just_execed:
-            write_selector(kernel, thread.process, selector,
-                           SYSCALL_DISPATCH_FILTER_BLOCK)
-        if result is BLOCKED:
-            restart_from_trampoline(thread)
-            return
-        finish_trampoline_call(thread, result)

@@ -14,9 +14,9 @@ from repro.interposers.base import (
     allocate_selector_page,
     make_injector_library,
     prepend_ld_preload,
+    reblock_child_selector,
     write_selector,
 )
-from repro.kernel.syscall_impl import BLOCKED
 from repro.kernel.syscalls import (
     SIGSYS,
     SYSCALL_DISPATCH_FILTER_ALLOW,
@@ -27,7 +27,14 @@ LIB_PATH = "/opt/interposers/libsud.so"
 
 
 class SudInterposer(Interposer):
-    """LD_PRELOAD library that arms SUD and handles SIGSYS in user space."""
+    """LD_PRELOAD library that arms SUD and handles SIGSYS in user space.
+
+    Its SIGSYS handler is the shared body (:meth:`Interposer.intercept`):
+    disable dispatch while the handler itself works (the selector trick,
+    §2.1), forward, then re-enable before returning.
+    """
+
+    state_key = "sud"
 
     def __init__(self, kernel, hook=None, interpose: bool = True):
         super().__init__(kernel, hook)
@@ -43,8 +50,8 @@ class SudInterposer(Interposer):
     def _constructor(self, thread, base: int) -> None:
         process = thread.process
         selector = allocate_selector_page(self.kernel, process)
-        process.interposer_state["sud_selector"] = selector
-        process.dispositions.set_action(SIGSYS, self._sigsys_handler)
+        process.interposer_state["sud"] = {"selector": selector}
+        process.dispositions.set_action(SIGSYS, self.sigsys_entry)
         for t in process.threads:
             t.sud.arm(allow_start=0, allow_len=0, selector_addr=selector)
         process.sud_armed_ever = True
@@ -53,37 +60,10 @@ class SudInterposer(Interposer):
         write_selector(self.kernel, process, selector, value)
 
     def on_fork_child(self, thread, child_pid: int) -> None:
-        from repro.interposers.base import reblock_child_selector
-
         child = self.kernel.find_process(child_pid)
         if child is None or not self.interpose:
             return
-        selector = child.interposer_state.get("sud_selector")
+        selector = child.interposer_state.get("sud", {}).get("selector")
         if selector:
             reblock_child_selector(self.kernel, child_pid, selector,
                                    SYSCALL_DISPATCH_FILTER_BLOCK)
-
-    # -- SIGSYS handler ------------------------------------------------------------
-
-    def _sigsys_handler(self, sigctx) -> None:
-        thread = sigctx.thread
-        process = thread.process
-        selector = process.interposer_state["sud_selector"]
-        nr = sigctx.info["nr"]
-        args = [sigctx.saved["regs"][reg] for reg in
-                (7, 6, 2, 10, 8, 9)]  # rdi rsi rdx r10 r8 r9
-        # Disable dispatch while the handler itself works (selector trick,
-        # §2.1), forward, then re-enable before returning.
-        write_selector(self.kernel, process, selector,
-                       SYSCALL_DISPATCH_FILTER_ALLOW)
-        result = self.run_hook(thread, nr, args, via="sud")
-        if not thread._just_execed:
-            write_selector(self.kernel, process, selector,
-                           SYSCALL_DISPATCH_FILTER_BLOCK)
-        if result is BLOCKED:
-            thread._sud_restart_credit = True
-            # Restart: resume at the syscall instruction itself so the call
-            # re-dispatches once the thread unparks.
-            sigctx.set_resume_rip(sigctx.fault_rip)
-            return
-        sigctx.set_return_value(result)

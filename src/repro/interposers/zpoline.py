@@ -31,17 +31,12 @@ from typing import List
 
 from repro.arch.disassembler import find_syscall_sites_linear
 from repro.cpu.cycles import Event
-from repro.errors import InterposerAbort
 from repro.interposers.base import (
     Interposer,
-    finish_trampoline_call,
     install_trampoline,
     make_injector_library,
     prepend_ld_preload,
-    read_return_address,
-    restart_from_trampoline,
 )
-from repro.kernel.syscall_impl import BLOCKED
 from repro.memory.bitmap import AddressBitmap
 from repro.memory.pages import PAGE_SIZE, Prot, page_base, round_up_pages
 from repro.observability.events import RewriteApplied
@@ -84,13 +79,18 @@ def rewrite_site_safely(kernel, process, address: int) -> None:
 class ZpolineInterposer(Interposer):
     """zpoline-default / zpoline-ultra."""
 
+    state_key = "zpoline"
+    entry_charges = (Event.TRAMPOLINE_SLED, Event.ZPOLINE_HANDLER)
+
     def __init__(self, kernel, hook=None, variant: str = "default"):
         super().__init__(kernel, hook)
         if variant not in ("default", "ultra"):
             raise ValueError(f"unknown zpoline variant {variant!r}")
         self.variant = variant
         self.name = f"zpoline-{variant}"
-        self._entry_idx = kernel.hostcalls.register(self._trampoline_entry,
+        if variant == "ultra":
+            self.site_check = (Event.BITMAP_CHECK, "bitmap", self.name)
+        self._entry_idx = kernel.hostcalls.register(self.intercept,
                                                     "zpoline.entry")
         make_injector_library(kernel, LIB_PATH, "zpoline", self._constructor)
 
@@ -141,26 +141,3 @@ class ZpolineInterposer(Interposer):
                     run_start = None
                 addr += PAGE_SIZE
         return targets
-
-    # -- trampoline entry ------------------------------------------------------------
-
-    def _trampoline_entry(self, thread) -> None:
-        kernel = self.kernel
-        kernel.cycles.charge(Event.TRAMPOLINE_SLED)
-        kernel.cycles.charge(Event.ZPOLINE_HANDLER)
-        state = thread.process.interposer_state.get("zpoline")
-        return_addr = read_return_address(thread)
-        site = return_addr - 2
-        if state and state["bitmap"] is not None:
-            kernel.cycles.charge(Event.BITMAP_CHECK)
-            if not state["bitmap"].test(site):
-                raise InterposerAbort(
-                    f"zpoline-ultra: trampoline entered from unknown site "
-                    f"{site:#x} (NULL-execution check)")
-        nr = thread.context.syscall_number
-        args = thread.context.syscall_args()
-        result = self.run_hook(thread, nr, args, via="rewrite")
-        if result is BLOCKED:
-            restart_from_trampoline(thread)
-            return
-        finish_trampoline_call(thread, result)

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.registers import Reg
 from repro.cpu.blocks import run_unit
 from repro.cpu.core import HostcallRegistry, step as cpu_step
 from repro.cpu.engine import EngineConfig
-from repro.cpu.cycles import CycleModel, Event
+from repro.cpu.cycles import SUD_CONTENTION_FACTOR, CycleModel, Event
+from repro.cpu.state import Flags
 from repro.errors import (
     Breakpoint,
     Halt,
@@ -38,6 +39,7 @@ from repro.errors import (
 )
 from repro.kernel.net import NetStack
 from repro.kernel.process import Process, Thread
+from repro.kernel.seccomp import SECCOMP_FILTER_COST, Action
 from repro.kernel.syscall_impl import BLOCKED as BLOCKED_SENTINEL, SYSCALL_TABLE
 from repro.kernel.signals import SignalContext, default_action
 from repro.kernel.syscalls import (
@@ -50,6 +52,7 @@ from repro.kernel.syscalls import (
     SIGNAL_NAMES,
 )
 from repro.kernel.vfs import VFS
+from repro.memory.pku import Pkru
 from repro.observability.bus import Bus
 from repro.observability.events import (IcacheShootdown, ProcessLifecycle,
                                         QuantumEnd, SignalEvent,
@@ -57,6 +60,9 @@ from repro.observability.events import (IcacheShootdown, ProcessLifecycle,
 
 #: Scheduler quantum: instructions per thread turn.
 DEFAULT_QUANTUM = 100
+
+_MASK64 = (1 << 64) - 1
+_RCX, _R11 = int(Reg.RCX), int(Reg.R11)
 
 
 @dataclass
@@ -213,7 +219,7 @@ class Kernel:
         """Kernel entry from a ``syscall``/``sysenter`` instruction."""
         ctx = thread.context
         process = thread.process
-        nr = ctx.syscall_number
+        nr = ctx._regs[0]
         site = ctx.rip - 2
 
         # 0. Fault-injection hook: a remote selector flip (or similar) may
@@ -225,12 +231,10 @@ class Kernel:
 
         bus = self.bus
 
-        # 1. Syscall User Dispatch.  should_dispatch is False whenever SUD
-        # is off, so skip building the selector-read closure (pure
-        # per-syscall overhead on the native path) unless it is armed.
+        # 1. Syscall User Dispatch (should_dispatch is False whenever SUD
+        # is off, so the native path skips the call).
         sud = thread.sud
-        if sud.enabled and sud.should_dispatch(site,
-                                               self._read_selector(process)):
+        if sud.enabled and sud.should_dispatch(site, process.read_selector):
             if bus.enabled:
                 bus.emit(SyscallEnter, ts=self.cycles.cycles, pid=process.pid,
                          tid=thread.tid, nr=nr, site=site, phase="sud")
@@ -238,18 +242,18 @@ class Kernel:
             # the handler's forwarded syscall) re-enters this path purely as
             # a simulation artifact; on hardware the thread blocks in-kernel
             # within the ORIGINAL dispatch, so the retry is not re-charged.
-            restart_credit = getattr(thread, "_sud_restart_credit", False)
+            restart_credit = thread._sud_restart_credit
             thread._sud_restart_credit = False
             if not restart_credit:
                 self.cycles.charge(Event.KERNEL_SYSCALL)
                 self.cycles.charge(Event.SUD_ARMED_SLOWPATH)
-                armed = sum(1 for t in process.threads
-                            if t.sud.enabled and not t.exited)
+                armed = 0
+                for t in process.threads:
+                    if t.sud.enabled and not t.exited:
+                        armed += 1
                 if armed > 1:
                     # Multi-threaded signal-delivery contention (see
                     # repro.cpu.cycles.SUD_CONTENTION_FACTOR).
-                    from repro.cpu.cycles import SUD_CONTENTION_FACTOR
-
                     base = (self.cycles.costs[Event.SIGNAL_DELIVERY]
                             + self.cycles.costs[Event.SIGRETURN])
                     self.cycles.charge_cycles(
@@ -273,13 +277,11 @@ class Kernel:
         # 2b. seccomp filter evaluation (after the ptrace entry stop, as on
         # Linux; filters see numbers and raw argument values only).
         if proceed and process.seccomp.active:
-            from repro.kernel.seccomp import Action, SECCOMP_FILTER_COST
-
             self.cycles.charge_cycles(SECCOMP_FILTER_COST,
                                       label="seccomp-filter")
             verdict = process.seccomp.evaluate(nr, ctx.syscall_args())
             if verdict.action == Action.TRAP:
-                restart_credit = getattr(thread, "_sud_restart_credit", False)
+                restart_credit = thread._sud_restart_credit
                 thread._sud_restart_credit = False
                 if not restart_credit:
                     self.cycles.charge(Event.KERNEL_SYSCALL)
@@ -318,8 +320,11 @@ class Kernel:
             if bus.enabled:
                 bus.emit(SyscallEnter, ts=self.cycles.cycles, pid=process.pid,
                          tid=thread.tid, nr=nr, site=site, phase=origin)
-            result = self.do_syscall(thread, nr, ctx.syscall_args(),
-                                     origin=origin, site=site)
+            regs = ctx._regs
+            result = self.do_syscall(
+                thread, nr,
+                [regs[7], regs[6], regs[2], regs[10], regs[8], regs[9]],
+                origin, site)
             if result is BLOCKED_SENTINEL:
                 # Restartable syscall: back onto the syscall instruction;
                 # the parked thread re-enters this path once the wake
@@ -336,7 +341,7 @@ class Kernel:
             if process.sud_armed_ever:
                 self.cycles.charge(Event.SUD_ARMED_SLOWPATH)
             if result is not None and not thread._just_execed:
-                ctx.set_syscall_result(result)
+                ctx._regs[0] = result & _MASK64
             if bus.enabled:
                 bus.emit(SyscallExit, ts=self.cycles.cycles, pid=process.pid,
                          tid=thread.tid, nr=nr, phase=origin,
@@ -345,22 +350,16 @@ class Kernel:
         if not thread._just_execed:
             # x86-64 syscall ABI: kernel clobbers RCX (return RIP) and R11
             # (RFLAGS) — the asymmetry K23's trampoline exploits (§6.2.1).
-            ctx.set(Reg.RCX, ctx.rip)
-            ctx.set(Reg.R11, 0x202)
+            regs = ctx._regs
+            regs[_RCX] = ctx.rip & _MASK64
+            regs[_R11] = 0x202
             if traced and not tracer.detached:
                 tracer.notify_exit(thread)
         if proceed and fi is not None:
             # Return-to-user is where async signals land on Linux; forwarded
-            # calls (sud-/rewrite-handler) fire this from direct_syscall.
+            # calls (sud-/rewrite-handler) fire this from the interposer's
+            # forwarding routine (Interposer.run_hook).
             fi.on_syscall_exit(thread, nr, "ptrace" if traced else "app")
-
-    def _read_selector(self, process: Process) -> Callable[[int], int]:
-        def read(addr: int) -> int:
-            try:
-                return process.address_space.read_kernel(addr, 1)[0]
-            except SegmentationFault:
-                return 0
-        return read
 
     def do_syscall(self, thread: Thread, nr: int, args: List[int],
                    origin: str, site: int = 0) -> Optional[int]:
@@ -391,47 +390,10 @@ class Kernel:
             record.result = result
         return result
 
-    def direct_syscall(self, thread: Thread, nr: int, args: List[int],
-                       origin: str = "interposer-internal",
-                       site: int = 0):
-        """Syscall issued by host-level interposer code (its own ``syscall``
-        instructions live in allowlisted/selector-off regions, so they enter
-        the kernel without re-dispatch).  Charges the same kernel costs.
-
-        Returns the result value, or the BLOCKED sentinel when the call must
-        be restarted — the calling handler rewinds its own resume point (see
-        ``repro.interposers.base.forward_syscall``).
-        """
-        bus = self.bus
-        if bus.enabled:
-            bus.emit(SyscallEnter, ts=self.cycles.cycles,
-                     pid=thread.process.pid, tid=thread.tid, nr=nr, site=site,
-                     phase=origin)
-        result = self.do_syscall(thread, nr, args, origin=origin, site=site)
-        if result is BLOCKED_SENTINEL:
-            self.syscall_log.pop()
-            if bus.enabled:
-                bus.emit(SyscallExit, ts=self.cycles.cycles,
-                         pid=thread.process.pid, tid=thread.tid, nr=nr,
-                         phase=origin, result=None)
-            return result
-        self.cycles.charge(Event.KERNEL_SYSCALL)
-        if thread.process.sud_armed_ever:
-            self.cycles.charge(Event.SUD_ARMED_SLOWPATH)
-        result = -Errno.ENOSYS if result is None else result
-        if bus.enabled:
-            bus.emit(SyscallExit, ts=self.cycles.cycles,
-                     pid=thread.process.pid, tid=thread.tid, nr=nr,
-                     phase=origin,
-                     result=result if isinstance(result, int) else None)
-        if origin != "interposer-internal" and self.fault_injector is not None:
-            # The forwarded application call completes here (the raw trap
-            # returned early from the SUD/rewrite dispatch path).
-            self.fault_injector.on_syscall_exit(thread, nr, origin)
-        return result
-
     def dispatch_hostcall(self, thread: Thread, index: int) -> None:
-        self.hostcalls.get(index)(thread)
+        """Run hostcall *index* for *thread* (what ``HOSTCALL`` executes;
+        the executors reach the table through ``thread.hostcall_table``)."""
+        self.hostcalls.table[index](thread)
 
     # --------------------------------------------------------------- signals
 
@@ -497,8 +459,19 @@ class Kernel:
                          tid=thread.tid, signal=signal, kind="deliver",
                          sync=sync)
             thread._just_execed = False
-            sigctx = SignalContext(signal, thread, thread.context.save(),
-                                   fault_rip, info or {})
+            # The frame takes the live register list, flags and PKRU, and
+            # the handler runs on copies: the same values as a
+            # CpuContext.save() snapshot, and the frame dies at sigreturn,
+            # so sigreturn reinstalls its objects without copying them.
+            ctx = thread.context
+            regs, flags, pkru = ctx._regs, ctx.flags, ctx.pkru
+            saved = {"regs": regs, "rip": ctx.rip, "flags": flags,
+                     "pkru": pkru}
+            ctx._regs = regs[:]
+            ctx.flags = Flags(flags.zf, flags.sf)
+            ctx.pkru = Pkru(pkru.value)
+            sigctx = SignalContext(signal, thread, saved, fault_rip,
+                                   info or {})
             thread.blocked_signals.add(signal)
             thread._host_handler_depth += 1
             try:
@@ -515,8 +488,13 @@ class Kernel:
             if not thread._just_execed:
                 # rt_sigreturn semantics; skipped when the handler execve'd
                 # (the frame belongs to the torn-down image).
-                thread.context.restore(sigctx.saved)
-            self.flush_pending_signals(thread)
+                ctx, saved = thread.context, sigctx.saved
+                ctx._regs = saved["regs"]
+                ctx.rip = saved["rip"]
+                ctx.flags = saved["flags"]
+                ctx.pkru = saved["pkru"]
+            if thread.pending_signals:
+                self.flush_pending_signals(thread)
             return
         if thread._host_handler_depth > 0 and not sync:
             # Deferred: delivered for real (charged, frame pushed) by the

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.cpu.cycles import Event
@@ -16,6 +17,7 @@ from repro.kernel.sud import SudState
 from repro.kernel.syscalls import Errno
 from repro.kernel.vfs import Inode
 from repro.memory.address_space import AddressSpace
+from repro.memory.pages import PAGE_SIZE
 
 
 class FileDescriptor:
@@ -63,7 +65,7 @@ class Thread:
     """One simulated thread: CPU context + core-local icache + SUD state.
 
     Also the execution environment consumed by :func:`repro.cpu.core.step`
-    (``mem_*``, ``on_syscall``, ``on_hostcall``, ``charge``).
+    (``mem_*``, ``on_syscall``, ``hostcall_table``, ``charge``).
     """
 
     def __init__(self, process: "Process", core_id: int = 0):
@@ -101,11 +103,18 @@ class Thread:
         #: return-to-user (the enclosing handler's context restore would
         #: clobber the user frame — see Kernel.deliver_signal).
         self._host_handler_depth = 0
+        kernel = process.kernel
         #: Bound-method alias: ``charge`` is on the per-instruction hot
         #: path and the kernel's CycleModel is created once and never
         #: replaced, so skip the forwarding frame the class-level method
         #: below would add.
-        self.charge = process.kernel.cycles.charge
+        self.charge = kernel.cycles.charge
+        #: The ``syscall`` executor's kernel entry and the ``HOSTCALL``
+        #: executor's handler table, bound once: an executor reaches
+        #: ``Kernel.handle_syscall`` or the registered handler with no
+        #: Thread or Kernel frame in between.
+        self.on_syscall = partial(kernel.handle_syscall, self)
+        self.hostcall_table = kernel.hostcalls.table
         #: In-unit retire index maintained by the block executor
         #: (:mod:`repro.cpu.blocks`): the 1-based index of the instruction
         #: currently executing, read by the scheduler to attribute a
@@ -135,12 +144,6 @@ class Thread:
 
     def mem_write(self, addr: int, data: bytes) -> None:
         self.process.address_space.write(addr, data, pkru=self.context.pkru)
-
-    def on_syscall(self) -> None:
-        self.process.kernel.handle_syscall(self)
-
-    def on_hostcall(self, index: int) -> None:
-        self.process.kernel.dispatch_hostcall(self, index)
 
     def charge(self, event: Event, times: int = 1) -> None:
         # Shadowed by the bound-method alias set in __init__; kept as the
@@ -263,6 +266,13 @@ class Process:
         #: Arbitrary per-process state interposer libraries hang off the
         #: process (trampoline addresses, selectors, rewritten-site tables).
         self.interposer_state: Dict[str, object] = {}
+
+    def read_selector(self, addr: int) -> int:
+        """The SUD selector byte at *addr*, read with kernel privilege as
+        Linux does (0, ALLOW, when the page is unmapped): the one-byte
+        ``read_kernel``, straight from the page table."""
+        page = self.address_space._pages.get(addr // PAGE_SIZE)
+        return 0 if page is None else page[addr % PAGE_SIZE]
 
     # -- threads ------------------------------------------------------------------
 

@@ -79,13 +79,13 @@ class SeccompState:
 
     def __init__(self) -> None:
         self._filters: List[FilterProgram] = []
+        #: Whether any filter is installed: a plain attribute, read on
+        #: every kernel entry.
+        self.active = False
 
     def install(self, program: FilterProgram) -> None:
         self._filters.append(program)
-
-    @property
-    def active(self) -> bool:
-        return bool(self._filters)
+        self.active = True
 
     def evaluate(self, nr: int, args: Sequence[int]) -> Verdict:
         verdict = Verdict(Action.ALLOW)
@@ -100,4 +100,5 @@ class SeccompState:
     def copy(self) -> "SeccompState":
         clone = SeccompState()
         clone._filters = list(self._filters)  # filters are inherited (fork)
+        clone.active = self.active
         return clone

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Union
 
+from repro.arch.registers import Reg
 from repro.errors import ProcessKilled
 from repro.kernel.syscalls import (SIGABRT, SIGBUS, SIGCHLD, SIGFPE, SIGILL,
                                    SIGNAL_NAMES, SIGQUIT, SIGSEGV, SIGSYS,
@@ -64,8 +65,6 @@ class SignalContext:
 
     def set_return_value(self, value: int) -> None:
         """Set RAX in the saved context (the syscall-emulation idiom)."""
-        from repro.arch.registers import Reg
-
         self.saved["regs"][Reg.RAX] = value & (1 << 64) - 1
 
     def set_resume_rip(self, address: int) -> None:

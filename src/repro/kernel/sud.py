@@ -47,9 +47,6 @@ class SudState:
         self.allow_start = 0
         self.allow_len = 0
 
-    def in_allowlist(self, rip: int) -> bool:
-        return self.allow_len > 0 and self.allow_start <= rip < self.allow_start + self.allow_len
-
     def should_dispatch(self, rip: int, read_selector) -> bool:
         """Whether a syscall issued at *rip* must be turned into SIGSYS.
 
@@ -58,7 +55,8 @@ class SudState:
         """
         if not self.enabled:
             return False
-        if self.in_allowlist(rip):
+        start = self.allow_start
+        if self.allow_len > 0 and start <= rip < start + self.allow_len:
             return False
         if self.selector_addr == 0:
             return True  # no selector configured: always dispatch

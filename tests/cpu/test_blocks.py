@@ -11,6 +11,7 @@ from repro.cpu.icache import ICache
 from repro.cpu.state import CpuContext
 from repro.errors import SegmentationFault
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
+from tests.simutil import HostcallLog
 
 CODE_BASE = 0x40_0000
 DATA_BASE = 0x60_0000
@@ -37,7 +38,8 @@ class UnitEnv:
         self.context.rip = CODE_BASE
         self.context.set(Reg.RSP, STACK_TOP - 16)
         self.syscalls = []
-        self.hostcalls = []
+        self.hostcall_table = HostcallLog()
+        self.hostcalls = self.hostcall_table.calls
 
     def mem_fetch(self, addr, n):
         return self.space.fetch(addr, n)
@@ -50,9 +52,6 @@ class UnitEnv:
 
     def on_syscall(self):
         self.syscalls.append(self.context.syscall_number)
-
-    def on_hostcall(self, index):
-        self.hostcalls.append(index)
 
     def charge(self, event, times=1):
         self.cycles.charge(event, times)

@@ -22,6 +22,7 @@ from repro.cpu.engine import EngineConfig
 from repro.cpu.icache import ICache, TERM_END
 from repro.cpu.state import CpuContext
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
+from tests.simutil import HostcallLog
 
 CODE_BASE = 0x40_0000
 DATA_BASE = 0x60_0000
@@ -63,6 +64,7 @@ class EngineEnv:
         self.context.set(Reg.RSP, STACK_TOP - 16)
         self.context.set(Reg.RDI, DATA_BASE)
         self.syscalls = []
+        self.hostcall_table = HostcallLog()
 
     def mem_fetch(self, addr, n):
         return self.space.fetch(addr, n)
@@ -75,9 +77,6 @@ class EngineEnv:
 
     def on_syscall(self):
         self.syscalls.append(self.context.syscall_number)
-
-    def on_hostcall(self, index):
-        pass
 
     def charge(self, event, times=1):
         self.cycles.charge(event, times)

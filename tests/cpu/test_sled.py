@@ -34,6 +34,7 @@ from repro.errors import (
 from repro.interposers.base import SLED_SIZE, TRAMPOLINE_PKEY
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
 from repro.memory.pku import xom_pkru_for
+from tests.simutil import HostcallLog
 
 RX = Prot.READ | Prot.EXEC
 RW = Prot.READ | Prot.WRITE
@@ -93,7 +94,8 @@ class SledEnv:
         self.space = self.mem_space = AddressSpace()
         self.cycles = CycleModel()
         self.unit_retired = 0
-        self.hostcalls = []
+        self.hostcall_table = HostcallLog()
+        self.hostcalls = self.hostcall_table.calls
         for addr, data, prot, pkey in pages:
             self.space.mmap(addr, PAGE_SIZE, RW, name=f"p{addr:#x}",
                             fixed=True)
@@ -111,9 +113,6 @@ class SledEnv:
 
     def on_syscall(self):
         raise AssertionError("no syscalls in sled programs")
-
-    def on_hostcall(self, index):
-        self.hostcalls.append(index)
 
     def charge(self, event, times=1):
         self.cycles.charge(event, times)

@@ -12,6 +12,7 @@ from repro.cpu.icache import ICache
 from repro.cpu.state import CpuContext
 from repro.errors import Breakpoint, Halt, InvalidOpcode, SegmentationFault
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
+from tests.simutil import HostcallLog
 
 CODE_BASE = 0x40_0000
 DATA_BASE = 0x60_0000
@@ -36,7 +37,8 @@ class BareEnv:
         self.context.rip = CODE_BASE
         self.context.set(Reg.RSP, STACK_TOP - 16)
         self.syscalls = []
-        self.hostcalls = []
+        self.hostcall_table = HostcallLog()
+        self.hostcalls = self.hostcall_table.calls
 
     def mem_fetch(self, addr, n):
         return self.space.fetch(addr, n)
@@ -49,9 +51,6 @@ class BareEnv:
 
     def on_syscall(self):
         self.syscalls.append(self.context.syscall_number)
-
-    def on_hostcall(self, index):
-        self.hostcalls.append(index)
 
     def charge(self, event):
         self.cycles.charge(event)

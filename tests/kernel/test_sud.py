@@ -82,8 +82,8 @@ def test_sigsys_delivered_on_blocked_syscall(kernel):
         delivered.append(sigctx.info["nr"])
         # Emulate the call so execution continues: write the selector byte
         # to ALLOW is not needed — the handler forwards directly.
-        result = kernel.direct_syscall(sigctx.thread, sigctx.info["nr"],
-                                       [0] * 6, origin="sud-handler")
+        result = kernel.do_syscall(sigctx.thread, sigctx.info["nr"],
+                                   [0] * 6, origin="sud-handler")
         sigctx.set_return_value(result)
 
     process.dispositions.set_action(SIGSYS, handler)

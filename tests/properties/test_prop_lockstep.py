@@ -36,6 +36,7 @@ from repro.cpu.icache import ICache
 from repro.cpu.state import CpuContext
 from repro.errors import Breakpoint, Halt, ReproError
 from repro.memory import AddressSpace, PAGE_SIZE, Prot
+from tests.simutil import HostcallLog
 
 CODE_BASE = 0x40_0000
 DATA_BASE = 0x60_0000
@@ -95,7 +96,7 @@ class FuzzEnv:
         self.context.set(Reg.RSP, STACK_TOP - 64)
         self.context.set(Reg.RDI, DATA_BASE)
         self.syscalls = 0
-        self.hostcalls = 0
+        self.hostcall_table = HostcallLog()
 
     def mem_fetch(self, addr, n):
         return self.space.fetch(addr, n)
@@ -109,13 +110,11 @@ class FuzzEnv:
     def on_syscall(self):
         self.syscalls += 1
 
-    def on_hostcall(self, index):
-        self.hostcalls += 1
-
     def state(self):
         ctx = self.context
         return (ctx.rip, tuple(ctx._regs), ctx.flags.zf, ctx.flags.sf,
-                self.cycles.cycles, self.syscalls, self.hostcalls,
+                self.cycles.cycles, self.syscalls,
+                len(self.hostcall_table.calls),
                 bytes(self.space.read_kernel(DATA_BASE, 64)))
 
     def charge(self, event, times=1):

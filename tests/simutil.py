@@ -8,6 +8,18 @@ from repro.kernel import Kernel
 from repro.workloads.programs import ProgramBuilder, data_ref
 
 
+class HostcallLog(dict):
+    """A kernel-less execution environment's ``hostcall_table``: every
+    index resolves to a handler that appends the index to :attr:`calls`."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: List[int] = []
+
+    def __missing__(self, index: int):
+        return lambda env: self.calls.append(index)
+
+
 def make_hello(path: str = "/usr/bin/hello", text: str = "hello\n") -> ProgramBuilder:
     """A program that writes *text* to stdout and exits 0."""
     builder = ProgramBuilder(path)
