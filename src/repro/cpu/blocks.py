@@ -50,11 +50,12 @@ from __future__ import annotations
 
 from repro.cpu.cycles import Event
 from repro.cpu.dispatch import BLOCK_TERMINATORS, slide_nops
-from repro.cpu.engine import form_superblock, run_superblock
+from repro.cpu.engine import form_superblock
 from repro.cpu.icache import Block, TERM_END
 from repro.errors import DecodeError, InvalidOpcode
 
 _MASK64 = (1 << 64) - 1
+_INSTRUCTION = Event.INSTRUCTION
 
 #: Maximum instructions per recorded block (well under the default
 #: scheduler quantum of 100, so loops still re-enter their block).
@@ -74,39 +75,57 @@ def run_unit(env, budget: int) -> int:
 
     With a chaining-enabled :class:`repro.cpu.engine.EngineConfig` on the
     environment's icache, one unit follows the chain of cached blocks
-    (dispatching compiled traces where formed) until a unit-ending
+    (running compiled traces where formed) until a unit-ending
     terminator, an uncached/invalid successor, or the budget; without
     one, a unit is exactly one block.
+
+    A compiled trace is one replay unit: its whole INSTRUCTION charge is
+    made before it runs, and the never-executed tail is un-charged on a
+    guard failure, a constituent invalidation or an exception.  The trace
+    sets ``env.unit_retired = total + k + 1`` before every step *k* that
+    can raise (:mod:`repro.cpu.tracejit`), so the un-charge and the
+    scheduler's retire attribution match the per-block path exactly.
     """
     ctx = env.context
     icache = env.icache
-    block = icache.block_at(ctx.rip)
+    blocks = icache._blocks
+    block = blocks.get(ctx.rip)
     if block is None:
         return _record(env, ctx, icache, budget)
+    icache.block_hits += 1
     engine = icache.engine
     if engine is None or not engine.chain:
         return _replay(env, ctx, block, budget, 0)
-    return _run_chained(env, ctx, icache, engine, block, budget)
-
-
-def _run_chained(env, ctx, icache, engine, block, budget: int) -> int:
-    """Follow the block chain for up to *budget* instructions."""
+    trace_jit = engine.trace_jit
+    charge = env.charge
     total = 0
-    blocks = icache._blocks
     while True:
         sb = block.superblock
         if sb is None:
             heat = block.heat + 1
             block.heat = heat
-            if heat >= HOT_THRESHOLD and engine.trace_jit:
+            if heat >= HOT_THRESHOLD and trace_jit:
                 sb = form_superblock(env, icache, block)
         if (sb is not None and sb.trace and sb.valid
                 and sb.n_steps <= budget - total):
-            n = run_superblock(env, ctx, icache, sb, total)
-            total += n
-            if n < sb.n_steps or sb.tail_end:
-                # Early exit (guard failure / constituent invalidated) or
-                # a unit-ending tail: hand control back to the scheduler.
+            icache.superblock_hits += 1
+            icache.trace_hits += 1
+            n = sb.n_steps
+            charge(_INSTRUCTION, n)
+            try:
+                i = sb.trace(env, ctx, total)
+            except BaseException:
+                overshoot = n - (env.unit_retired - total)
+                if overshoot > 0:
+                    charge(_INSTRUCTION, -overshoot)
+                raise
+            total += i
+            if i < n:
+                # Early exit (guard failure / constituent invalidated):
+                # un-charge the tail and hand control back.
+                charge(_INSTRUCTION, -(n - i))
+                return total
+            if sb.tail_end:
                 return total
             block = sb.blocks[-1]
         else:
@@ -138,7 +157,7 @@ def _replay(env, ctx, block: Block, budget: int, base: int) -> int:
         n = budget
     # Batch the whole unit's instruction charge up front; see module
     # docstring for why every observation point still matches single-step.
-    env.charge(Event.INSTRUCTION, n)
+    env.charge(_INSTRUCTION, n)
     i = 0
     try:
         while i < n:
@@ -159,10 +178,10 @@ def _replay(env, ctx, block: Block, budget: int, base: int) -> int:
         env.unit_retired = base + i + 1
         overshoot = n - i - 1
         if overshoot > 0:
-            env.charge(Event.INSTRUCTION, -overshoot)
+            env.charge(_INSTRUCTION, -overshoot)
         raise
     if i < n:
-        env.charge(Event.INSTRUCTION, -(n - i))
+        env.charge(_INSTRUCTION, -(n - i))
     return i
 
 
@@ -179,7 +198,7 @@ def _record(env, ctx, icache, budget: int) -> int:
     space = getattr(env, "mem_space", None)
     pages = None if space is None else space._fast
     charge = env.charge
-    instruction = Event.INSTRUCTION
+    instruction = _INSTRUCTION
     # Every traced instruction is appended to steps, so executed is also
     # the block length: one bound covers the budget and BLOCK_MAX.
     limit = budget if budget < BLOCK_MAX else BLOCK_MAX

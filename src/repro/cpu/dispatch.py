@@ -44,9 +44,10 @@ from repro.errors import (
     ProtectionKeyFault,
     SegmentationFault,
 )
-from repro.memory.pages import PAGE_SIZE
+from repro.memory.pages import PAGE_SHIFT, PAGE_SIZE, Prot
 
 _MASK64 = (1 << 64) - 1
+_PROT_EXEC = int(Prot.EXEC)
 _PACK_Q = struct.Struct("<Q").pack
 _UNPACK_Q = struct.Struct("<Q").unpack
 
@@ -118,52 +119,60 @@ def _pop(env, ctx) -> int:
 # ---------------------------------------------------------------- compilers
 
 
-#: Length of the single-byte nop run at the start of a byte string.
+#: The single-byte nop run starting at a position of a byte string.
 _NOP_RUN = re.compile(rb"\x90*").match
 
-#: One page of single-byte nops: the constant a slide compares against.
-_NOP_PAGE = b"\x90" * PAGE_SIZE
+#: One page of single-byte nops, as a view: a slide compares a slice of
+#: it against the sled bytes where they lie, with no copy on either side.
+_NOP_VIEW = memoryview(b"\x90" * PAGE_SIZE)
 
-#: Bytes at the end of a fetched chunk that a slide leaves to the regex.
-#: The trampoline sled stops six bytes short of its page end (its
+#: Bytes at the end of a page that a slide leaves to the regex.  The
+#: trampoline sled stops six bytes short of its page end (its
 #: ``HOSTCALL; RET`` tail), so a landing there is one constant compare of
-#: the head plus a match over at most this many bytes.
+#: the rest of the page up to this tail plus a match over at most this
+#: many bytes.
 _SLIDE_TAIL = 16
-
-
-def _nop_run_length(chunk: bytes) -> int:
-    """Length of the single-byte nop run at the start of *chunk* (at most
-    one page): a constant compare of all but its last ``_SLIDE_TAIL``
-    bytes, then the regex over the rest when that head is all nops, or
-    over the whole chunk when it is not."""
-    head = len(chunk) - _SLIDE_TAIL
-    if head > 0 and _NOP_PAGE.endswith(chunk[:head]):
-        return _NOP_RUN(chunk, head).end()
-    return _NOP_RUN(chunk).end()
 
 
 def slide_nops(env, ctx) -> None:
     """Executor of every single-byte nop.
 
     Interpreter optimization: consume the run of single-byte nops (the
-    4,090-byte trampoline sled at address 0) in one step, with one fetch
-    (its EXEC check) and one :func:`_nop_run_length` per page; a short run
-    or a fetch fault ends it.  The run retires as one instruction: sled
-    traversal cost is the TRAMPOLINE_SLED event the interposer handlers
-    charge (zpoline's jump-optimized trampoline costs near-constant time
-    in the landing offset).  The run is re-read from live memory on every
-    execution, so a cached block holding this executor still stops at a
-    byte stored into the sled after it was recorded.
+    4,090-byte trampoline sled at address 0) in one step, one page at a
+    time; a short run or a fetch fault ends it.  A page whose page-map
+    entry (``env.mem_space._fast``) allows EXEC is read in place: fetch
+    is not subject to PKU, so these are the bytes the checked fetch would
+    return.  Any other page takes ``env.mem_fetch``, which fills the
+    entry or raises the fault that ends the slide.  The run retires as
+    one instruction: sled traversal cost is the TRAMPOLINE_SLED event the
+    interposer handlers charge (zpoline's jump-optimized trampoline costs
+    near-constant time in the landing offset).  The run is re-read from
+    live memory on every execution, so a cached block holding this
+    executor still stops at a byte stored into the sled after it was
+    recorded.
     """
+    space = getattr(env, "mem_space", None)
+    pages = None if space is None else space._fast
     while True:
         rip = ctx.rip
-        try:
-            chunk = env.mem_fetch(rip, PAGE_SIZE - rip % PAGE_SIZE)
-        except (SegmentationFault, ProtectionKeyFault):
-            return
-        run_len = _nop_run_length(chunk)
-        ctx.rip = (rip + run_len) & _MASK64
-        if run_len < len(chunk):
+        start = rip & (PAGE_SIZE - 1)
+        entry = None if pages is None else pages.get(rip >> PAGE_SHIFT)
+        if entry is not None and entry[1] & _PROT_EXEC:
+            run = entry[0]
+        else:
+            try:
+                run = env.mem_fetch(rip, PAGE_SIZE - start)
+            except (SegmentationFault, ProtectionKeyFault):
+                return
+            start = 0
+        # run[start:] is the rest of the page either way.
+        head = len(run) - _SLIDE_TAIL
+        if start < head and run.startswith(_NOP_VIEW[start:head], start):
+            end = _NOP_RUN(run, head).end()
+        else:
+            end = _NOP_RUN(run, start).end()
+        ctx.rip = (rip + end - start) & _MASK64
+        if end < len(run):
             return
 
 

@@ -1,17 +1,19 @@
 """Tiered execution engine: block chaining and the trace JIT.
 
 The basic-block translation cache (:mod:`repro.cpu.blocks`) made a
-*block* the unit of replay but still pays a dispatcher round-trip — block
-lookup, heat bookkeeping, a fresh ``run_unit`` frame — per block executed.
-This module adds the two tiers that remove that overhead for hot code:
+*block* the unit of replay but, on its own, still pays a scheduler
+round-trip — a turn-loop iteration, a block lookup and a fresh
+``run_unit`` frame — plus a replay frame per block executed.  This
+module adds the two tiers that remove that overhead for hot code:
 
 1. **Block chaining** — a block ending in a direct jump, a direct call, or
    a fall-through cut caches a reference to its successor block (a
    monomorphic inline cache on ``Block.succ``); steady-state execution
-   follows the chain inside one ``run_unit`` call instead of returning to
-   the scheduler loop per block.  Conditional branches chain too: the edge
-   caches the *last observed* successor and is re-validated against
-   ``ctx.rip`` on every follow.
+   follows the chain inside the one loop of one ``run_unit`` call instead
+   of returning to the scheduler's turn loop per block, at one replay
+   frame per block.  Conditional branches chain too: the edge caches the
+   *last observed* successor and is re-validated against ``ctx.rip`` on
+   every follow.
 2. **Hot chain → compiled trace** — when a block's replay count reaches
    :data:`repro.cpu.blocks.HOT_THRESHOLD`, the hot chain starting there is
    stitched (across direct edges and last-observed conditional edges,
@@ -22,10 +24,11 @@ This module adds the two tiers that remove that overhead for hot code:
    single-page memory fast path over the address space's page map (see
    :meth:`repro.memory.address_space.AddressSpace.page_entry`).  A trace
    is one replay unit with **one** batched INSTRUCTION charge and one
-   budget check.  Conditional edges inside it are *guards*: if the branch
-   goes the other way, the trace returns early, the unexecuted tail is
-   un-charged, and the interpreter resumes at the architecturally-correct
-   RIP.  A declined compile leaves the blocks running chained.
+   budget check, run inline by ``run_unit``'s chained loop: a superblock
+   costs one host frame, the trace's own.  Conditional edges inside it
+   are *guards*: if the branch goes the other way, the trace returns
+   early, the unexecuted tail is un-charged, and the interpreter resumes
+   at the architecturally-correct RIP.  A declined compile leaves the blocks running chained.
 
 Escape hatches (each disables its tier *and everything above it*):
 
@@ -69,7 +72,6 @@ from __future__ import annotations
 import os
 from typing import List
 
-from repro.cpu.cycles import Event
 from repro.cpu.icache import Block, TERM_END, TERM_INDIRECT
 from repro.cpu.tracejit import compile_superblock
 
@@ -188,30 +190,3 @@ def form_superblock(env, icache, head: Block) -> Superblock:
     if superblock.trace is not False:
         icache.traces_compiled += 1
     return superblock
-
-
-def run_superblock(env, ctx, icache, sb: Superblock, base: int) -> int:
-    """Run *sb*'s compiled trace.
-
-    *base* is the number of instructions already retired this unit; fault
-    paths report ``env.unit_retired = base + <in-superblock index> + 1``
-    so the scheduler's attribution matches the per-block path exactly.
-    Returns the number of steps retired (``< n_steps`` on a guard failure
-    or a constituent invalidation, with the overshoot un-charged).
-    """
-    icache.superblock_hits += 1
-    icache.trace_hits += 1
-    n = sb.n_steps
-    env.charge(Event.INSTRUCTION, n)
-    try:
-        i = sb.trace(env, ctx, base)
-    except BaseException:
-        # The trace maintains env.unit_retired before every step that
-        # can raise; un-charge only the never-executed tail.
-        overshoot = n - (env.unit_retired - base)
-        if overshoot > 0:
-            env.charge(Event.INSTRUCTION, -overshoot)
-        raise
-    if i < n:
-        env.charge(Event.INSTRUCTION, -(n - i))
-    return i

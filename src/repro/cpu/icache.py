@@ -208,6 +208,8 @@ class ICache:
         self._rec_doomed = False
         self.hits = 0
         self.misses = 0
+        # Units that started on a cached block (:func:`run_unit
+        # <repro.cpu.blocks.run_unit>` probes ``_blocks`` directly).
         self.block_hits = 0
         self.block_installs = 0
         # Engine-tier counters (repro.cpu.engine / repro.cpu.tracejit).
@@ -283,12 +285,6 @@ class ICache:
         return line
 
     # -- block interface -------------------------------------------------------
-
-    def block_at(self, entry: int) -> Optional[Block]:
-        block = self._blocks.get(entry)
-        if block is not None:
-            self.block_hits += 1
-        return block
 
     def install_block(self, block: Block) -> None:
         entry = block.entry

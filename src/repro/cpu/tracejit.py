@@ -25,10 +25,11 @@ as replaying its blocks, minus the per-instruction overhead:
   guard failure *is* just an early return (the caller un-charges the
   tail and block replay resumes).
 
-Fault accounting contract with :func:`repro.cpu.engine.run_superblock`:
-before every step that can raise, the generated code sets
-``env.unit_retired = base + k + 1`` (*k* the 0-based step index), so the
-caller's un-charge and the scheduler's retire attribution match the
+Fault accounting contract with the chained loop of
+:func:`repro.cpu.blocks.run_unit`: before every step that can raise, the
+generated code sets ``env.unit_retired = base + k + 1`` (*k* the 0-based
+step index, *base* the instructions the unit retired before the trace),
+so the loop's un-charge and the scheduler's retire attribution match the
 per-block replay path bit-for-bit.
 
 Compilation happens once, when :func:`repro.cpu.engine.form_superblock`

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.arch.registers import Reg
 from repro.cpu.blocks import run_unit
@@ -61,8 +61,19 @@ from repro.observability.events import (IcacheShootdown, ProcessLifecycle,
 #: Scheduler quantum: instructions per thread turn.
 DEFAULT_QUANTUM = 100
 
+#: The CPU faults a thread's unit can raise, each delivered as a
+#: synchronous signal (:meth:`Kernel._fault`).
+_CPU_FAULTS = (SegmentationFault, InvalidOpcode, Breakpoint, Halt)
+
 _MASK64 = (1 << 64) - 1
 _RCX, _R11 = int(Reg.RCX), int(Reg.R11)
+
+
+def _step_one(thread: Thread, budget: int) -> int:
+    """The single-step tier's unit: one instruction, whatever *budget*."""
+    thread.unit_retired = 1
+    cpu_step(thread)
+    return 1
 
 
 @dataclass
@@ -570,18 +581,22 @@ class Kernel:
         except ProcessExited as exc:
             self._terminate(thread.process, exc)
             return False
-        except SegmentationFault as exc:
-            return self._fault(thread, SIGSEGV, {"addr": exc.address,
-                                                 "access": exc.access,
-                                                 "reason": exc.reason})
-        except InvalidOpcode as exc:
-            return self._fault(thread, SIGILL, {"addr": exc.address})
-        except Breakpoint as exc:
-            return self._fault(thread, SIGTRAP, {"addr": exc.address})
-        except Halt:
-            return self._fault(thread, SIGSEGV, {"reason": "hlt"})
+        except _CPU_FAULTS as exc:
+            return self._fault(thread, exc)
 
-    def _fault(self, thread: Thread, signal: int, info: Dict) -> bool:
+    def _fault(self, thread: Thread, exc: Exception) -> bool:
+        """Deliver the synchronous signal of CPU fault *exc*; returns
+        False when it killed the process."""
+        if isinstance(exc, SegmentationFault):
+            signal, info = SIGSEGV, {"addr": exc.address,
+                                     "access": exc.access,
+                                     "reason": exc.reason}
+        elif isinstance(exc, InvalidOpcode):
+            signal, info = SIGILL, {"addr": exc.address}
+        elif isinstance(exc, Breakpoint):
+            signal, info = SIGTRAP, {"addr": exc.address}
+        else:
+            signal, info = SIGSEGV, {"reason": "hlt"}
         try:
             self.deliver_signal(thread, signal, fault_rip=thread.context.rip,
                                 info=info, sync=True)
@@ -600,55 +615,61 @@ class Kernel:
         if self.interposer is not None:
             self.interposer.on_process_exit(process)
 
-    def _step_unit(self, thread: Thread, budget: int) -> Tuple[int, bool]:
-        """Execute up to *budget* instructions as one unit.
+    def _turn(self, thread: Thread, left: int) -> int:
+        """One scheduler turn of *thread*; returns instructions retired.
 
-        Returns ``(retired, alive)``.  With the block cache disabled this
-        is exactly one :meth:`step_thread`; with it enabled, a recorded
-        block replays in one call.  Retire attribution on a fault matches
-        the per-step loop: the faulting instruction counts iff its signal
-        was delivered (``thread.unit_retired`` marks it within the unit).
+        The turn runs units (one instruction each without the block
+        cache, a block or chain of blocks with it) until the thread has
+        used its quantum, stops being runnable, or has retired *left*
+        instructions.  The cap is checked after each unit, so a turn
+        retires at least one instruction even when *left* is not
+        positive.  A fault becomes its signal: the faulting instruction
+        counts iff the signal was delivered (``thread.unit_retired``
+        marks it within the unit), and a process exit leaves the final
+        instruction uncounted.
 
-        Fault injection: an attached engine clips the unit budget so unit
-        boundaries land *exactly* on instruction-count trigger points (a
-        replayed block is doomed to end at the trigger rather than run
-        past it), and its ``on_unit_boundary`` hook then fires triggers at
-        identical retire counts in both interpreter modes.
+        Fault injection: an attached engine clips each unit's budget so
+        unit boundaries land *exactly* on instruction-count trigger
+        points, and its ``on_unit_boundary`` hook then fires triggers at
+        identical retire counts in every tier.
         """
+        execute = run_unit if self.block_cache_enabled else _step_one
         fi = self.fault_injector
-        if not self.block_cache_enabled:
-            alive = self.step_thread(thread)
-            n = 1 if alive else 0
-        else:
+        quantum = self.quantum
+        process = thread.process
+        done = 0
+        while done < quantum:
+            if thread.exited or process.exited or \
+                    thread.block_condition is not None:
+                break
+            budget = quantum - done
+            rest = left - done
+            if rest < budget:
+                budget = rest if rest > 1 else 1
             if fi is not None:
                 budget = fi.clip_budget(budget)
             thread.unit_retired = 0
             try:
-                n, alive = run_unit(thread, budget), True
+                done += execute(thread, budget)
             except ProcessExited as exc:
-                self._terminate(thread.process, exc)
-                n, alive = thread.unit_retired - 1, False
-            except SegmentationFault as exc:
-                alive = self._fault(thread, SIGSEGV, {"addr": exc.address,
-                                                      "access": exc.access,
-                                                      "reason": exc.reason})
-                n = thread.unit_retired - (0 if alive else 1)
-            except InvalidOpcode as exc:
-                alive = self._fault(thread, SIGILL, {"addr": exc.address})
-                n = thread.unit_retired - (0 if alive else 1)
-            except Breakpoint as exc:
-                alive = self._fault(thread, SIGTRAP, {"addr": exc.address})
-                n = thread.unit_retired - (0 if alive else 1)
-            except Halt:
-                alive = self._fault(thread, SIGSEGV, {"reason": "hlt"})
-                n = thread.unit_retired - (0 if alive else 1)
-        if alive and fi is not None:
-            try:
-                fi.on_unit_boundary(thread)
-            except ProcessExited as exc:
-                self._terminate(thread.process, exc)
-                alive = False
-        return n, alive
+                self._terminate(process, exc)
+                done += thread.unit_retired - 1
+                break
+            except _CPU_FAULTS as exc:
+                if not self._fault(thread, exc):
+                    done += thread.unit_retired - 1
+                    break
+                done += thread.unit_retired
+            if fi is not None:
+                try:
+                    fi.on_unit_boundary(thread)
+                except ProcessExited as exc:
+                    self._terminate(process, exc)
+                    break
+            if done >= left:
+                break
+        self._quantum_boundary(thread)
+        return done
 
     def runnable_threads(self) -> List[Thread]:
         threads = []
@@ -666,11 +687,10 @@ class Kernel:
     def run(self, max_steps: int = 5_000_000) -> int:
         """Round-robin scheduler; returns instructions retired.
 
-        Turns are executed in units (single instructions, or cached basic
-        blocks): per-unit budgets are capped by both the remaining quantum
-        and ``max_steps`` so the retire count — including the historical
+        Each turn (:meth:`_turn`) caps its units by both the remaining
+        quantum and ``max_steps``, so the retire count — including the
         one-extra-step-per-remaining-thread overshoot once the cap is hit
-        mid-round — is identical to the per-step loop this replaces.
+        mid-round — is the same in every engine tier.
         """
         retired = 0
         while retired < max_steps:
@@ -686,24 +706,10 @@ class Kernel:
                 break
             progressed = False
             for thread in threads:
-                done = 0
-                while done < self.quantum:
-                    if not thread.runnable:
-                        break
-                    cap = self.quantum - done
-                    remaining = max_steps - retired
-                    if remaining < cap:
-                        # The per-step loop checked the cap *after* each
-                        # step, so every thread still gets >= 1 step.
-                        cap = remaining if remaining > 1 else 1
-                    n, alive = self._step_unit(thread, cap)
-                    retired += n
-                    done += n
-                    if n:
-                        progressed = True
-                    if not alive or retired >= max_steps:
-                        break
-                self._quantum_boundary(thread)
+                done = self._turn(thread, max_steps - retired)
+                if done:
+                    retired += done
+                    progressed = True
             if self.recorder is not None:
                 self.recorder.on_round_boundary(retired)
             if self.admission is not None:
@@ -724,18 +730,9 @@ class Kernel:
             if not threads:
                 break
             for thread in threads:
-                done = 0
-                # NB: per the historical loop, a turn runs its full quantum
-                # even when it crosses max_steps (the cap is outer-loop only).
-                while done < self.quantum:
-                    if not thread.runnable:
-                        break
-                    n, alive = self._step_unit(thread, self.quantum - done)
-                    retired += n
-                    done += n
-                    if not alive:
-                        break
-                self._quantum_boundary(thread)
+                # A turn runs its full quantum even when it crosses
+                # max_steps: this loop checks the cap between rounds only.
+                retired += self._turn(thread, self.quantum)
             if self.recorder is not None:
                 self.recorder.on_round_boundary(retired)
             if self.admission is not None and \

@@ -141,7 +141,7 @@ def test_block_max_bounds_recording():
     env = build(writer)
     n = run_unit(env, 1000)
     assert n == BLOCK_MAX
-    block = env.icache.block_at(CODE_BASE)
+    block = env.icache._blocks[CODE_BASE]
     assert len(block.steps) == BLOCK_MAX
 
 
@@ -152,7 +152,7 @@ def test_nop_sled_is_cached_but_lands_live():
     assert env.context.rip == CODE_BASE + 50
     assert env.cycles.counts[Event.INSTRUCTION] == 1
     assert env.icache.block_installs == 1
-    block = env.icache.block_at(CODE_BASE)
+    block = env.icache._blocks[CODE_BASE]
     assert len(block.steps) == 1
     # A kernel store mid-sled invalidates nothing: the block caches only
     # the first nop's decode, and its slide re-reads memory.
@@ -172,7 +172,7 @@ def test_block_stops_before_nop_sled():
                            a.nop(10), a.ret()))
     n = run_unit(env, 100)
     assert n == 2                       # block ends before the sled
-    block = env.icache.block_at(CODE_BASE)
+    block = env.icache._blocks[CODE_BASE]
     assert len(block.steps) == 2
 
 
@@ -245,10 +245,10 @@ def test_remote_store_leaves_block_stale():
 def test_invalidate_range_drops_overlapping_block():
     env = build(lambda a: (a.mov_ri(Reg.RAX, 5), a.ret()))
     run_unit(env, 100)
-    assert env.icache.block_at(CODE_BASE) is not None
+    assert CODE_BASE in env.icache._blocks
     hits_before = env.icache.block_hits
     env.icache.invalidate_range(CODE_BASE + 2, 1)
-    assert env.icache.block_at(CODE_BASE) is None
+    assert CODE_BASE not in env.icache._blocks
     assert env.icache.block_hits == hits_before      # misses are not hits
 
 

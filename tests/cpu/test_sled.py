@@ -210,7 +210,7 @@ def test_trampoline_landings(monkeypatch, landing, xom):
     assert out[-1][1] == 2 + 2 * WARM
     assert out[-1][3] == (HOSTCALL_INDEX,) * (1 + WARM)
     for mode in ("block-cache", "chain", "trace-jit"):
-        assert len(envs[mode].icache.block_at(landing).steps) == 1
+        assert len(envs[mode].icache._blocks[landing].steps) == 1
     assert slide_traces(envs["trace-jit"])
     assert envs["trace-jit"].icache.trace_hits
 
