@@ -38,7 +38,7 @@ from repro.interposers.base import (
     install_trampoline,
     write_selector,
 )
-from repro.interposers.zpoline import rewrite_site_safely
+from repro.interposers.zpoline import rewrite_sites_safely
 from repro.kernel.syscalls import (
     K23_FAKE_SYSCALL_DETACH,
     K23_FAKE_SYSCALL_STATE,
@@ -106,9 +106,10 @@ class LibK23:
         timeline.append(("libk23:trampoline", 0))
 
         # Single selective rewrite of pre-validated sites (§5.2 step ④).
-        for site in self._resolve_logged_sites(process, state):
-            rewrite_site_safely(kernel, process, site)
-            state["rewritten"].append(site)
+        sites = self._resolve_logged_sites(process, state)
+        rewrite_sites_safely(kernel, process, sites)
+        state["rewritten"].extend(sites)
+        for site in sites:
             state["hashset"].add(site)
         timeline.append(("libk23:rewrote", len(state["rewritten"])))
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faultinject.conformance import (Observation, WORKLOADS,
                                            conformance_config, run_cell)
-from repro.faultinject.schedule import FaultConfig
+from repro.faultinject.schedule import FaultConfig, build_schedule
 
 ORACLE = "native"
 
@@ -136,10 +136,12 @@ def run_matrix(mechanisms: Optional[Sequence[str]] = None,
     """Run the full differential matrix and collect verdicts.
 
     The oracle cell for each (workload, seed) is run once and shared by
-    every mechanism's diff.  With ``jobs > 1`` the cells fan out over a
-    process pool; each cell is a pure function of its arguments (fixed
-    kernel seed, pre-drawn schedule), so the parallel matrix is
-    cell-for-cell identical to the serial one — only wall-clock changes.
+    every mechanism's diff.  Each seed's fault schedule is built once,
+    before the first kernel, and handed to every cell of that seed.  With
+    ``jobs > 1`` the cells fan out over a process pool; each cell is a
+    pure function of its arguments (fixed kernel seed, pre-drawn
+    schedule), so the parallel matrix is cell-for-cell identical to the
+    serial one — only wall-clock changes.
     """
     from repro.interposers.registry import REGISTRY
 
@@ -149,6 +151,9 @@ def run_matrix(mechanisms: Optional[Sequence[str]] = None,
         if wl not in WORKLOADS:
             raise ValueError(f"unknown workload {wl!r}")
     config = config or conformance_config()
+    schedules = {seed: build_schedule(seed, config) for seed in seeds}
+    for schedule in schedules.values():
+        schedule.digest()  # cached, so pooled cells receive it computed
     matrix = ConformanceMatrix(names, tuple(workloads), tuple(seeds))
     cells = [(mech, workload, seed)
              for workload in workloads for seed in seeds
@@ -160,14 +165,15 @@ def run_matrix(mechanisms: Optional[Sequence[str]] = None,
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                key: pool.submit(run_cell, *key, config=config,
+                key: pool.submit(run_cell, *key,
+                                 schedule=schedules[key[2]],
                                  block_cache=block_cache)
                 for key in cells}
             for key, future in futures.items():
                 observations[key] = future.result()
     else:
         for key in cells:
-            observations[key] = run_cell(*key, config=config,
+            observations[key] = run_cell(*key, schedule=schedules[key[2]],
                                          block_cache=block_cache)
     for workload in workloads:
         for seed in seeds:

@@ -230,8 +230,15 @@ def run_cell(mechanism: str, workload: str, seed: int,
              config: Optional[FaultConfig] = None,
              block_cache: Optional[bool] = None,
              max_steps: int = 10_000_000,
-             trace_sink=None) -> Observation:
+             trace_sink=None,
+             schedule: Optional[FaultSchedule] = None) -> Observation:
     """Run one conformance cell and snapshot its observable state.
+
+    ``schedule`` is the cell's pre-built fault schedule, which must be
+    ``build_schedule(seed, config or conformance_config())``;
+    :func:`repro.evaluation.conformance.run_matrix` builds one per seed
+    and shares it across that seed's cells.
+    Without it the cell builds its own.
 
     ``trace_sink`` (any bus sink, typically a
     :class:`~repro.observability.export.TraceSink`) rides along on the
@@ -243,7 +250,8 @@ def run_cell(mechanism: str, workload: str, seed: int,
     if workload not in WORKLOADS:
         raise ValueError(f"unknown conformance workload {workload!r}; "
                          f"valid: {', '.join(WORKLOADS)}")
-    schedule = build_schedule(seed, config or conformance_config())
+    if schedule is None:
+        schedule = build_schedule(seed, config or conformance_config())
     # Counters ride along on every cell (prepare always attaches a
     # CounterSink): the bus is observe-only, so an attached sink cannot
     # perturb the run (the lockstep property tests pin this), and the
@@ -261,5 +269,14 @@ def run_cell(mechanism: str, workload: str, seed: int,
         raise RuntimeError(
             f"conformance cell did not finish: {mechanism}/{workload}"
             f"/seed={seed} ({max_steps} steps)")
-    return _observe(kernel, process, mechanism, workload, seed,
-                    prepared.injector, schedule, sink=prepared.counters)
+    observation = _observe(kernel, process, mechanism, workload, seed,
+                           prepared.injector, schedule,
+                           sink=prepared.counters)
+    # The kernel is garbage from here on, and cyclic, so only the cyclic
+    # collector would free it, scanning it first.  Its decoded lines and
+    # blocks are most of it; dropping them now lets reference counting
+    # free them at once, so later cells' collections do not scan them.
+    for proc in kernel.processes.values():
+        for thread in proc.threads:
+            thread.icache.flush_all()
+    return observation

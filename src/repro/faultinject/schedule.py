@@ -201,6 +201,7 @@ class FaultSchedule:
         self.config = config
         self.errno_draws: Tuple[Tuple[float, int], ...] = tuple(errno_draws)
         self.faults: Tuple[Fault, ...] = tuple(faults)
+        self._digest: Optional[str] = None
 
     def by_trigger(self, trigger: str) -> List[Fault]:
         return [f for f in self.faults if f.trigger == trigger]
@@ -222,7 +223,11 @@ class FaultSchedule:
         return "\n".join(lines).encode()
 
     def digest(self) -> str:
-        return hashlib.sha256(self.encode()).hexdigest()
+        """SHA-256 of :meth:`encode`, computed on the first call: a
+        schedule is never changed after it is built."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(self.encode()).hexdigest()
+        return self._digest
 
     def to_json(self) -> Dict:
         """Serialize the *complete* schedule — config, every pre-drawn

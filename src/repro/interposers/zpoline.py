@@ -27,7 +27,7 @@ Faithful pitfalls:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.arch.disassembler import find_syscall_sites_linear
 from repro.cpu.cycles import Event
@@ -38,42 +38,42 @@ from repro.interposers.base import (
     prepend_ld_preload,
 )
 from repro.memory.bitmap import AddressBitmap
-from repro.memory.pages import PAGE_SIZE, Prot, page_base, round_up_pages
 from repro.observability.events import RewriteApplied
 
 LIB_PATH = "/opt/interposers/libzpoline.so"
 
 CALL_RAX = b"\xff\xd0"
 
-#: The patch window's permissions while the two bytes are stored.
-PROT_RWX = Prot.READ | Prot.WRITE | Prot.EXEC
 
-
-def rewrite_site_safely(kernel, process, address: int) -> None:
+def rewrite_sites_safely(kernel, process, sites: Sequence[int]) -> None:
     """The correct cross-modifying-code protocol (what zpoline and K23 do,
-    and lazypoline does not): save page permissions, make the page
-    writable, store both bytes in one shot, restore the *saved*
-    permissions, and invalidate every core's instruction stream."""
+    and lazypoline does not), applied to every site in *sites*, in order:
+    save page permissions, make the page writable, store both bytes in one
+    shot, restore the *saved* permissions, and invalidate every core's
+    instruction stream.
+
+    Every site makes the protocol's four charges and emits its
+    ``RewriteApplied``.  The host does the work per page, not per site:
+    the store is kernel-privileged and the saved permissions come back
+    unchanged, so no host ``mprotect`` runs, and each core's icache
+    drops the patched lines and blocks in one pass
+    (:meth:`~repro.cpu.icache.ICache.invalidate_sites`).
+    """
     space = process.address_space
-    saved_prot = space.prot_at(address)
-    saved_prot_next = space.prot_at(address + 1)
-    start = page_base(address)
-    span = round_up_pages((address + 2) - start)
-    kernel.cycles.charge(Event.MPROTECT)
-    space.mprotect(start, span, PROT_RWX)
-    space.write_kernel(address, CALL_RAX)  # single atomic 2-byte store
-    kernel.cycles.charge(Event.MPROTECT)
-    space.mprotect(start, PAGE_SIZE, saved_prot)
-    if span > PAGE_SIZE:
-        space.mprotect(start + PAGE_SIZE, span - PAGE_SIZE, saved_prot_next)
-    kernel.cycles.charge(Event.ICACHE_FLUSH)
+    charge = kernel.cycles.charge
+    bus = kernel.bus
+    for address in sites:
+        charge(Event.MPROTECT)
+        space.write_kernel(address, CALL_RAX)  # single atomic 2-byte store
+        charge(Event.MPROTECT)
+        charge(Event.ICACHE_FLUSH)
+        charge(Event.REWRITE_SITE)
+        if bus.enabled:
+            bus.emit(RewriteApplied, ts=kernel.cycles.cycles,
+                     pid=process.pid, tid=0, site=address,
+                     protocol="static-safe", atomic=True, coherent=True)
     for thread in process.threads:
-        thread.icache.invalidate_range(address, 2)
-    kernel.cycles.charge(Event.REWRITE_SITE)
-    if kernel.bus.enabled:
-        kernel.bus.emit(RewriteApplied, ts=kernel.cycles.cycles,
-                        pid=process.pid, tid=0, site=address,
-                        protocol="static-safe", atomic=True, coherent=True)
+        thread.icache.invalidate_sites(sites)
 
 
 class ZpolineInterposer(Interposer):
@@ -107,14 +107,15 @@ class ZpolineInterposer(Interposer):
             "bitmap": AddressBitmap() if self.variant == "ultra" else None,
         }
         process.interposer_state["zpoline"] = state
-        for region_base, region_len, region_name in self._scan_targets(process):
+        sites = state["rewritten"]
+        for region_base, region_len, _name in self._scan_targets(process):
             code = process.address_space.read_kernel(region_base, region_len)
-            for offset in find_syscall_sites_linear(code):
-                site = region_base + offset
-                rewrite_site_safely(self.kernel, process, site)
-                state["rewritten"].append(site)
-                if state["bitmap"] is not None:
-                    state["bitmap"].set(site)
+            sites.extend(region_base + offset
+                         for offset in find_syscall_sites_linear(code))
+        rewrite_sites_safely(self.kernel, process, sites)
+        if state["bitmap"] is not None:
+            for site in sites:
+                state["bitmap"].set(site)
 
     def _scan_targets(self, process) -> List[tuple]:
         """Maximal executable page runs present at load time, excluding the
@@ -124,20 +125,9 @@ class ZpolineInterposer(Interposer):
         therefore skipped, exactly like a real rewriter walking PT_LOAD
         segments by their protection.
         """
-        targets = []
         space = process.address_space
-        for region in space.regions:
-            if region.name in ("[trampoline]", LIB_PATH, "[vdso]"):
-                continue
-            run_start = None
-            addr = region.start
-            while addr <= region.end:
-                executable = (addr < region.end
-                              and space.prot_at(addr) & Prot.EXEC)
-                if executable and run_start is None:
-                    run_start = addr
-                elif not executable and run_start is not None:
-                    targets.append((run_start, addr - run_start, region.name))
-                    run_start = None
-                addr += PAGE_SIZE
-        return targets
+        return [(base, length, region.name)
+                for region in space.regions
+                if region.name not in ("[trampoline]", LIB_PATH, "[vdso]")
+                for base, length in space.exec_runs(region.start,
+                                                    region.end)]

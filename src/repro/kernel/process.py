@@ -70,6 +70,14 @@ class Thread:
 
     def __init__(self, process: "Process", core_id: int = 0):
         self.process = process
+        #: The live address space — the trace JIT's and the first fetch's
+        #: page map.  A plain attribute, read on every trace run and
+        #: slide: ``sys_execve``, the one place a live process gets a new
+        #: space, rebinds it.  Exposing it is the promise (see
+        #: :mod:`repro.cpu.engine`) that ``mem_read``/``mem_write`` below
+        #: are exactly ``mem_space.read/write(.., pkru=self.context.pkru)``
+        #: and ``mem_fetch`` is exactly ``mem_space.fetch``.
+        self.mem_space: AddressSpace = process.address_space
         self.tid = process.kernel.new_tid()
         self.context = CpuContext()
         self.icache = ICache(core_id, engine=process.kernel.engine)
@@ -123,27 +131,14 @@ class Thread:
 
     # -- execution-environment protocol (repro.cpu.core.step) ------------------
 
-    @property
-    def mem_space(self) -> AddressSpace:
-        """The live address space — the trace JIT's and the first
-        fetch's page map.
-
-        Exposing this attribute is the promise (see
-        :mod:`repro.cpu.engine`) that ``mem_read``/``mem_write`` below are
-        exactly ``address_space.read/write(.., pkru=self.context.pkru)``
-        and ``mem_fetch`` is exactly ``address_space.fetch``.
-        """
-        return self.process.address_space
-
     def mem_fetch(self, addr: int, length: int) -> bytes:
-        return self.process.address_space.fetch(addr, length)
+        return self.mem_space.fetch(addr, length)
 
     def mem_read(self, addr: int, length: int) -> bytes:
-        return self.process.address_space.read(addr, length,
-                                               pkru=self.context.pkru)
+        return self.mem_space.read(addr, length, pkru=self.context.pkru)
 
     def mem_write(self, addr: int, data: bytes) -> None:
-        self.process.address_space.write(addr, data, pkru=self.context.pkru)
+        self.mem_space.write(addr, data, pkru=self.context.pkru)
 
     def charge(self, event: Event, times: int = 1) -> None:
         # Shadowed by the bound-method alias set in __init__; kept as the

@@ -923,6 +923,7 @@ def do_execve(kernel, thread: Thread, path: str, argv: List[str],
     process.vdso_enabled = not (tracer is not None and not tracer.detached
                                 and tracer.disable_vdso)
     process.threads = [thread]
+    thread.mem_space = process.address_space
     # SUD does not survive exec (the kernel clears the config with the rest
     # of the mm), and neither do signal frames, masks, or queued signals —
     # they reference the torn-down image.

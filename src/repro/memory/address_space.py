@@ -245,6 +245,25 @@ class AddressSpace:
         """Protection of the page containing *addr* (NONE if unmapped)."""
         return self._prot.get(page_index(addr), Prot.NONE)
 
+    def exec_runs(self, start: int, end: int) -> List[Tuple[int, int]]:
+        """Maximal runs of executable pages in the page-aligned range
+        ``[start, end)``, as ``(base, length)`` pairs in address order."""
+        prots = self._prot
+        runs: List[Tuple[int, int]] = []
+        run_start = None
+        for idx in range(start // PAGE_SIZE, end // PAGE_SIZE):
+            if int(prots.get(idx, 0)) & _PROT_EXEC:
+                if run_start is None:
+                    run_start = idx
+            elif run_start is not None:
+                runs.append((run_start * PAGE_SIZE,
+                             (idx - run_start) * PAGE_SIZE))
+                run_start = None
+        if run_start is not None:
+            runs.append((run_start * PAGE_SIZE,
+                         end - run_start * PAGE_SIZE))
+        return runs
+
     def pkey_at(self, addr: int) -> int:
         return self._pkey.get(page_index(addr), PKEY_DEFAULT)
 

@@ -7,8 +7,11 @@ exits non-zero on any divergence.  ``--both-modes`` repeats the matrix
 with the block-translation cache disabled and additionally fails if any
 cell's verdict differs between the two interpreter modes (schedule
 determinism must hold across them).  ``--smoke`` shrinks the matrix to a
-CI-sized corner (stress+cat, seeds 1-2); ``--jobs N`` fans the cells out
-over a process pool (cell-for-cell identical to serial); ``--trace-out``
+CI-sized corner (stress+cat, seeds 1-2).  Only the default matrix
+writes the committed artifact (``benchmarks/output/CONFORMANCE_matrix.json``)
+without ``--out``; any other matrix exits 2 unless ``--out`` names a
+file.  ``--jobs N`` fans the cells out over a process pool
+(cell-for-cell identical to serial); ``--trace-out``
 additionally records one representative cell through the instrumentation
 bus and writes a Perfetto trace — the bus is observe-only, so verdicts
 are byte-identical with tracing on or off.
@@ -17,6 +20,7 @@ are byte-identical with tracing on or off.
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import List, Optional
 
 from repro.evaluation.conformance import (ARTIFACT_PATH, DEFAULT_SEEDS,
@@ -47,8 +51,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--both-modes", action="store_true",
                         help="also run with the block cache disabled and "
                              "require identical verdicts")
-    parser.add_argument("--out", default=str(ARTIFACT_PATH),
-                        help=f"JSON artifact path (default: {ARTIFACT_PATH})")
+    parser.add_argument("--out", default=None,
+                        help=f"JSON artifact path (default: {ARTIFACT_PATH}, "
+                             "which only the default matrix may write)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized matrix: workloads "
                              f"{'+'.join(SMOKE_WORKLOADS)}, seeds "
@@ -69,12 +74,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         workloads = args.workloads
         seeds = list(range(args.seed, args.seed + args.seeds))
+    default_matrix = (args.mechanisms is None
+                      and tuple(workloads) == DEFAULT_WORKLOADS
+                      and tuple(seeds) == DEFAULT_SEEDS)
+    if args.out is None and not default_matrix:
+        print(f"conformance: only the default matrix writes {ARTIFACT_PATH};"
+              " pass --out FILE for any other matrix", file=sys.stderr)
+        return 2
     matrix = run_matrix(mechanisms=args.mechanisms,
                         workloads=workloads, seeds=seeds,
                         jobs=max(1, args.jobs),
                         verbose=args.verbose)
     print(matrix.render())
-    artifact = matrix.write_artifact(args.out)
+    artifact = matrix.write_artifact(args.out or ARTIFACT_PATH)
     print(f"\nartifact: {artifact}")
     status = 0 if matrix.ok else 1
 

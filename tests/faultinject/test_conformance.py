@@ -1,13 +1,15 @@
 """Differential conformance determinism: same seed ⇒ same verdicts, with
 the block cache on or off (ISSUE satellite: determinism coverage)."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
 from repro.evaluation.conformance import run_matrix
 from repro.faultinject.conformance import (conformance_config, run_cell)
-from repro.faultinject.schedule import build_schedule
+from repro.faultinject.schedule import FaultSchedule, build_schedule
 
 SMOKE_MECHANISMS = ("native", "SUD", "zpoline-default", "K23-default")
 
@@ -68,3 +70,136 @@ class TestRegressions:
         obs = run_cell("native", "cat", 5, max_steps=400_000)
         assert obs.exit_status == 0
         assert any("openat" in line for line in obs.injections)
+
+
+def schedule_builds(monkeypatch, tmp_path):
+    """Patch ``FaultSchedule.__init__`` to log the pid of every schedule
+    built (forked pool workers inherit the patch); returns a callable
+    that reads the log.  Unpickling a schedule builds none."""
+    log = tmp_path / "builds"
+    log.touch()
+    real = FaultSchedule.__init__
+
+    def recorded(self, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FaultSchedule, "__init__", recorded)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+class TestSharedSchedules:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_schedule_per_seed(self, jobs, monkeypatch, tmp_path):
+        builds = schedule_builds(monkeypatch, tmp_path)
+        matrix = run_matrix(mechanisms=("native", "SUD"),
+                            workloads=("stress", "cat"), seeds=(1, 2, 3),
+                            jobs=jobs)
+        assert matrix.ok, matrix.render()
+        assert len(matrix.verdicts) == 6
+        assert builds() == [os.getpid()] * 3
+
+    def test_shared_schedule_cell_equals_own_schedule_cell(self,
+                                                           monkeypatch):
+        """Every mechanism on stress and cat, seeds 1-2: a cell handed
+        the schedule ``run_matrix`` built observes exactly what a cell
+        that builds its own does, counters included."""
+        import repro.evaluation.conformance as matrix_module
+        from repro.interposers.registry import REGISTRY
+
+        compared = []
+
+        def both(mechanism, workload, seed, schedule=None, **kwargs):
+            assert schedule is not None
+            shared = run_cell(mechanism, workload, seed, schedule=schedule,
+                              **kwargs)
+            own = run_cell(mechanism, workload, seed, **kwargs)
+            assert shared == own
+            assert shared.counters == own.counters
+            assert shared.injections == own.injections
+            assert shared.schedule_sha == own.schedule_sha
+            compared.append((mechanism, workload, seed))
+            return shared
+
+        monkeypatch.setattr(matrix_module, "run_cell", both)
+        run_matrix(workloads=("stress", "cat"), seeds=(1, 2))
+        assert len(REGISTRY.names()) == 9
+        assert sorted(compared) == sorted(
+            (mech, wl, seed) for mech in REGISTRY.names()
+            for wl in ("stress", "cat") for seed in (1, 2))
+
+    def test_cached_digest_is_the_encoding_hash(self):
+        schedule = build_schedule(4, conformance_config())
+        first = schedule.digest()
+        assert first == hashlib.sha256(schedule.encode()).hexdigest()
+        assert schedule.digest() is first
+
+
+class TestCliOutputGuard:
+    """Only the default matrix may write the committed artifact without
+    ``--out``; any other matrix exits 2 naming it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--smoke"], ["--seeds", "2"], ["--seed", "3"],
+        ["--workloads", "stress"], ["--mechanisms", "native", "SUD"]])
+    def test_other_matrix_without_out_exits_2(self, argv, monkeypatch,
+                                              tmp_path, capsys):
+        from repro.tools import conformance
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(conformance, "run_matrix", None)
+        assert conformance.main(argv) == 2
+        assert str(conformance.ARTIFACT_PATH) in capsys.readouterr().err
+        assert not (tmp_path / "benchmarks").exists()
+
+    def test_default_matrix_writes_the_committed_path(self, monkeypatch,
+                                                      tmp_path, capsys):
+        from repro.tools import conformance
+
+        def small(mechanisms, workloads, seeds, **kwargs):
+            assert mechanisms is None
+            assert tuple(workloads) == conformance.DEFAULT_WORKLOADS
+            assert tuple(seeds) == conformance.DEFAULT_SEEDS
+            return run_matrix(mechanisms=("native", "SUD"),
+                              workloads=("stress",), seeds=(1,), **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(conformance, "run_matrix", small)
+        assert conformance.main(["--jobs", "1"]) == 0
+        written = json.loads(
+            (tmp_path / conformance.ARTIFACT_PATH).read_text())
+        assert written["mechanisms"] == ["native", "SUD"]
+        assert written["ok"] is True
+
+
+def test_cell_frees_its_blocks_without_a_collection(monkeypatch):
+    """A finished cell's kernel is cyclic garbage; the cell drops its
+    decoded code first, so reference counting frees almost every block
+    before any collection runs (compiled superblocks keep a few)."""
+    import gc
+
+    import repro.faultinject.conformance as cell_module
+    from repro.cpu.icache import Block
+
+    def live_blocks():
+        return sum(1 for o in gc.get_objects() if type(o) is Block)
+
+    run_cell("K23-ultra", "ls", 1)  # fills the offline-phase memo
+    held = []
+    real = cell_module._observe
+
+    def observe(*args, **kwargs):
+        held.append(live_blocks())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cell_module, "_observe", observe)
+    gc.collect()
+    gc.disable()
+    try:
+        run_cell("K23-ultra", "ls", 1, block_cache=True)
+        left = live_blocks()
+    finally:
+        gc.enable()
+    assert held[0] > 100
+    assert left * 10 < held[0]

@@ -7,7 +7,7 @@ invalidation.
 
 import pytest
 
-from repro.interposers.zpoline import rewrite_site_safely
+from repro.interposers.zpoline import rewrite_sites_safely
 from repro.kernel import Kernel
 from repro.memory.pages import PAGE_SIZE, Prot
 from repro.workloads.programs import ProgramBuilder
@@ -29,7 +29,7 @@ class TestSafeRewrite:
     def test_bytes_patched(self, kernel, process_with_site):
         process, site = process_with_site
         process.address_space.mprotect(site, PAGE_SIZE, Prot.READ | Prot.EXEC)
-        rewrite_site_safely(kernel, process, site)
+        rewrite_sites_safely(kernel, process, [site])
         assert process.address_space.read_kernel(site, 2) == b"\xff\xd0"
 
     def test_permissions_restored_exactly(self, kernel, process_with_site):
@@ -37,7 +37,7 @@ class TestSafeRewrite:
         page must come back execute-only, not r-x."""
         process, site = process_with_site
         process.address_space.mprotect(site, PAGE_SIZE, Prot.EXEC)
-        rewrite_site_safely(kernel, process, site)
+        rewrite_sites_safely(kernel, process, [site])
         assert process.address_space.prot_at(site) == Prot.EXEC
 
     def test_cross_page_site_restores_both_pages(self, kernel):
@@ -51,7 +51,7 @@ class TestSafeRewrite:
         process.address_space.mprotect(base, PAGE_SIZE, Prot.EXEC)
         process.address_space.mprotect(base + PAGE_SIZE, PAGE_SIZE,
                                        Prot.READ | Prot.EXEC)
-        rewrite_site_safely(kernel, process, site)
+        rewrite_sites_safely(kernel, process, [site])
         assert process.address_space.read_kernel(site, 2) == b"\xff\xd0"
         assert process.address_space.prot_at(base) == Prot.EXEC
         assert process.address_space.prot_at(base + PAGE_SIZE) == \
@@ -64,7 +64,7 @@ class TestSafeRewrite:
         second = process.spawn_thread()
         for thread in process.threads:
             thread.icache.fetch(site, process.address_space.read_kernel)
-        rewrite_site_safely(kernel, process, site)
+        rewrite_sites_safely(kernel, process, [site])
         for thread in process.threads:
             insn = thread.icache.fetch(site,
                                        process.address_space.read_kernel)
