@@ -27,11 +27,10 @@ invariant that keeps block execution byte-identical to single-stepping is:
 
 because blocks are recorded strictly from lines this cache served (never by
 decoding ahead), and every invalidation path (:meth:`invalidate_range`,
-:meth:`invalidate_sites`, :meth:`flush_all`) drops blocks overlapping the
-invalidated span in the same call that drops the lines.  A store that
-would leave a single-step core executing stale decodes leaves the block
-cache executing the *same* stale decodes; a store that invalidates lines
-kills the blocks too.
+:meth:`flush_all`) drops blocks overlapping the invalidated span in the same
+call that drops the lines.  A store that would leave a single-step core
+executing stale decodes leaves the block cache executing the *same* stale
+decodes; a store that invalidates lines kills the blocks too.
 
 Lines and blocks are indexed by page so per-store invalidation inspects only
 candidates on the written pages instead of scanning every cached entry.  An
@@ -48,7 +47,6 @@ raised exactly as through the checked fetch.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arch.decoder import decode
@@ -385,68 +383,6 @@ class ICache:
                 for entry in [e for e in entries
                               if e < end and start < self._blocks[e].end]:
                     self._drop_block(self._blocks[entry])
-
-    def invalidate_sites(self, sites, length: int = 2) -> None:
-        """Drop what ``invalidate_range(site, length)`` for each of *sites*,
-        in the given order, would drop, scanning each touched page once.
-
-        The lines dropped are the union over the sites, in any order.
-        Blocks are dropped in the per-site order: by the first site (in
-        list order) they overlap, then by the page of that site they are
-        found on, then in that page's index order.
-        """
-        if not sites:
-            return
-        # The sites in address order, and each one's list position
-        # (sorted is stable: equal sites keep their list order).
-        rank = sorted(range(len(sites)), key=sites.__getitem__)
-        starts = [sites[k] for k in rank]
-        n = len(starts)
-        if self._rec_active:
-            i = bisect_left(starts, self._rec_lo - length + 1)
-            if i < n and starts[i] < self._rec_hi:
-                self._rec_doomed = True
-        pages = sorted({site >> PAGE_SHIFT for site in starts}
-                       | {(site + length - 1) >> PAGE_SHIFT
-                          for site in starts})
-        lines, line_pages = self._lines, self._line_pages
-        doomed = set()
-        for page in pages:
-            entries = line_pages.get(page)
-            if not entries:
-                continue
-            # Walk the page's lines and the sites in address order: site
-            # j is the first that ends after the line starts.
-            j = bisect_left(starts, (page << PAGE_SHIFT) - LINE_SPAN)
-            for addr in sorted(entries):
-                first = addr - length + 1
-                while j < n and starts[j] < first:
-                    j += 1
-                if j == n:
-                    break
-                if starts[j] < addr + len(lines[addr][0]):
-                    doomed.add(addr)
-        for addr in doomed:
-            raw = lines.pop(addr)[0]
-            _unindex_span(line_pages, addr, addr, addr + len(raw))
-        blocks, by_page = self._blocks, self._blocks_by_page
-        order = []
-        for page in pages:
-            for pos, entry in enumerate(by_page.get(page, ())):
-                # Sites starts[i:j] overlap the block; k is the first of
-                # them in list order.
-                i = bisect_left(starts, entry - length + 1)
-                j = bisect_left(starts, blocks[entry].end, i)
-                if i == j:
-                    continue
-                k = rank[i] if j - i == 1 else min(rank[i:j])
-                # The per-site scan finds the block on the page of the
-                # first byte it shares with site k.
-                if (max(entry, sites[k]) >> PAGE_SHIFT) == page:
-                    order.append((k, page, pos, entry))
-        order.sort()
-        for _k, _page, _pos, entry in order:
-            self._drop_block(blocks[entry])
 
     def flush_all(self) -> None:
         """Serializing instruction executed on this core (cpuid/mfence)."""

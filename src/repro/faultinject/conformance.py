@@ -235,10 +235,10 @@ def run_cell(mechanism: str, workload: str, seed: int,
     """Run one conformance cell and snapshot its observable state.
 
     ``schedule`` is the cell's pre-built fault schedule, which must be
-    ``build_schedule(seed, config or conformance_config())``;
+    ``build_schedule(seed, conformance_config())``;
     :func:`repro.evaluation.conformance.run_matrix` builds one per seed
-    and shares it across that seed's cells.
-    Without it the cell builds its own.
+    and shares it across that seed's cells.  Without it the cell builds
+    its own from ``config``; passing both raises :class:`ValueError`.
 
     ``trace_sink`` (any bus sink, typically a
     :class:`~repro.observability.export.TraceSink`) rides along on the
@@ -252,6 +252,9 @@ def run_cell(mechanism: str, workload: str, seed: int,
                          f"valid: {', '.join(WORKLOADS)}")
     if schedule is None:
         schedule = build_schedule(seed, config or conformance_config())
+    elif config is not None:
+        raise ValueError("run_cell takes a config or a prebuilt schedule, "
+                         "not both")
     # Counters ride along on every cell (prepare always attaches a
     # CounterSink): the bus is observe-only, so an attached sink cannot
     # perturb the run (the lockstep property tests pin this), and the

@@ -53,11 +53,10 @@ def rewrite_sites_safely(kernel, process, sites: Sequence[int]) -> None:
     instruction stream.
 
     Every site makes the protocol's four charges and emits its
-    ``RewriteApplied``.  The host does the work per page, not per site:
-    the store is kernel-privileged and the saved permissions come back
-    unchanged, so no host ``mprotect`` runs, and each core's icache
-    drops the patched lines and blocks in one pass
-    (:meth:`~repro.cpu.icache.ICache.invalidate_sites`).
+    ``RewriteApplied``.  No host ``mprotect`` runs: the store is
+    kernel-privileged and the saved permissions come back unchanged.
+    Each core's icache is invalidated over every site once all the
+    stores are done; nothing reads it in between.
     """
     space = process.address_space
     charge = kernel.cycles.charge
@@ -73,7 +72,9 @@ def rewrite_sites_safely(kernel, process, sites: Sequence[int]) -> None:
                      pid=process.pid, tid=0, site=address,
                      protocol="static-safe", atomic=True, coherent=True)
     for thread in process.threads:
-        thread.icache.invalidate_sites(sites)
+        invalidate = thread.icache.invalidate_range
+        for address in sites:
+            invalidate(address, len(CALL_RAX))
 
 
 class ZpolineInterposer(Interposer):

@@ -3,6 +3,7 @@ the block cache on or off (ISSUE satellite: determinism coverage)."""
 
 import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -92,6 +93,8 @@ def schedule_builds(monkeypatch, tmp_path):
 class TestSharedSchedules:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_schedule_per_seed(self, jobs, monkeypatch, tmp_path):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers see the logging patch only if forked")
         builds = schedule_builds(monkeypatch, tmp_path)
         matrix = run_matrix(mechanisms=("native", "SUD"),
                             workloads=("stress", "cat"), seeds=(1, 2, 3),
@@ -128,6 +131,12 @@ class TestSharedSchedules:
         assert sorted(compared) == sorted(
             (mech, wl, seed) for mech in REGISTRY.names()
             for wl in ("stress", "cat") for seed in (1, 2))
+
+    def test_config_and_schedule_together_are_refused(self):
+        config = conformance_config()
+        with pytest.raises(ValueError, match="not both"):
+            run_cell("native", "stress", 1, config=config,
+                     schedule=build_schedule(1, config))
 
     def test_cached_digest_is_the_encoding_hash(self):
         schedule = build_schedule(4, conformance_config())

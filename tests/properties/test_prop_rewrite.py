@@ -12,7 +12,6 @@ rewrite to the other, and requires the same:
 - each icache's lines, blocks (with their chain, heat and superblock
   state), page indexes and counters, ``invalidation_unlinks`` included,
   and its recording-doomed flag;
-- order in which each icache dropped its blocks;
 - ordered ``CycleCharge``/``RewriteApplied`` stream seen by a sink that
   takes every event and every charge.
 
@@ -159,24 +158,6 @@ def cases(draw):
                 sibling_lines=sibling_lines, recording=recording)
 
 
-def log_drops(process):
-    """Record, per thread, the ``(entry, end)`` of every block its icache
-    drops, in order."""
-    logs = []
-    for thread in process.threads:
-        icache = thread.icache
-        log = []
-        real = icache._drop_block
-
-        def drop(block, real=real, log=log):
-            log.append((block.entry, block.end))
-            real(block)
-
-        icache._drop_block = drop
-        logs.append(log)
-    return logs
-
-
 def block_state(block):
     sb = block.superblock
     return (block.end, block.valid, block.heat, block.term,
@@ -219,22 +200,20 @@ def rewrite(case, one_pass: bool):
                               case["recording"])
     sink = RewriteStreamSink()
     kernel.bus.attach(sink)
-    drops = log_drops(process)
     if one_pass:
         rewrite_sites_safely(kernel, process, case["sites"])
     else:
         for site in case["sites"]:
             rewrite_site_safely(kernel, process, site)
-    return state(process), drops, sink.records
+    return state(process), sink.records
 
 
 @given(case=cases())
 @settings(max_examples=120, deadline=None)
 def test_one_pass_matches_per_site_protocol(case):
-    want_state, want_drops, want_stream = rewrite(case, one_pass=False)
-    got_state, got_drops, got_stream = rewrite(case, one_pass=True)
+    want_state, want_stream = rewrite(case, one_pass=False)
+    got_state, got_stream = rewrite(case, one_pass=True)
     assert got_stream == want_stream
-    assert got_drops == want_drops
     assert got_state == want_state
 
 
