@@ -317,11 +317,14 @@ class ICache:
         re-compilation (after re-heating — a page under repeated patching
         must not thrash the trace compiler), and the other constituents
         forget the doomed superblock so the membership lists stay small.
+        The doomed superblock drops its trace, whose globals hold the
+        superblock, so reference counting frees both.
         """
         for sb in block.sbs:
             if not sb.valid:
                 continue
             sb.valid = False
+            sb.trace = False
             head = sb.blocks[0]
             head.superblock = None
             head.heat = 0

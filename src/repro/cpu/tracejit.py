@@ -189,9 +189,12 @@ def compile_superblock(sb, env):
                  "_Breakpoint": Breakpoint, "_InvalidOpcode": InvalidOpcode,
                  "_Halt": Halt, "_slide": slide_nops, "_sb": sb}
     # The code object is shared; the function is not — exec'ing into a
-    # fresh namespace binds ``_sb`` to this superblock alone.
+    # fresh namespace binds ``_sb`` to this superblock alone.  The
+    # function leaves its namespace, its own globals, so that only
+    # ``sb.trace`` ties the two, and the icache cuts that when it dooms
+    # the superblock: reference counting then frees both.
     exec(_trace_code(source, f"<trace:{sb.entry:#x}>"), namespace)
-    trace = namespace["_trace"]
+    trace = namespace.pop("_trace")
     trace.__source__ = source  # introspection/debugging
     return trace
 

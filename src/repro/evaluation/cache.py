@@ -163,17 +163,6 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     spec = REGISTRY.get(mechanism)
     constants = mechanism_constants(mechanism)
     sorted_params = sorted((key, value) for key, value in params)
-    # Shadow cells run a second mechanism: fold its cost constants into
-    # the key so patching the shadow-side mechanism's costs invalidates
-    # the cell exactly like patching the primary's.
-    shadow_name = next((value for key, value in sorted_params
-                        if key == "shadow"), None)
-    if shadow_name is not None:
-        shadow = mechanism_constants(str(shadow_name))
-        constants["shadow_costs"] = shadow["costs"]
-        if "sud_contention_factor" in shadow:
-            constants["sud_contention_factor"] = \
-                shadow["sud_contention_factor"]
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

@@ -61,11 +61,6 @@ class ConformanceMatrix:
     def ok(self) -> bool:
         return not self.divergent
 
-    def verdict_map(self) -> Dict[Tuple[str, str, int], bool]:
-        """(mechanism, workload, seed) → ok, for cross-mode comparison."""
-        return {(v.mechanism, v.workload, v.seed): v.ok
-                for v in self.verdicts}
-
     # ------------------------------------------------------------- rendering
 
     def render(self) -> str:
@@ -126,11 +121,22 @@ class ConformanceMatrix:
         return path
 
 
+def matrix_cells(names: Sequence[str], workloads: Sequence[str],
+                 seeds: Sequence[int]) -> List[Tuple[str, str, int]]:
+    """The ``(mechanism, workload, seed)`` cells of a matrix in the order
+    :func:`run_matrix` runs them: per workload and seed, the oracle
+    first.  Observations are keyed by cell, so this order decides only
+    which cell runs when, never a verdict."""
+    others = tuple(name for name in names if name != ORACLE)
+    return [(mech, workload, seed)
+            for workload in workloads for seed in seeds
+            for mech in (ORACLE,) + others]
+
+
 def run_matrix(mechanisms: Optional[Sequence[str]] = None,
                workloads: Sequence[str] = DEFAULT_WORKLOADS,
                seeds: Sequence[int] = DEFAULT_SEEDS,
                config: Optional[FaultConfig] = None,
-               block_cache: Optional[bool] = None,
                jobs: int = 1,
                verbose: bool = False) -> ConformanceMatrix:
     """Run the full differential matrix and collect verdicts.
@@ -155,26 +161,20 @@ def run_matrix(mechanisms: Optional[Sequence[str]] = None,
     for schedule in schedules.values():
         schedule.digest()  # cached, so pooled cells receive it computed
     matrix = ConformanceMatrix(names, tuple(workloads), tuple(seeds))
-    cells = [(mech, workload, seed)
-             for workload in workloads for seed in seeds
-             for mech in (ORACLE,) + tuple(m for m in names
-                                           if m != ORACLE)]
+    cells = matrix_cells(names, workloads, seeds)
     observations: Dict[Tuple[str, str, int], Observation] = {}
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                key: pool.submit(run_cell, *key,
-                                 schedule=schedules[key[2]],
-                                 block_cache=block_cache)
+                key: pool.submit(run_cell, *key, schedule=schedules[key[2]])
                 for key in cells}
             for key, future in futures.items():
                 observations[key] = future.result()
     else:
         for key in cells:
-            observations[key] = run_cell(*key, schedule=schedules[key[2]],
-                                         block_cache=block_cache)
+            observations[key] = run_cell(*key, schedule=schedules[key[2]])
     for workload in workloads:
         for seed in seeds:
             oracle = observations[(ORACLE, workload, seed)]

@@ -5,9 +5,14 @@ Every command runs from the repository root with ``PYTHONPATH=src``.  A
 ``--smoke`` the benchmark modules write the two ``*.smoke.txt`` tables
 and every artifact whose protocol does not shrink; the full-matrix
 tables need the full run.
+
+The CLIs write their artifact into ``benchmarks/output/`` relative to
+the working directory unless told otherwise, so :func:`output_refusal`
+keeps a differently configured run from replacing a committed file.
 """
 
-from typing import Dict
+import argparse
+from typing import Dict, Iterable, Optional
 
 _PYTEST = "python -m pytest benchmarks/"
 
@@ -53,3 +58,27 @@ ARTIFACTS: Dict[str, str] = {
     "benchmarks/output/table6_redis-1t.smoke.txt":
         _PYTEST + "bench_table6_macro.py --smoke",
 }
+
+
+def output_refusal(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                   artifact: object, neutral: Iterable[str],
+                   out_flag: str = "--out") -> Optional[str]:
+    """Why a run that parsed *args* may not write *artifact*, a committed
+    file, at its default path; ``None`` when it may.
+
+    The committed bytes are what the file's command in :data:`ARTIFACTS`
+    writes, and those commands pass no content option.  So a run may
+    write the file only while every option of *parser* outside *neutral*
+    (the destinations of options that change nothing in the file, such
+    as ``--jobs``) keeps its default value.  Any other run must name its
+    own output with *out_flag*; the CLI then exits 2 with this message,
+    which names the file and the options that would change it."""
+    neutral = set(neutral)
+    changed = [action.option_strings[0] for action in parser._actions
+               if action.option_strings and action.dest not in neutral
+               and action.default is not argparse.SUPPRESS
+               and getattr(args, action.dest) != action.default]
+    if not changed:
+        return None
+    return (f"{', '.join(changed)} would change {artifact}, a committed "
+            f"artifact; pass {out_flag} FILE to write the output elsewhere")

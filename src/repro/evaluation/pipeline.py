@@ -69,8 +69,6 @@ class ScenarioSpec:
 
     Attributes:
         kind: ``"micro"`` (Table 5), ``"macro"`` (Table 6),
-            ``"shadow"`` (a dark-launch cell — the primary mechanism is
-            ``mechanism``, the candidate rides in ``params``), or
             ``"loadtest"`` (one traffic-engine shard — the canonical
             TrafficConfig JSON and shard coordinates ride in
             ``params``), or ``"metrics"`` (one mechanism's
@@ -78,11 +76,11 @@ class ScenarioSpec:
         mechanism: registry name (``"K23-ultra"``, ...).
         workload: ``"syscall-stress"`` for micro cells, a
             :data:`~repro.evaluation.runner.MACRO_BY_KEY` row key for
-            macro cells, a :data:`repro.runapi.WORKLOADS` key for
-            shadow cells, ``"stress"`` for metrics cells.
+            macro cells, a server workload for loadtest cells,
+            ``"stress"`` for metrics cells.
         seed: base RNG seed the cell's kernels derive from.
         params: extra parameters as a sorted tuple of pairs (micro and
-            metrics iteration counts; shadow mechanism/budget/requests),
+            metrics iteration counts; loadtest shard coordinates),
             keeping the spec hashable.
     """
 
@@ -209,22 +207,6 @@ def macro_specs(keys: Optional[Sequence[str]] = None,
     return specs
 
 
-def shadow_specs(primary: str, shadows: Sequence[str], workload: str,
-                 seed: int = 40, budget: int = 0,
-                 requests: int = 24) -> List[ScenarioSpec]:
-    """Dark-launch cells: one per candidate *shadow* mechanism.
-
-    Each cell runs :func:`repro.shadow.run_shadow` with *primary*
-    serving and the candidate mirroring; the cell value is the
-    :meth:`~repro.shadow.ShadowReport.to_dict` document (verdict,
-    divergence count, latency deltas), memoized like any other cell.
-    """
-    base = (("budget", budget), ("requests", requests))
-    return [ScenarioSpec("shadow", primary, workload, seed,
-                         tuple(sorted(base + (("shadow", name),))))
-            for name in shadows]
-
-
 def metrics_specs(mechanisms: Sequence[str],
                   iterations: int) -> List[ScenarioSpec]:
     """METRICS cells: one counter-and-latency snapshot per mechanism
@@ -250,19 +232,6 @@ def _macro_config(spec: ScenarioSpec):
     return config
 
 
-def _shadow_config(spec: ScenarioSpec):
-    from repro.shadow import ShadowConfig
-
-    params = dict(spec.params)
-    return ShadowConfig(
-        primary=spec.mechanism,
-        shadow=str(params["shadow"]),
-        workload=spec.workload,
-        seed=spec.seed,
-        budget=int(params.get("budget", 0)),
-        requests=int(params.get("requests", 24)))
-
-
 def _loadtest_traffic(spec: ScenarioSpec) -> dict:
     import json
 
@@ -284,10 +253,6 @@ def execute_cell(spec: ScenarioSpec) -> dict:
     if spec.kind == "macro":
         return measure_macro(_macro_config(spec), spec.mechanism,
                              seed=spec.seed)
-    if spec.kind == "shadow":
-        from repro.shadow import run_shadow
-
-        return run_shadow(_shadow_config(spec)).to_dict()
     if spec.kind == "loadtest":
         from repro.traffic.engine import run_shard
 
@@ -318,10 +283,6 @@ def _cell_run_configs(spec: ScenarioSpec) -> List:
 
         return [macro_run_config(_macro_config(spec), spec.mechanism,
                                  spec.seed)]
-    if spec.kind == "shadow":
-        from repro.shadow.harness import side_configs
-
-        return list(side_configs(_shadow_config(spec)))
     if spec.kind == "loadtest":
         from repro.traffic.config import TrafficConfig
         from repro.traffic.fleet import server_run_config

@@ -228,7 +228,6 @@ def _observe(kernel, process, mechanism: str, workload: str, seed: int,
 
 def run_cell(mechanism: str, workload: str, seed: int,
              config: Optional[FaultConfig] = None,
-             block_cache: Optional[bool] = None,
              max_steps: int = 10_000_000,
              trace_sink=None,
              schedule: Optional[FaultSchedule] = None) -> Observation:
@@ -263,8 +262,7 @@ def run_cell(mechanism: str, workload: str, seed: int,
         mechanism, workload, seed=KERNEL_SEED, schedule=schedule,
         sinks=(trace_sink,) if trace_sink is not None else (),
         params=((("iterations", STRESS_ITERATIONS),)
-                if workload == "stress" else ()),
-        block_cache=block_cache))
+                if workload == "stress" else ())))
     kernel = prepared.kernel
     process = prepared.spawn()
     kernel.run_process(process, max_steps=max_steps)

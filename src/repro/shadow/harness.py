@@ -211,20 +211,15 @@ def latency_deltas(primary_snapshot: Dict, shadow_snapshot: Dict) -> Dict:
     return out
 
 
-def side_configs(config: ShadowConfig) -> Tuple[RunConfig, RunConfig]:
-    """The primary and shadow runs one experiment prepares."""
-    return (_side_config(config, config.primary, "primary"),
-            _side_config(config, config.shadow, "shadow"))
-
-
 class _ShadowRun:
     """Internal state of one in-flight shadow experiment."""
 
     def __init__(self, config: ShadowConfig):
         self.config = config
-        primary, shadow = side_configs(config)
-        self.primary: PreparedRun = prepare(primary)
-        self.shadow: PreparedRun = prepare(shadow)
+        self.primary: PreparedRun = prepare(
+            _side_config(config, config.primary, "primary"))
+        self.shadow: PreparedRun = prepare(
+            _side_config(config, config.shadow, "shadow"))
         # Perfetto recording rides along on both sides so a divergence
         # bundle can always include the full event-level story.
         self.primary_trace = TraceSink(mechanism=config.primary,

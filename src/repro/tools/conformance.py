@@ -3,14 +3,12 @@
 Runs every registered interposition mechanism against the ``native``
 null-interposer oracle on the stress/coreutils workloads under N seeded
 fault schedules, prints the verdict matrix, writes the JSON artifact, and
-exits non-zero on any divergence.  ``--both-modes`` repeats the matrix
-with the block-translation cache disabled and additionally fails if any
-cell's verdict differs between the two interpreter modes (schedule
-determinism must hold across them).  ``--smoke`` shrinks the matrix to a
+exits non-zero on any divergence.  ``--smoke`` shrinks the matrix to a
 CI-sized corner (stress+cat, seeds 1-2).  Only the default matrix
 writes the committed artifact (``benchmarks/output/CONFORMANCE_matrix.json``)
 without ``--out``; any other matrix exits 2 unless ``--out`` names a
-file.  ``--jobs N`` fans the cells out over a process pool
+file (:func:`repro.evaluation.manifest.output_refusal`).  ``--jobs N``
+fans the cells out over a process pool
 (cell-for-cell identical to serial); ``--trace-out``
 additionally records one representative cell through the instrumentation
 bus and writes a Perfetto trace — the bus is observe-only, so verdicts
@@ -25,6 +23,7 @@ from typing import List, Optional
 
 from repro.evaluation.conformance import (ARTIFACT_PATH, DEFAULT_SEEDS,
                                           DEFAULT_WORKLOADS, run_matrix)
+from repro.evaluation.manifest import output_refusal
 
 SMOKE_WORKLOADS = ("stress", "cat")
 SMOKE_SEEDS = (1, 2)
@@ -48,9 +47,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              f"{' '.join(DEFAULT_WORKLOADS)})")
     parser.add_argument("--mechanisms", nargs="+", default=None,
                         help="mechanisms to check (default: all registered)")
-    parser.add_argument("--both-modes", action="store_true",
-                        help="also run with the block cache disabled and "
-                             "require identical verdicts")
     parser.add_argument("--out", default=None,
                         help=f"JSON artifact path (default: {ARTIFACT_PATH}, "
                              "which only the default matrix may write)")
@@ -74,12 +70,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         workloads = args.workloads
         seeds = list(range(args.seed, args.seed + args.seeds))
-    default_matrix = (args.mechanisms is None
-                      and tuple(workloads) == DEFAULT_WORKLOADS
-                      and tuple(seeds) == DEFAULT_SEEDS)
-    if args.out is None and not default_matrix:
-        print(f"conformance: only the default matrix writes {ARTIFACT_PATH};"
-              " pass --out FILE for any other matrix", file=sys.stderr)
+    refusal = args.out is None and output_refusal(
+        parser, args, ARTIFACT_PATH, ("jobs", "trace_out", "verbose", "out"))
+    if refusal:
+        print(f"conformance: {refusal}", file=sys.stderr)
         return 2
     matrix = run_matrix(mechanisms=args.mechanisms,
                         workloads=workloads, seeds=seeds,
@@ -103,24 +97,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"trace: {written} (cell: {mech}/{workloads[0]}"
               f"/seed={seeds[0]})")
 
-    if args.both_modes:
-        print("\nre-running with block cache disabled...")
-        nocache = run_matrix(mechanisms=args.mechanisms,
-                             workloads=workloads, seeds=seeds,
-                             block_cache=False, jobs=max(1, args.jobs),
-                             verbose=args.verbose)
-        if not nocache.ok:
-            print(nocache.render())
-            status = 1
-        mismatches = [key for key, ok in matrix.verdict_map().items()
-                      if nocache.verdict_map()[key] != ok]
-        if mismatches:
-            print("verdicts differ across interpreter modes:")
-            for mech, wl, seed in mismatches:
-                print(f"  - {mech}/{wl}/seed={seed}")
-            status = 1
-        else:
-            print("block-cache-off verdicts identical: OK")
     return status
 
 

@@ -29,7 +29,8 @@ stdout and written to benchmarks/output/report.md.
                     trace-event JSON
     --metrics-out F CounterSink snapshots artifact (default:
                     benchmarks/output/METRICS_table5.json when running
-                    table5/matrix; --no-metrics disables)
+                    table5/matrix, which --smoke or --mechanisms may
+                    only write elsewhere; --no-metrics disables)
 
 Every target accepts ``--jobs``, ``--no-cache`` and ``--cache-dir``
 (``report`` is the other target that runs pipeline cells); the other
@@ -52,6 +53,7 @@ from typing import List, Optional
 
 from repro.evaluation import pipeline as pipe
 from repro.evaluation.cache import ResultCache
+from repro.evaluation.manifest import output_refusal
 from repro.evaluation.runner import MACRO_BY_KEY
 from repro.interposers.registry import REGISTRY
 
@@ -59,6 +61,12 @@ MATRIX_TARGETS = ("table5", "table6", "matrix")
 
 #: The targets that write the METRICS artifact.
 METRICS_TARGETS = ("table5", "matrix")
+
+#: The options that change nothing in the METRICS artifact: its cells
+#: run a fixed seed and no Table 6 row.
+METRICS_NEUTRAL = ("jobs", "seed", "no_cache", "cache_dir", "rows", "list",
+                   "clear_cache", "verbose", "trace_out", "metrics_out",
+                   "no_metrics")
 
 
 def _reject_options(parser, target: str, options, takers) -> None:
@@ -227,6 +235,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown table6 row {key!r}; "
                          f"rows: {', '.join(MACRO_BY_KEY)}")
 
+    metrics = args.target in METRICS_TARGETS and not args.no_metrics
+    if metrics and args.metrics_out is None:
+        from repro.evaluation.metrics import METRICS_TABLE5_PATH
+
+        refusal = output_refusal(parser, args, METRICS_TABLE5_PATH,
+                                 METRICS_NEUTRAL, "--metrics-out")
+        if refusal:
+            parser.error(refusal)
+
     if args.verbose:
         print(_interp_probe(), file=sys.stderr)
 
@@ -234,8 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         (args.target,)
     matrix = pipe.run_matrix(
         tables, args.rows, mechanisms, smoke=args.smoke, seed=args.seed,
-        jobs=jobs, cache=cache,
-        metrics=args.target in METRICS_TARGETS and not args.no_metrics)
+        jobs=jobs, cache=cache, metrics=metrics)
     status = _show(matrix, args.target, args.verbose)
 
     if status == 0 and matrix.metrics is not None:

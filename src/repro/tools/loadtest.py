@@ -15,7 +15,9 @@ Generates a seeded open-loop arrival schedule (default: one million
 requests), pushes it through a fleet of interposed ``--workload``
 servers behind the simulated load balancer for every mechanism in
 ``--mechanisms``, and writes the merged SLO report to
-``benchmarks/output/METRICS_slo.json`` (override with ``--out``).
+``benchmarks/output/METRICS_slo.json`` (override with ``--out``).  That
+file is committed, so a run that changes any option other than
+``--jobs`` and ``--no-cache`` exits 2 unless ``--out`` is given.
 
 ``--rate 0`` (the default) auto-calibrates: the base rate becomes ~10 %
 of the native fleet's measured capacity, so the default ramp
@@ -146,8 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.evaluation.manifest import output_refusal
+    from repro.traffic.slo import DEFAULT_OUTPUT
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    refusal = args.out is None and output_refusal(
+        parser, args, DEFAULT_OUTPUT, ("jobs", "no_cache", "out"))
+    if refusal:
+        print(f"loadtest: {refusal}", file=sys.stderr)
+        return 2
     mechanisms = [name.strip() for name in args.mechanisms.split(",")
                   if name.strip()]
     if not mechanisms:
@@ -183,7 +193,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     from repro.evaluation.cache import NullCache, ResultCache
     from repro.traffic.engine import run_loadtest
-    from repro.traffic.slo import DEFAULT_OUTPUT, summarize
+    from repro.traffic.slo import summarize
 
     cache = NullCache() if args.no_cache else ResultCache()
     started = time.monotonic()

@@ -82,47 +82,6 @@ def _evalrun_matrix(capsys, metrics, *flags):
             err)
 
 
-def test_matrix_cold_then_warm_is_byte_identical(tmp_path, monkeypatch,
-                                                 capsys):
-    """A --jobs 2 matrix into an empty cache, then again from that cache:
-    both print the serial uncached run's tables and METRICS byte for
-    byte, the cold run forks one pool for all its cells, and the warm run
-    boots no kernel."""
-    import concurrent.futures as futures
-
-    from repro.kernel.kernel import Kernel
-
-    pools, boots = [], []
-    real_pool, real_init = futures.ProcessPoolExecutor, Kernel.__init__
-
-    class CountingPool(real_pool):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs)
-            super().__init__(*args, **kwargs)
-
-    def counting_init(self, *args, **kwargs):
-        boots.append(self)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(Kernel, "__init__", counting_init)
-
-    reference = _evalrun_matrix(capsys, tmp_path / "serial.json",
-                                "--jobs", "1", "--no-cache")
-    assert reference[0] == 0 and reference[2] is not None
-    assert "matrix: 6 cells: 0 cache hits, 6 misses (serial)" in reference[3]
-    cached = ("--jobs", "2", "--cache-dir", str(tmp_path / "cache"))
-    pools.clear()
-    cold = _evalrun_matrix(capsys, tmp_path / "cold.json", *cached)
-    assert len(pools) == 1
-    boots.clear()
-    warm = _evalrun_matrix(capsys, tmp_path / "warm.json", *cached)
-    assert cold[:3] == reference[:3]
-    assert warm[:3] == reference[:3]
-    assert "matrix: 6 cells: 6 cache hits, 0 misses" in warm[3]
-    assert boots == [] and len(pools) == 1
-
-
 def test_failed_metrics_cell_is_reported_and_writes_nothing(
         tmp_path, monkeypatch, capsys):
     from repro.evaluation import metrics

@@ -61,15 +61,6 @@ def serial_table6(keys):
 
 
 class TestEquivalence:
-    def test_parallel_and_serial_micro_text_identical(self):
-        specs = reduced_micro_specs()
-        serial = pipe.run_cells(specs, jobs=1, cache=None)
-        parallel = pipe.run_cells(specs, jobs=3, cache=None)
-        text_serial = render_table5(pipe.table5_overheads(serial, MECHS[1:]))
-        text_parallel = render_table5(
-            pipe.table5_overheads(parallel, MECHS[1:]))
-        assert text_serial == text_parallel
-
     def test_pipeline_matches_legacy_serial_table6(self):
         """The pipeline's Table 6 text is byte-identical to the original
         in-process serial path for the same row."""
@@ -240,7 +231,7 @@ class TestOfflinePrewarm:
         assert rerun.stats.hits == len(specs)
         assert offline_calls() == [os.getpid()] * len(keys)
 
-    def test_shadow_and_loadtest_cells_share_the_parent_phase(
+    def test_macro_and_loadtest_cells_share_the_phase(
             self, offline_calls):
         from repro.traffic.config import TrafficConfig
         from repro.traffic.engine import loadtest_specs
@@ -248,11 +239,12 @@ class TestOfflinePrewarm:
         traffic = TrafficConfig(requests=200, rate=2000, servers=2,
                                 connections=8, calibration_requests=12,
                                 ramp=(1, 2))
-        specs = (pipe.shadow_specs("K23-ultra", ["native", "zpoline-ultra"],
-                                   "nginx", requests=4)
+        specs = (pipe.macro_specs(["nginx-1w-0k"],
+                                  ["K23-ultra", "K23-default"])
                  + loadtest_specs(["K23-ultra"], "nginx",
                                   traffic.canonical(), 7, 2))
-        assert offline_keys(specs[:2]) == {("nginx", ())}
+        assert offline_keys(specs[:2]) == {
+            ("nginx", (("file_kb", 0), ("workers", 1)))}
         assert offline_keys(specs[2:]) == {
             ("nginx", (("multiconn", 1), ("workers", 2)))}
         # Round-robin over two shards puts each key on both.
@@ -320,11 +312,6 @@ class TestOfflinePrewarm:
             pipe.micro_specs(["native"])[0]) == set()
         assert pipe.cell_offline_keys(
             pipe.macro_specs(["sqlite"], ["K23-ultra"])[0]) == {("sqlite", ())}
-        assert pipe.cell_offline_keys(
-            pipe.shadow_specs("K23-ultra", ["native"], "nginx")[0]
-        ) == pipe.cell_offline_keys(
-            pipe.shadow_specs("native", ["K23-ultra"], "nginx")[0]
-        ) == {("nginx", ())}
         assert pipe.cell_offline_keys(
             loadtest_specs(["K23-ultra"], "nginx", {"workers": 3}, 7, 2)[0]
         ) == {("nginx", (("multiconn", 1), ("workers", 3)))}
@@ -465,7 +452,7 @@ from repro.traffic.engine import loadtest_specs
 specs = {
     "micro": pipe.micro_specs(["K23-ultra"])[0],
     "macro": pipe.macro_specs(["nginx-1w-0k"], ["K23-ultra"])[0],
-    "shadow": pipe.shadow_specs("native", ["K23-ultra"], "nginx")[0],
+    "metrics": pipe.metrics_specs(["K23-ultra"], 12)[0],
     "loadtest": loadtest_specs(["K23-ultra"], "nginx", {}, 7, 2)[0],
 }
 print(json.dumps({kind: spec.cache_key() for kind, spec in specs.items()}))

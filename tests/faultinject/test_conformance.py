@@ -1,5 +1,5 @@
-"""Differential conformance determinism: same seed ⇒ same verdicts, with
-the block cache on or off (ISSUE satellite: determinism coverage)."""
+"""Differential conformance determinism: same seed ⇒ same observation,
+in every engine tier."""
 
 import hashlib
 import json
@@ -11,8 +11,7 @@ import pytest
 from repro.evaluation.conformance import run_matrix
 from repro.faultinject.conformance import (conformance_config, run_cell)
 from repro.faultinject.schedule import FaultSchedule, build_schedule
-
-SMOKE_MECHANISMS = ("native", "SUD", "zpoline-default", "K23-default")
+from tests.simutil import select_tier
 
 
 class TestCellDeterminism:
@@ -27,22 +26,15 @@ class TestCellDeterminism:
         assert a == b
         assert a.injections == b.injections
 
-    def test_cross_mode_identical_observation(self):
-        cached = run_cell("SUD", "stress", 1, block_cache=True)
-        stepped = run_cell("SUD", "stress", 1, block_cache=False)
+    def test_cross_mode_identical_observation(self, monkeypatch):
+        select_tier(monkeypatch, "trace-jit")
+        cached = run_cell("SUD", "stress", 1)
+        select_tier(monkeypatch, "single-step")
+        stepped = run_cell("SUD", "stress", 1)
         assert cached == stepped
 
 
 class TestMatrix:
-    def test_smoke_matrix_is_conformant_in_both_modes(self):
-        kwargs = dict(mechanisms=SMOKE_MECHANISMS,
-                      workloads=("stress", "cat"), seeds=(1,))
-        cached = run_matrix(block_cache=True, **kwargs)
-        assert cached.ok, cached.render()
-        stepped = run_matrix(block_cache=False, **kwargs)
-        assert stepped.ok, stepped.render()
-        assert cached.verdict_map() == stepped.verdict_map()
-
     def test_artifact_roundtrip(self, tmp_path):
         matrix = run_matrix(mechanisms=("native", "SUD"),
                             workloads=("stress",), seeds=(1,))
@@ -185,30 +177,41 @@ class TestCliOutputGuard:
 def test_cell_frees_its_blocks_without_a_collection(monkeypatch):
     """A finished cell's kernel is cyclic garbage; the cell drops its
     decoded code first, so reference counting frees almost every block
-    before any collection runs (compiled superblocks keep a few)."""
+    before any collection runs, and every superblock: a doomed one drops
+    its compiled trace, whose globals hold it.  The stress cells run hot
+    enough to compile traces; the ``ls`` cell compiles none."""
     import gc
 
     import repro.faultinject.conformance as cell_module
+    from repro.cpu.engine import Superblock
     from repro.cpu.icache import Block
 
-    def live_blocks():
-        return sum(1 for o in gc.get_objects() if type(o) is Block)
+    def live(cls):
+        return sum(1 for o in gc.get_objects() if type(o) is cls)
 
-    run_cell("K23-ultra", "ls", 1)  # fills the offline-phase memo
+    select_tier(monkeypatch, "trace-jit")
     held = []
     real = cell_module._observe
 
     def observe(*args, **kwargs):
-        held.append(live_blocks())
+        held.append((live(Block), live(Superblock)))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cell_module, "_observe", observe)
-    gc.collect()
-    gc.disable()
-    try:
-        run_cell("K23-ultra", "ls", 1, block_cache=True)
-        left = live_blocks()
-    finally:
-        gc.enable()
-    assert held[0] > 100
-    assert left * 10 < held[0]
+    for cell in (("K23-ultra", "ls", 1), ("K23-ultra", "stress", 2),
+                 ("zpoline-default", "stress", 2), ("native", "stress", 2)):
+        run_cell(*cell)  # fills the offline-phase memo
+        del held[:]
+        gc.collect()
+        gc.disable()
+        try:
+            run_cell(*cell)
+            left = (live(Block), live(Superblock))
+        finally:
+            gc.enable()
+        (blocks, superblocks), = held
+        assert blocks > 10, cell
+        assert left[0] * 10 < blocks, cell
+        assert left[1] == 0, (cell, superblocks)
+        if cell[1] == "stress":
+            assert superblocks > 0, cell

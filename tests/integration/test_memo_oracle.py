@@ -142,11 +142,14 @@ def test_dooming_one_superblock_bails_only_its_own_trace():
     first = build(store_loop, engine=EngineConfig())
     second = build(store_loop, engine=EngineConfig())
     sb1, sb2 = compiled_superblock(first), compiled_superblock(second)
+    trace1 = sb1.trace
     first.icache.invalidate_range(sb1.entry, 1)
     assert not sb1.valid and sb2.valid
-    # The doomed trace stops right after its store; the live one runs
-    # through to its closing branch.
-    assert sb1.trace(first, first.context, 0) == 2
+    # A doomed superblock drops its trace.  A trace already running when
+    # its superblock is doomed stops right after its store; the live one
+    # runs through to its closing branch.
+    assert sb1.trace is False and trace1.__globals__["_sb"] is sb1
+    assert trace1(first, first.context, 0) == 2
     assert sb2.trace(second, second.context, 0) == sb2.n_steps
 
 

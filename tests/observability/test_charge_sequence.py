@@ -12,9 +12,9 @@ A sink that takes every charge as its own event records, in bus order:
 
 ``ts`` at these points does not depend on the engine tier: each one sits
 at a syscall, hostcall or signal boundary, where every tier has charged
-the same instructions.  So the digests hold under ``REPRO_NO_CHAIN``,
-``REPRO_NO_TRACE_JIT`` and the default engine alike (CI's engine-matrix
-job runs this file under all three).
+the same instructions.  So the digests hold in every engine tier:
+``test_digests_hold_in_every_tier`` re-checks each one under each
+tier's hatch.
 
 Pinned: all nine mechanisms on stress and on a short redis-1t drive, a
 fault-injected K23-ultra run (an errno, a BLOCKED restart, an execve) and
@@ -40,7 +40,7 @@ from repro.observability.events import (CycleCharge, RawCycles, SignalEvent,
 from repro.observability.sinks import Sink
 from repro.runapi import RunConfig
 from repro.workloads.programs import ProgramBuilder, data_ref
-from tests.simutil import make_hello
+from tests.simutil import TIERS, make_hello, select_tier
 
 MECHANISMS = ("native", "zpoline-default", "zpoline-ultra", "lazypoline",
               "K23-default", "K23-ultra", "K23-ultra+",
@@ -227,12 +227,31 @@ def test_fault_injected_k23_ultra_sequence_is_pinned():
     assert sink.hexdigest() == EXPECTED["fault-injected", "K23-ultra"]
 
 
-def test_liblogger_offline_phase_sequence_is_pinned():
-    """K23's offline phase: libLogger's SIGSYS traps on stress."""
+def _liblogger_offline():
     kernel = Kernel(seed=3)
     sink = ChargeSequenceSink()
     kernel.bus.attach(sink)
     path = runapi.WORKLOADS["stress"].installer(kernel, {"iterations": 40})
     OfflinePhase(kernel).run(path)
+    return sink
+
+
+def test_liblogger_offline_phase_sequence_is_pinned():
+    """K23's offline phase: libLogger's SIGSYS traps on stress."""
+    sink = _liblogger_offline()
     assert sink.records > 0
     assert sink.hexdigest() == EXPECTED["offline", "libLogger"]
+
+
+@pytest.mark.parametrize("tier", [tier for tier in TIERS
+                                  if tier != "trace-jit"])
+def test_digests_hold_in_every_tier(tier, monkeypatch):
+    """Each pinned digest, recomputed on a lower tier (the tests above
+    run whichever tier the environment selects)."""
+    select_tier(monkeypatch, tier)
+    digests = {key: _stream(key[1], key[0]).hexdigest()
+               for key in EXPECTED if key[0] in WORKLOADS}
+    digests["fault-injected", "K23-ultra"] = \
+        _fault_injected_k23_ultra()[3].hexdigest()
+    digests["offline", "libLogger"] = _liblogger_offline().hexdigest()
+    assert digests == EXPECTED

@@ -5,7 +5,9 @@ The reference is a :class:`CounterSink` that opts back into one event
 per charge (``each_charge = True``), so it counts through the ``accept``
 path.  It attaches next to the totals sinks on the same bus, over the
 same window, and every snapshot must match it — ``events`` tallies,
-zero-valued keys and the JSONL ``ChargeSummary`` line included.
+zero-valued keys and the JSONL ``ChargeSummary`` line included.  The
+whole-run oracle runs in every engine tier, since each one batches the
+per-instruction charges of a unit its own way.
 """
 
 import io
@@ -19,6 +21,7 @@ from repro.observability.export import TraceSink
 from repro.observability.sinks import (CounterSink, NullSink, RingBufferSink,
                                        StreamingJSONLSink)
 from repro.runapi import RunConfig
+from tests.simutil import TIERS, select_tier
 
 MECHANISMS = ("native", "zpoline-default", "lazypoline", "K23-ultra", "SUD")
 WORKLOADS = {"stress": (("iterations", 40),), "ls": ()}
@@ -64,19 +67,18 @@ def _booted(mechanism="K23-ultra", workload="stress"):
     return prepared.kernel, prepared.spawn()
 
 
-@pytest.mark.parametrize("block_cache", (True, False),
-                         ids=("block-cache", "single-step"))
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_whole_run_totals_equal_each_charge(mechanism, workload,
-                                            block_cache):
+def test_whole_run_totals_equal_each_charge(mechanism, workload, tier,
+                                            monkeypatch):
+    select_tier(monkeypatch, tier)
     reference = EachChargeCounter()
     totals_stream, each_stream = io.StringIO(), io.StringIO()
     totals_jsonl = StreamingJSONLSink(totals_stream)
     each_jsonl = StreamingJSONLSink(each_stream, include_charges=True)
     prepared = runapi.prepare(RunConfig(
         mechanism, workload, seed=11, params=WORKLOADS[workload],
-        block_cache=block_cache,
         sinks=(reference, totals_jsonl, each_jsonl)))
     result = prepared.execute()
     assert result.ok

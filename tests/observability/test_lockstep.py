@@ -4,9 +4,8 @@ Running any workload with the bus fully instrumented (TraceSink +
 CounterSink + RingBufferSink + the full pitfall/latency AnalyzerSuite)
 must not change a single application-observable fact vs the same run
 with the bus disabled: retired instruction count, exit status, output
-bytes, final cycle counter, or a conformance cell's verdict — in both
-interpreter modes (block cache on/off).  Diagnosis can never mask the
-bug it diagnoses.
+bytes, final cycle counter, or a conformance cell's verdict — in every
+engine tier.  Diagnosis can never mask the bug it diagnoses.
 """
 
 import pytest
@@ -16,15 +15,15 @@ from repro.observability.analyzers import default_suite
 from repro.observability.export import TraceSink
 from repro.observability.sinks import CounterSink, RingBufferSink
 from repro.workloads.stress import STRESS_PATH, build_stress
+from tests.simutil import TIERS, select_tier
 
 MECHANISMS = ("native", "SUD", "zpoline-default", "lazypoline")
 
 
-def _run(mechanism: str, block_cache: bool, traced: bool):
+def _run(mechanism: str, traced: bool):
     from repro.interposers.registry import REGISTRY
 
     kernel = Kernel(seed=777, aslr=False)
-    kernel.block_cache_enabled = block_cache
     kernel.torn_window_probability = 0.0
     sinks = None
     if traced:
@@ -47,25 +46,24 @@ def _run(mechanism: str, block_cache: bool, traced: bool):
     }
 
 
-@pytest.mark.parametrize("block_cache", (True, False),
-                         ids=("block-cache", "single-step"))
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-def test_tracing_changes_nothing(mechanism, block_cache):
-    plain = _run(mechanism, block_cache, traced=False)
-    traced = _run(mechanism, block_cache, traced=True)
+def test_tracing_changes_nothing(mechanism, tier, monkeypatch):
+    select_tier(monkeypatch, tier)
+    plain = _run(mechanism, traced=False)
+    traced = _run(mechanism, traced=True)
     assert traced == plain
 
 
-@pytest.mark.parametrize("block_cache", (True, False),
-                         ids=("block-cache", "single-step"))
-def test_conformance_verdict_identical_with_tracing(block_cache):
+@pytest.mark.parametrize("tier", TIERS)
+def test_conformance_verdict_identical_with_tracing(tier, monkeypatch):
     """A conformance cell's full Observation — the thing verdicts are made
     of — is identical with a TraceSink riding along."""
     from repro.faultinject.conformance import run_cell
 
-    plain = run_cell("SUD", "stress", 1, block_cache=block_cache)
+    select_tier(monkeypatch, tier)
+    plain = run_cell("SUD", "stress", 1)
     sink = TraceSink(mechanism="SUD", workload="stress")
-    traced = run_cell("SUD", "stress", 1, block_cache=block_cache,
-                      trace_sink=sink)
+    traced = run_cell("SUD", "stress", 1, trace_sink=sink)
     assert traced == plain
     assert sink.trace_events  # the sink really did observe the run

@@ -11,6 +11,7 @@ from repro.pitfalls import (
     evaluate_pitfall,
 )
 from repro.pitfalls.matrix import PAPER_TABLE3, pitfall_matrix, matches_paper, render_table3
+from tests.simutil import TIERS, select_tier
 
 KITS = {"zpoline": ZPOLINE_KIT, "lazypoline": LAZYPOLINE_KIT, "K23": K23_KIT}
 
@@ -72,6 +73,16 @@ def test_full_matrix_matches_paper():
     assert matches_paper(outcomes)
     rendered = render_table3(outcomes)
     assert "!" not in rendered  # no divergence markers
+
+
+@pytest.mark.parametrize("tier", [tier for tier in TIERS
+                                  if tier != "trace-jit"])
+def test_full_matrix_matches_paper_in_every_tier(tier, monkeypatch):
+    """The PoCs (P5's stale decodes among them) run through each tier's
+    executor; the tests above run whichever tier the environment
+    selects."""
+    select_tier(monkeypatch, tier)
+    assert matches_paper(pitfall_matrix())
 
 
 def test_render_with_evidence():

@@ -359,7 +359,7 @@ def test_smc_torture_unlinks_chain_and_dooms_trace():
     hot_entry = CODE_BASE + asm.marks["hot"]
     env = FuzzEnv(code, engine=ENGINES["tracejit"],
                   code_prot=Prot.READ | Prot.WRITE | Prot.EXEC)
-    doomed_sb = None
+    doomed_sb = trace = None
     halted = False
     while not halted:
         try:
@@ -370,10 +370,12 @@ def test_smc_torture_unlinks_chain_and_dooms_trace():
             block = env.icache._blocks.get(hot_entry)
             if block is not None and block.superblock is not None:
                 doomed_sb = block.superblock
+                trace = doomed_sb.trace
     assert doomed_sb is not None, "hot loop never formed a superblock"
-    assert doomed_sb.trace not in (None, False), \
+    assert trace not in (None, False), \
         "hot loop superblock never compiled a trace"
     assert not doomed_sb.valid, "store into the loop page did not doom"
+    assert doomed_sb.trace is False, "the doomed superblock kept its trace"
     ic = env.icache
     assert ic.traces_compiled >= 1 and ic.trace_hits >= 1
     assert ic.chain_follows >= 1

@@ -4,8 +4,29 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.cpu.engine import HATCHES
 from repro.kernel import Kernel
 from repro.workloads.programs import ProgramBuilder, data_ref
+
+
+#: Each execution-engine tier and the escape hatch that selects it (each
+#: hatch disables its tier and every tier above it; ``None`` is the full
+#: engine).
+TIERS: Dict[str, Optional[str]] = {
+    "single-step": "REPRO_NO_BLOCK_CACHE",
+    "block-cache": "REPRO_NO_CHAIN",
+    "chain": "REPRO_NO_TRACE_JIT",
+    "trace-jit": None,
+}
+
+
+def select_tier(monkeypatch, tier: str) -> None:
+    """Make kernels built from now on run *tier*: every hatch is cleared
+    first, so the choice holds whatever hatch the suite runs under."""
+    for hatch in HATCHES:
+        monkeypatch.delenv(hatch, raising=False)
+    if TIERS[tier] is not None:
+        monkeypatch.setenv(TIERS[tier], "1")
 
 
 class HostcallLog(dict):

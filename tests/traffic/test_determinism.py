@@ -1,9 +1,10 @@
 """The headline guarantee: one seed, one report — byte for byte.
 
-Across ``--jobs`` (shard counts), across engine tiers, across repeated
-runs, for both serve modes.  These drive real kernels (calibration at
+Across engine tiers and repeated runs, for both serve modes; the
+``--jobs`` shard counts are an axis of ``tests/invariance``, which runs
+the CLI in both serve modes.  These drive real kernels (calibration at
 minimum), so configs are kept small; the 10^6-request scale is the
-CLI's job, the *invariance* is proved here.
+CLI's job.
 """
 
 import os
@@ -47,20 +48,6 @@ def report_json(traffic, jobs=1, mechanisms=("native",), workload="redis",
                 seed=23):
     return run_loadtest(list(mechanisms), workload, traffic, seed=seed,
                         jobs=jobs).to_json()
-
-
-def test_model_mode_jobs_invariant():
-    baseline = report_json(model_config(), jobs=1)
-    for jobs in (2, 4):
-        fleet._CALIBRATION_CACHE.clear()
-        assert report_json(model_config(), jobs=jobs) == baseline, \
-            f"--jobs {jobs} perturbed the SLO report"
-
-
-def test_full_mode_jobs_invariant():
-    baseline = report_json(full_config(), jobs=1)
-    fleet._CALIBRATION_CACHE.clear()
-    assert report_json(full_config(), jobs=2) == baseline
 
 
 def test_model_mode_engine_tier_invariant():
