@@ -7,14 +7,13 @@ key records.  The key records:
 
 - the mechanism name and the workload/cell identity (kind, key, seed,
   iteration parameters);
-- the *values* of the cycle-model constants the mechanism's measured path
-  depends on (the registry's per-mechanism ``cost_events`` plus the
-  baseline events, ``CLOCK_HZ``, and — for SUD-armed mechanisms — the
-  signal-contention factor), and the engine flags.  These are read when
-  the key is built, so a value patched at run time (a sensitivity sweep,
-  a test's monkeypatch) leaves the source untouched yet still
-  invalidates exactly the cells it affects: patching ``HASHSET_CHECK``
-  invalidates the K23-ultra cells and nothing else;
+- the *values* of the whole cycle model (every ``Event`` cost,
+  ``CLOCK_HZ`` and the SUD signal-contention factor) and the engine
+  flags.  These are read when the key is built, so a value patched at
+  run time (a test's monkeypatch) leaves the source untouched yet still
+  re-keys every cell.  Like the package digest this is deliberately
+  coarse: no workload or CLI patches a cost, and a key that folds in
+  every constant can never miss one a mechanism charges;
 - :func:`package_digest`: one digest over the compiled code of every
   module in the ``repro`` package.  Comment-only and blank-line edits
   leave it unchanged; any code edit anywhere in the package changes it.
@@ -116,38 +115,28 @@ def package_digest(root: Path = PACKAGE_ROOT) -> str:
 # ------------------------------------------------------------------ cell keys
 
 
-def mechanism_constants(mechanism: str) -> Dict[str, object]:
-    """The run-time model values a *mechanism*'s measured cycles depend
-    on, read now: ``CLOCK_HZ``, the costs of the registry's relevant
-    events, the engine flags and — for SUD-armed mechanisms — the
-    signal-contention factor.  :func:`cell_key` records them, and any
+def model_constants() -> Dict[str, object]:
+    """The run-time model values every measured cycle depends on, read
+    now: ``CLOCK_HZ``, every ``Event`` cost, the SUD signal-contention
+    factor and the engine flags.  :func:`cell_key` records them, and any
     in-process memo of a measurement must be keyed on them too (the
     traffic calibration memo is), or a patched cost reads back a stale
     value.
-
-    Raises :class:`repro.interposers.registry.UnknownMechanismError` for
-    a mechanism the registry has never seen.
     """
     from repro.cpu.cycles import CLOCK_HZ, DEFAULT_COSTS, Event
     from repro.cpu.cycles import SUD_CONTENTION_FACTOR
     from repro.cpu.engine import EngineConfig
-    from repro.interposers.registry import REGISTRY
 
-    spec = REGISTRY.get(mechanism)
-    costs = {name: DEFAULT_COSTS[Event[name]]
-             for name in spec.relevant_events}
-    constants: Dict[str, object] = {"clock_hz": CLOCK_HZ, "costs": costs}
     # Engine-tier selection cannot change any measured number (the tiers
     # are cycle-exact by construction), but a tier bug would — so cells
     # measured under different REPRO_NO_* hatches must never share an
     # entry: a hatched re-run has to re-execute, not read back the cached
     # full-tier value it was meant to cross-check.
     engine = EngineConfig.from_env()
-    constants["engine"] = dict(engine.flags(),
-                               block_cache=engine.block_cache)
-    if spec.arms_sud:
-        constants["sud_contention_factor"] = SUD_CONTENTION_FACTOR
-    return constants
+    return {"clock_hz": CLOCK_HZ,
+            "costs": {event.name: DEFAULT_COSTS[event] for event in Event},
+            "engine": dict(engine.flags(), block_cache=engine.block_cache),
+            "sud_contention_factor": SUD_CONTENTION_FACTOR}
 
 
 def cell_key(kind: str, mechanism: str, workload: str, seed: int,
@@ -161,7 +150,6 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
     from repro.interposers.registry import REGISTRY
 
     spec = REGISTRY.get(mechanism)
-    constants = mechanism_constants(mechanism)
     sorted_params = sorted((key, value) for key, value in params)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -171,7 +159,7 @@ def cell_key(kind: str, mechanism: str, workload: str, seed: int,
         "workload": workload,
         "seed": seed,
         "params": sorted_params,
-        "constants": constants,
+        "constants": model_constants(),
         "sources": package_digest(),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)

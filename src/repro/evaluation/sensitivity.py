@@ -4,68 +4,45 @@ The cycle model's constants were calibrated against the paper's Table 5
 (DESIGN.md §4).  A fair question is whether the *qualitative* conclusions —
 who wins, where SUD collapses, which variant costs what — depend on those
 exact values.  This module perturbs each calibrated constant across a
-range and re-derives the microbenchmark analytically (the per-mechanism
-event counts per call are fixed by each design, so the overhead is a
-closed-form function of the costs), then checks the paper's ordering
-invariants at every point.
-
-Per-call event counts (validated against the simulator by
-``tests/evaluation/test_sensitivity.py``):
-
-====================  =============================================
-mechanism             events per syscall-500 invocation
-====================  =============================================
-native                loop instructions + KERNEL
-zpoline-default       + 4 insns + SLED + ZPOLINE_HANDLER
-zpoline-ultra         + BITMAP_CHECK
-SUD-no-interposition  + SLOWPATH
-K23-default           + SLOWPATH + 4 insns + SLED + K23 + 2×SEL
-lazypoline            + SLOWPATH + 4 insns + SLED + LAZY + 2×SEL
-K23-ultra(+)          + HASHSET (+ STACK_SWITCH)
-SUD                   + SLOWPATH×2 + KERNEL + DELIVERY + SIGRETURN
-                      + 2×SEL
-====================  =============================================
+range and re-derives the microbenchmark from measured event counts: a
+mechanism's per-call cycles are the sum, over the cycle-model events
+its path charges, of count × cost (§6.2.1).
+:func:`repro.evaluation.breakdown.decompose` measures the counts once per
+process at the calibrated costs; every sweep point multiplies them by
+its perturbed costs, then checks the paper's ordering invariants.
+``tests/evaluation/test_sensitivity.py`` checks the model against the
+simulator at the calibration point and at a perturbed one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+import functools
+from typing import Dict, List, Tuple
 
 from repro.cpu.cycles import DEFAULT_COSTS, Event
+from repro.evaluation.breakdown import Decomposition, decompose
+from repro.interposers.registry import REGISTRY
 
-#: Instructions per microbenchmark iteration outside the kernel (loop body,
-#: libc shim, wrapper) — measured once from the simulator.
-NATIVE_INSNS = 15
+#: Stress-loop calls in each measured decomposition window.
+CALLS = 800
 
-#: Extra instructions on the rewritten path (callq, sled batch, hostcall,
-#: ret).
-TRAMPOLINE_INSNS = 4
+
+@functools.lru_cache(maxsize=None)
+def measured_decompositions() -> Tuple[Decomposition, ...]:
+    """One steady-state decomposition of :data:`CALLS` stress-loop calls
+    per registered mechanism, measured once per process."""
+    return tuple(decompose(name, iterations=CALLS)
+                 for name in REGISTRY.names())
 
 
 def analytic_micro(costs: Dict[Event, int]) -> Dict[str, float]:
-    """Closed-form per-call cycles for every mechanism under *costs*."""
-    c = costs
-    native = NATIVE_INSNS * c[Event.INSTRUCTION] + c[Event.KERNEL_SYSCALL]
-    trampoline = (TRAMPOLINE_INSNS * c[Event.INSTRUCTION]
-                  + c[Event.TRAMPOLINE_SLED])
-    sud_floor = c[Event.SUD_ARMED_SLOWPATH]
-    selector = 2 * c[Event.SUD_SELECTOR_WRITE]
-    per_call = {
-        "native": native,
-        "zpoline-default": native + trampoline + c[Event.ZPOLINE_HANDLER],
-        "SUD-no-interposition": native + sud_floor,
-        "K23-default": (native + sud_floor + trampoline
-                        + c[Event.K23_HANDLER] + selector),
-        "lazypoline": (native + sud_floor + trampoline
-                       + c[Event.LAZYPOLINE_HANDLER] + selector),
-        "SUD": (native + sud_floor * 2 + c[Event.KERNEL_SYSCALL]
-                + c[Event.SIGNAL_DELIVERY] + c[Event.SIGRETURN] + selector),
-    }
-    per_call["zpoline-ultra"] = (per_call["zpoline-default"]
-                                 + c[Event.BITMAP_CHECK])
-    per_call["K23-ultra"] = per_call["K23-default"] + c[Event.HASHSET_CHECK]
-    per_call["K23-ultra+"] = per_call["K23-ultra"] + c[Event.STACK_SWITCH]
-    return per_call
+    """Per-call cycles for every mechanism under *costs*: its measured
+    event counts times *costs*, plus its raw (uncosted) cycles."""
+    return {d.mechanism: (sum(count * costs[event]
+                              for event, (count, _) in d.rows.items())
+                          + sum(cycles for _, cycles in d.raw.values()))
+            / CALLS
+            for d in measured_decompositions()}
 
 
 #: The paper's qualitative claims, as ordering predicates over per-call

@@ -9,33 +9,21 @@ mechanisms — an Arm variant riding on :mod:`repro.arch.arm64`, a seccomp
 tracer, an eBPF sketch — plug in with one ``register`` call and immediately
 appear in every table, figure, and tool.
 
-Specs are metadata-rich on purpose: they carry the factory (as a lazy
-``"module:attr"`` reference, so registering K23 does not import
-:mod:`repro.core` at import time), the Table 4 variant name, whether the
-mechanism needs the K23 offline phase, whether it arms Syscall User
-Dispatch, and — crucially for the memoized evaluation pipeline
-(:mod:`repro.evaluation.cache`) — the set of cycle-model events its
-steady-state path exercises.  That event set is what lets the result cache
-invalidate *exactly* the cells a cycle-constant change affects.
+Specs carry the factory (as a lazy ``"module:attr"`` reference, so
+registering K23 does not import :mod:`repro.core` at import time), the
+Table 4 variant name, whether the mechanism needs the K23 offline phase
+and whether it arms Syscall User Dispatch.  Which cycle-model events a
+mechanism charges is not listed here; it is measured
+(:func:`repro.evaluation.breakdown.decompose`).
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.interposers.base import Interposer, SyscallHook
-
-#: Cycle-model events every mechanism's measurement depends on, regardless
-#: of design (baseline execution, kernel entry, scheduling, loading).
-BASELINE_EVENTS: Tuple[str, ...] = (
-    "INSTRUCTION",
-    "KERNEL_SYSCALL",
-    "KERNEL_SYSCALL_WORK",
-    "CONTEXT_SWITCH",
-    "DLOPEN",
-)
 
 
 class UnknownMechanismError(ValueError):
@@ -66,9 +54,6 @@ class MechanismSpec:
         arms_sud: True when the mechanism initializes Syscall User Dispatch
             (and therefore pays the armed slow path and, multi-threaded,
             the signal-contention model).
-        cost_events: names of :class:`repro.cpu.cycles.Event` members whose
-            calibrated costs this mechanism's measured path depends on,
-            beyond :data:`BASELINE_EVENTS`.
         description: one line for ``--list`` style output.
     """
 
@@ -79,22 +64,12 @@ class MechanismSpec:
     variant: Optional[str] = None
     needs_offline: bool = False
     arms_sud: bool = False
-    cost_events: Tuple[str, ...] = ()
     description: str = ""
 
     def resolve_factory(self) -> Callable[..., Interposer]:
         module_name, _, attr = self.factory.partition(":")
         module = importlib.import_module(module_name)
         return getattr(module, attr)
-
-    @property
-    def relevant_events(self) -> Tuple[str, ...]:
-        """Baseline events plus this mechanism's own, deduplicated,
-        in :class:`Event` declaration order (stable for cache keys)."""
-        wanted = set(BASELINE_EVENTS) | set(self.cost_events)
-        from repro.cpu.cycles import Event
-
-        return tuple(event.name for event in Event if event.name in wanted)
 
 
 class MechanismRegistry:
@@ -198,12 +173,6 @@ class MechanismRegistry:
 REGISTRY = MechanismRegistry()
 
 
-_SUD_ENTRY_EVENTS = ("SUD_ARMED_SLOWPATH", "SUD_SELECTOR_WRITE")
-_SIGNAL_EVENTS = ("SIGNAL_DELIVERY", "SIGRETURN")
-_REWRITE_EVENTS = ("REWRITE_SITE", "MPROTECT", "ICACHE_FLUSH",
-                   "TRAMPOLINE_SLED")
-
-
 def _register_defaults() -> None:
     register = REGISTRY.register
     register(MechanismSpec(
@@ -216,61 +185,47 @@ def _register_defaults() -> None:
         factory="repro.interposers.zpoline:ZpolineInterposer",
         kwargs=(("variant", "default"),),
         family="zpoline", variant="default",
-        cost_events=_REWRITE_EVENTS + ("ZPOLINE_HANDLER",),
         description="load-time static rewriting, no hardening"))
     register(MechanismSpec(
         name="zpoline-ultra",
         factory="repro.interposers.zpoline:ZpolineInterposer",
         kwargs=(("variant", "ultra"),),
         family="zpoline", variant="ultra",
-        cost_events=_REWRITE_EVENTS + ("ZPOLINE_HANDLER", "BITMAP_CHECK"),
         description="zpoline plus the bitmap NULL-execution check"))
     register(MechanismSpec(
         name="lazypoline",
         factory="repro.interposers.lazypoline:LazypolineInterposer",
         family="lazypoline", arms_sud=True,
-        cost_events=(_REWRITE_EVENTS + _SUD_ENTRY_EVENTS + _SIGNAL_EVENTS
-                     + ("LAZYPOLINE_HANDLER",)),
         description="SUD-discovery runtime rewriting"))
     register(MechanismSpec(
         name="K23-default",
         factory="repro.core.k23:K23Interposer",
         kwargs=(("variant", "default"),),
         family="K23", variant="default", needs_offline=True, arms_sud=True,
-        cost_events=(_REWRITE_EVENTS + _SUD_ENTRY_EVENTS + _SIGNAL_EVENTS
-                     + ("K23_HANDLER", "PTRACE_STOP", "PTRACE_TRACER_WORK")),
         description="offline-validated selective rewrite + SUD fallback"))
     register(MechanismSpec(
         name="K23-ultra",
         factory="repro.core.k23:K23Interposer",
         kwargs=(("variant", "ultra"),),
         family="K23", variant="ultra", needs_offline=True, arms_sud=True,
-        cost_events=(_REWRITE_EVENTS + _SUD_ENTRY_EVENTS + _SIGNAL_EVENTS
-                     + ("K23_HANDLER", "PTRACE_STOP", "PTRACE_TRACER_WORK",
-                        "HASHSET_CHECK")),
         description="K23 plus the hash-set NULL-execution check"))
     register(MechanismSpec(
         name="K23-ultra+",
         factory="repro.core.k23:K23Interposer",
         kwargs=(("variant", "ultra+"),),
         family="K23", variant="ultra+", needs_offline=True, arms_sud=True,
-        cost_events=(_REWRITE_EVENTS + _SUD_ENTRY_EVENTS + _SIGNAL_EVENTS
-                     + ("K23_HANDLER", "PTRACE_STOP", "PTRACE_TRACER_WORK",
-                        "HASHSET_CHECK", "STACK_SWITCH")),
         description="K23-ultra plus the dedicated-stack switch"))
     register(MechanismSpec(
         name="SUD-no-interposition",
         factory="repro.interposers.sud_interposer:SudInterposer",
         kwargs=(("interpose", False),),
         family="SUD", variant="no-interposition", arms_sud=True,
-        cost_events=_SUD_ENTRY_EVENTS,
         description="SUD armed with an ALLOW selector — the slow-path floor"))
     register(MechanismSpec(
         name="SUD",
         factory="repro.interposers.sud_interposer:SudInterposer",
         kwargs=(("interpose", True),),
         family="SUD", variant=None, arms_sud=True,
-        cost_events=_SUD_ENTRY_EVENTS + _SIGNAL_EVENTS,
         description="pure SUD interposition via SIGSYS"))
 
 

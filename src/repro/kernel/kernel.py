@@ -19,7 +19,7 @@ raw material for the exhaustiveness experiments (P2a/P2b).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional
 
 from repro.arch.registers import Reg
@@ -54,9 +54,10 @@ from repro.kernel.syscalls import (
 from repro.kernel.vfs import VFS
 from repro.memory.pku import Pkru
 from repro.observability.bus import Bus
-from repro.observability.events import (IcacheShootdown, ProcessLifecycle,
-                                        QuantumEnd, SignalEvent,
-                                        SyscallEnter, SyscallExit)
+from repro.observability.events import (EngineStats, IcacheShootdown,
+                                        ProcessLifecycle, QuantumEnd,
+                                        SignalEvent, SyscallEnter,
+                                        SyscallExit)
 
 #: Scheduler quantum: instructions per thread turn.
 DEFAULT_QUANTUM = 100
@@ -64,6 +65,15 @@ DEFAULT_QUANTUM = 100
 #: The CPU faults a thread's unit can raise, each delivered as a
 #: synchronous signal (:meth:`Kernel._fault`).
 _CPU_FAULTS = (SegmentationFault, InvalidOpcode, Breakpoint, Halt)
+
+#: :meth:`Kernel.interp_stats` key → the per-thread ``ICache`` counter it
+#: sums, in report order.
+_ICACHE_COUNTERS = (
+    ("icache_hits", "hits"), ("icache_misses", "misses"),
+    *((name, name) for name in (
+        "block_hits", "block_installs", "chain_links", "chain_follows",
+        "superblocks_formed", "superblock_hits", "traces_compiled",
+        "trace_hits", "guard_fails", "invalidation_unlinks")))
 
 _MASK64 = (1 << 64) - 1
 _RCX, _R11 = int(Reg.RCX), int(Reg.R11)
@@ -747,20 +757,12 @@ class Kernel:
     def _emit_engine_stats(self) -> None:
         """Emit one :class:`EngineStats` event (attached-sink runs only:
         the null-sink fast path never pays the counter aggregation)."""
-        from repro.observability.events import EngineStats
-
         stats = self.interp_stats()
-        self.bus.emit(
-            EngineStats, ts=self.cycles.cycles, pid=0, tid=0,
-            tiers=self.engine.tiers(self.block_cache_enabled),
-            chain_links=stats["chain_links"],
-            chain_follows=stats["chain_follows"],
-            superblocks_formed=stats["superblocks_formed"],
-            superblock_hits=stats["superblock_hits"],
-            traces_compiled=stats["traces_compiled"],
-            trace_hits=stats["trace_hits"],
-            guard_fails=stats["guard_fails"],
-            invalidation_unlinks=stats["invalidation_unlinks"])
+        counters = {field.name: stats[field.name]
+                    for field in fields(EngineStats) if field.name in stats}
+        self.bus.emit(EngineStats, ts=self.cycles.cycles, pid=0, tid=0,
+                      tiers=self.engine.tiers(self.block_cache_enabled),
+                      **counters)
 
     def _quantum_boundary(self, thread: Thread) -> None:
         """Fault-injection hook at the end of a thread's scheduler turn."""
@@ -813,28 +815,11 @@ class Kernel:
         decoded-line and basic-block cache activity plus instructions
         retired (for insns/sec reporting in ``evalrun --verbose`` and the
         interpreter benchmarks)."""
-        stats = {"instructions": self.cycles.counts[Event.INSTRUCTION],
-                 "icache_hits": 0, "icache_misses": 0,
-                 "block_hits": 0, "block_installs": 0,
-                 "chain_links": 0, "chain_follows": 0,
-                 "superblocks_formed": 0, "superblock_hits": 0,
-                 "traces_compiled": 0, "trace_hits": 0,
-                 "guard_fails": 0, "invalidation_unlinks": 0}
-        for process in self.processes.values():
-            for thread in process.threads:
-                icache = thread.icache
-                stats["icache_hits"] += icache.hits
-                stats["icache_misses"] += icache.misses
-                stats["block_hits"] += icache.block_hits
-                stats["block_installs"] += icache.block_installs
-                stats["chain_links"] += icache.chain_links
-                stats["chain_follows"] += icache.chain_follows
-                stats["superblocks_formed"] += icache.superblocks_formed
-                stats["superblock_hits"] += icache.superblock_hits
-                stats["traces_compiled"] += icache.traces_compiled
-                stats["trace_hits"] += icache.trace_hits
-                stats["guard_fails"] += icache.guard_fails
-                stats["invalidation_unlinks"] += icache.invalidation_unlinks
+        icaches = [thread.icache for process in self.processes.values()
+                   for thread in process.threads]
+        stats = {"instructions": self.cycles.counts[Event.INSTRUCTION]}
+        for key, counter in _ICACHE_COUNTERS:
+            stats[key] = sum(getattr(icache, counter) for icache in icaches)
         return stats
 
     def app_requested_syscalls(self, pid: Optional[int] = None) -> List[SyscallRecord]:

@@ -15,9 +15,11 @@ unchanged over a replayed trace.  The one exception is P4b — a memory
 *footprint* property with no runtime events — which keeps its
 ground-truth evaluator.
 
-The kits mirror the paper's Table 3 columns: zpoline and K23 are evaluated
-in their checking (-ultra) configurations where a pitfall concerns the
-optional checks (P4a), exactly as the paper's ✓/✗ semantics do.
+The kits mirror the paper's Table 3 columns, each naming the registry
+mechanism it builds: zpoline and K23 are evaluated in their checking
+(``zpoline-ultra``, ``K23-ultra``) configurations where a pitfall
+concerns the optional checks (P4a), exactly as the paper's ✓/✗
+semantics do.
 """
 
 from __future__ import annotations
@@ -26,13 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.arch.registers import Reg
-from repro.core import K23Interposer, OfflinePhase
-from repro.core.offline import import_logs
-from repro.interposers import (
-    LazypolineInterposer,
-    NullInterposer,
-    ZpolineInterposer,
-)
+from repro.core.offline import OfflinePhase, import_logs
+from repro.interposers.registry import REGISTRY
 from repro.kernel import Kernel
 from repro.kernel.syscalls import (
     Nr,
@@ -64,11 +61,11 @@ class PitfallOutcome:
 
 @dataclass
 class InterposerKit:
-    """How to stand up one Table 3 column on a fresh machine."""
+    """How to stand up one Table 3 column on a fresh machine: the column
+    name and the registry mechanism it runs."""
 
     name: str
-    factory: Callable  # factory(kernel) -> Interposer (installed by build)
-    needs_offline: bool = False
+    mechanism: str
 
     def build(self, register: Callable, offline_paths: Tuple[str, ...] = (),
               seed: int = 11) -> Tuple[Kernel, object]:
@@ -77,24 +74,20 @@ class InterposerKit:
         separate machine and imports the sealed logs (§5.1)."""
         kernel = Kernel(seed=seed)
         register(kernel)
-        if self.needs_offline:
+        if REGISTRY.needs_offline(self.mechanism):
             offline_kernel = Kernel(seed=seed + 100)
             register(offline_kernel)
             offline = OfflinePhase(offline_kernel)
             for path in offline_paths:
                 offline.run(path)
             import_logs(kernel, offline.export())
-        interposer = self.factory(kernel)
-        interposer.install()
-        return kernel, interposer
+        return kernel, REGISTRY.create(self.mechanism, kernel)
 
 
-NATIVE_KIT = InterposerKit("native", lambda k: NullInterposer(k))
-ZPOLINE_KIT = InterposerKit(
-    "zpoline", lambda k: ZpolineInterposer(k, variant="ultra"))
-LAZYPOLINE_KIT = InterposerKit("lazypoline", lambda k: LazypolineInterposer(k))
-K23_KIT = InterposerKit(
-    "K23", lambda k: K23Interposer(k, variant="ultra"), needs_offline=True)
+NATIVE_KIT = InterposerKit("native", "native")
+ZPOLINE_KIT = InterposerKit("zpoline", "zpoline-ultra")
+LAZYPOLINE_KIT = InterposerKit("lazypoline", "lazypoline")
+K23_KIT = InterposerKit("K23", "K23-ultra")
 
 
 def _run(kernel, path: str, max_steps: int = 3_000_000):

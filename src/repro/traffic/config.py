@@ -32,11 +32,6 @@ ARRIVALS = ("poisson", "lognormal", "pareto")
 SERVE_MODES = ("model", "full")
 REQUEST_KINDS = ("small", "medium", "large")
 
-#: Extra request-payload padding bytes per kind (the client-side body).
-#: The simulated servers answer a fixed-size response regardless; kinds
-#: differ in request parse size and therefore in service time.
-KIND_PADDING = {"small": 0, "medium": 128, "large": 384}
-
 DEFAULT_TENANTS = (("anchor", 8), ("batch", 1))
 DEFAULT_MIX = (("small", 6), ("medium", 3), ("large", 1))
 DEFAULT_RAMP = (1, 2, 4, 8, 16, 32)

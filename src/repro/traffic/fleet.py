@@ -106,14 +106,14 @@ def calibration_key(mechanism: str, workload: str, traffic: TrafficConfig,
                     seed: int) -> Tuple:
     """The memo key of :func:`calibrate_service_table`: the run, the
     calibration drive (workers, request count, sorted kinds) and the
-    model constants *mechanism* depends on."""
-    from repro.evaluation.cache import mechanism_constants
+    cycle model's constants."""
+    from repro.evaluation.cache import model_constants
 
     kinds = tuple(sorted({key.rsplit(":", 1)[-1]
                           for key, _ in traffic.mix}))
     return (mechanism, workload, seed, traffic.workers,
             traffic.calibration_requests, kinds,
-            json.dumps(mechanism_constants(mechanism), sort_keys=True))
+            json.dumps(model_constants(), sort_keys=True))
 
 
 def calibrate_service_table(mechanism: str, workload: str,
@@ -124,8 +124,8 @@ def calibrate_service_table(mechanism: str, workload: str,
     "samples": m}}}``.  Keyed off the *base* seed (never the shard), so
     every shard of a sharded run computes — or re-uses — the identical
     table.  The memo also keys on the model constants the pipeline's
-    cell key records for *mechanism*, so a cost patched in-process
-    re-calibrates instead of reading back the unpatched table.
+    cell key records, so a cost patched in-process re-calibrates
+    instead of reading back the unpatched table.
     """
     key = calibration_key(mechanism, workload, traffic, seed)
     kinds = key[5]  # the sorted request kinds

@@ -1,5 +1,6 @@
-"""Sensitivity-analysis tests: the analytic model matches the simulator at
-the calibration point, and the paper's orderings survive perturbation."""
+"""Sensitivity-analysis tests: the measured model equals the simulator
+at the calibration point and at a perturbed one, and the paper's orderings
+survive perturbation."""
 
 import pytest
 
@@ -14,17 +15,26 @@ from repro.evaluation.sensitivity import (
     sweep,
 )
 
+MECHANISMS = ("native", "zpoline-default", "zpoline-ultra", "lazypoline",
+              "K23-default", "K23-ultra", "K23-ultra+",
+              "SUD-no-interposition", "SUD")
 
-@pytest.mark.parametrize("mechanism", [
-    "native", "zpoline-default", "zpoline-ultra", "lazypoline",
-    "K23-default", "K23-ultra", "K23-ultra+", "SUD-no-interposition", "SUD",
-])
-def test_analytic_model_matches_simulator(mechanism):
-    """The closed-form per-call cost agrees with the measured simulator to
-    within a couple of cycles (the model's purpose: trustworthy sweeps)."""
-    analytic = analytic_micro(DEFAULT_COSTS)[mechanism]
-    measured = measure_micro_cycles(mechanism)
-    assert analytic == pytest.approx(measured, abs=4)
+#: Every calibrated cost moved at once, each by a different amount.
+PERTURBED = {event: cost * 3 // 2 + 1 + index
+             for index, (event, cost) in enumerate(DEFAULT_COSTS.items())}
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_analytic_model_matches_simulator(mechanism, monkeypatch):
+    """The measured per-call model equals the simulator exactly, at the
+    calibration point and with every cost moved (the model's purpose:
+    trustworthy sweeps)."""
+    calibrated = analytic_micro(DEFAULT_COSTS)[mechanism]
+    assert calibrated == measure_micro_cycles(mechanism)
+    perturbed = analytic_micro(PERTURBED)[mechanism]
+    for event, cost in PERTURBED.items():
+        monkeypatch.setitem(DEFAULT_COSTS, event, cost)
+    assert perturbed == measure_micro_cycles(mechanism)
 
 
 def test_invariants_hold_at_calibration_point():

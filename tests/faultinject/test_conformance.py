@@ -9,7 +9,8 @@ import os
 import pytest
 
 from repro.evaluation.conformance import run_matrix
-from repro.faultinject.conformance import (conformance_config, run_cell)
+from repro.faultinject.conformance import (Observation, conformance_config,
+                                           run_cell)
 from repro.faultinject.schedule import FaultSchedule, build_schedule
 from tests.simutil import select_tier
 
@@ -51,6 +52,27 @@ class TestMatrix:
         text = matrix.render()
         assert "verdict: OK" in text
         assert "SUD" in text
+
+
+def _observation(syscalls):
+    return Observation(mechanism="SUD", workload="cat", seed=1,
+                       exit_status=0, core_dumped=False, output_sha="",
+                       output_len=0, syscalls=syscalls, fs_state=(),
+                       heap_sha="", sim_handlers=())
+
+
+class TestObservationDiff:
+    ORACLE = _observation(("openat=fd", "read=5", "close=0"))
+
+    def test_first_differing_syscall_is_named_by_index(self):
+        mine = _observation(("openat=fd", "read=-11", "close=0"))
+        assert mine.diff(self.ORACLE) == [
+            "syscall sequence diverges at #1: 'read=-11' != oracle 'read=5'"]
+
+    def test_common_prefix_of_another_length_reports_both_lengths(self):
+        mine = _observation(("openat=fd", "read=5"))
+        assert mine.diff(self.ORACLE) == [
+            "syscall sequence length 2 != oracle 3 (common prefix matches)"]
 
 
 class TestRegressions:

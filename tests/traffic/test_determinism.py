@@ -239,9 +239,9 @@ def test_parent_calibrates_mechanisms_shared_by_shards(monkeypatch,
 
 
 def test_calibration_memo_keys_on_cost_model(monkeypatch):
-    """A cost patched in-process re-keys the pipeline cells that charge
-    it; the calibration memo must miss for the same mechanisms, or the
-    re-run cell would read back the unpatched service table."""
+    """A cost patched in-process re-keys every pipeline cell; the
+    calibration memo must miss for every mechanism too, or a re-run cell
+    would read back the unpatched service table."""
     from repro.cpu.cycles import DEFAULT_COSTS, Event
     from repro.traffic.fleet import calibrate_service_table
 
@@ -256,5 +256,6 @@ def test_calibration_memo_keys_on_cost_model(monkeypatch):
     assert patched is not ultra
     for kind, row in patched["kinds"].items():
         assert row["cycles"] > ultra["kinds"][kind]["cycles"], kind
-    assert calibrate_service_table("native", "redis", traffic,
-                                   23) is native
+    recalibrated = calibrate_service_table("native", "redis", traffic, 23)
+    assert recalibrated is not native
+    assert recalibrated == native  # native never charges HASHSET_CHECK
